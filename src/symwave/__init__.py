@@ -20,7 +20,6 @@ from .estimates import (DecayReport, DispersiveReport, critical_point,
                         decay_sweep, dispersive_report, fit_decay,
                         kernel_on_grid, kunze_stein_bound, kunze_stein_sweep,
                         sup_weighted)
-from .evolution import (AdmissiblePair, KleinGordonPropagator, WaveState,
-                        admissible, gaussian_state, gwp_curves, gwp_powers,
-                        gwp_sigma, kg_propagate, semilinear_solve,
-                        sigma_pq, sobolev_norm_2)
+from .evolution import (KleinGordonPropagator, WaveState, admissible,
+                        gaussian_state, gwp_curves, gwp_powers, gwp_sigma,
+                        semilinear_solve, sigma_pq, sobolev_norm_2)

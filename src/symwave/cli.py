@@ -192,8 +192,7 @@ def _cmd_kernel(args, cfg) -> int:
         "rho_tilde": rs.rho_norm if rho_tilde is None else rho_tilde,
         "piece": piece, "h_max": h_max, "h_points": h_points,
         "envelope_power": N,
-        "quadrature": {"panels": panels, "filon_threshold": quad.filon_threshold,
-                       "oracle_mode": quad.oracle_mode}})
+        "quadrature": {"panels": panels, "oracle_mode": quad.oracle_mode}})
     print(f"wrote {out / 'kernel.csv'}")
     return 0
 

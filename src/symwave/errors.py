@@ -60,7 +60,8 @@ class ResolutionError(SymwaveError):
 
 
 class DivergenceError(SymwaveError):
-    """Fixed-point iteration failed to contract; carries the data norm."""
+    """Fixed-point iteration failed to contract or to converge within
+    max_iter; carries the data norm."""
 
     def __init__(self, message: str, data_norm: float = float("nan")):
         super().__init__(message)

@@ -179,19 +179,16 @@ def kernel_on_grid(rs: RootSystem, p: KernelParams, grid: RadialGrid,
     """Sample a kernel piece on every grid node (radial in |H|, so values
     are filled from a per-|H| profile)."""
     r = np.round(np.linalg.norm(grid.nodes, axis=1), 12)
+    # any chamber representative with a given |H| works; use the rho_c ray
+    direction = rs.rho_c / np.linalg.norm(rs.rho_c)
     profile = {}
     vals = np.empty(grid.n_nodes, dtype=complex)
     for i, s in enumerate(r):
         if s not in profile:
-            H = np.zeros(rs.rank)
-            H[:] = 0.0
-            # any chamber representative with this |H| works; build one
-            direction = rs.rho_c / np.linalg.norm(rs.rho_c)
             profile[s] = kernel_piece(rs, p, direction * s, piece)
         vals[i] = profile[s]
     # restore the bi-invariant H-dependence through phi0: kernel = phi0 * psi(|H|)
     base = phi0(rs, grid.nodes)
-    direction = rs.rho_c / np.linalg.norm(rs.rho_c)
     ref = phi0(rs, direction[None, :] * r[:, None])
     vals *= base / ref
     return RadialFunction(grid, vals)

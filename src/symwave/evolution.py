@@ -38,12 +38,6 @@ class WaveState:
                 raise ConfigError("u and ut must share one grid")
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    p: float
-    q: float
-
-
 def admissible(d: int, p: float, q: float) -> bool:
     """Membership in the admissible region: the triangle
     1/p >= (d-1)/2 (1/2 - 1/q) over (0,1/2] x (0,1/2), plus the corner
@@ -223,14 +217,6 @@ class KleinGordonPropagator:
                                      + self.omega ** 2 * np.abs(fh) ** 2)))
 
 
-def kg_propagate(rs: RootSystem, state0: WaveState, t: float, forcing=None,
-                 sgrid: SpectralGrid | None = None) -> WaveState:
-    """One-shot propagation; builds (and caches nothing beyond) the
-    transform pair for state0's grid."""
-    prop = KleinGordonPropagator(rs, state0.u.grid, sgrid)
-    return prop.propagate(state0, t, forcing=forcing)
-
-
 def sobolev_norm_2(rs: RootSystem, u: RadialFunction, s: float,
                    sgrid: SpectralGrid | None = None) -> float:
     """|| (-Lap)^{s/2} u ||_{L^2} computed spectrally:
@@ -267,13 +253,16 @@ def semilinear_solve(rs: RootSystem, state0: WaveState, gamma: float, T: float,
     """Picard iteration of u -> linear flow + Duhamel(F(u)) on a uniform mesh.
 
     F(u) = mu |u|^{gamma-1} u.  Divergence (residual growth over five
-    consecutive iterations) raises, carrying the data norm as a smallness
-    diagnostic.
+    consecutive iterations) and a last residual still above ``tol`` after
+    ``max_iter`` iterations both raise DivergenceError, carrying the data
+    norm as a smallness diagnostic; a returned result has converged.
     """
     if gamma <= 1.0:
         raise DomainError("gamma must exceed 1")
     if steps < 2:
         raise ConfigError("need at least 2 time steps")
+    if max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
     prop = KleinGordonPropagator(rs, state0.u.grid, sgrid)
     times = np.linspace(0.0, T, steps + 1)
     dt = times[1] - times[0]
@@ -290,7 +279,7 @@ def semilinear_solve(rs: RootSystem, state0: WaveState, gamma: float, T: float,
     cur_u = lin_u.copy()
     residuals = []
     grow = 0
-    for it in range(max_iter):
+    for _ in range(max_iter):
         phys = np.stack([prop.to_radial(SpectralFunction(prop.sgrid, cur_u[k])).values
                          for k in range(times.size)])
         Fh = np.stack([prop.to_spectral(
@@ -321,8 +310,11 @@ def semilinear_solve(rs: RootSystem, state0: WaveState, gamma: float, T: float,
                     f"data likely not small enough", data_norm=data_norm)
         else:
             grow = 0
-    else:
-        cur_ut = new_ut
+    if not resid < tol:
+        data_norm = float(np.sqrt(prop.energy(state0)))
+        raise DivergenceError(
+            f"Picard residual {resid:.3e} still above tol {tol:.0e} after "
+            f"{max_iter} iterations", data_norm=data_norm)
     trajectory = []
     energies = []
     C = plancherel_constant(rs)

@@ -106,10 +106,6 @@ class RadialFunction:
         return self.values.reshape(self.grid.shape)
 
 
-def radial_from_callable(grid: RadialGrid, fn) -> RadialFunction:
-    return RadialFunction(grid, np.asarray(fn(grid.nodes), dtype=complex))
-
-
 def w_invariance_defect(f: RadialFunction, decimals: int = 9) -> float:
     """Max |f(H) - f(wH)| over Weyl images that land back on grid nodes."""
     grid, rs = f.grid, f.grid.rs

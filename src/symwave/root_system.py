@@ -54,12 +54,6 @@ class RootSystem:
     def tag(self) -> str:
         return f"{self.family}{self.rank}"
 
-    def to_coords(self, v_ambient: np.ndarray) -> np.ndarray:
-        return np.asarray(v_ambient, dtype=float) @ self.a_basis.T
-
-    def to_ambient(self, x_coords: np.ndarray) -> np.ndarray:
-        return np.asarray(x_coords, dtype=float) @ self.a_basis
-
     def pairings(self, H: np.ndarray) -> np.ndarray:
         """<alpha, H> for every positive root; H in coordinates, shape (..., rank)."""
         return np.asarray(H, dtype=None) @ self.roots_c.T

@@ -28,6 +28,7 @@ import numpy as np
 from numpy.polynomial import legendre as _leg
 from scipy.special import gamma as _cgamma
 from scipy.special import jv as _scipy_jv
+from scipy.special import spherical_jn as _spherical_jn
 
 from .errors import ConfigError, InconclusiveIntegralError, PoleError
 from .geometry import phi0
@@ -95,77 +96,17 @@ def _bessel_a(nu: float, m: int) -> np.ndarray:
 
 
 def bessel_j(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) for nu >= 0, x >= 0: power series up to x = 12, eight-term
-    Hankel asymptotics beyond.  Orders above 10 (only the largest rank-4
-    spaces) fall back to scipy, where the fixed switchover loses accuracy."""
+    """J_nu(x) for nu >= 0, x >= 0, evaluated by ``scipy.special.jv``.
+
+    The wrapper adds the domain check and returns a float for scalar input.
+    The name stays because it is public API (exported by ``symwave``), it is
+    the one Bessel call of ``shell_integral``, and ``perfbench/tracer.py``
+    instruments it by name."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if nu < 0 or np.any(x < 0):
         raise ConfigError("bessel_j requires nu >= 0 and x >= 0")
-    if nu > 10:
-        out = _scipy_jv(nu, x)
-        return float(out[0]) if scalar else out
-    out = np.empty_like(x)
-    small = x <= 12.0
-    if np.any(small):
-        xs = x[small]
-        term = (xs / 2.0) ** nu / math.gamma(nu + 1.0)
-        acc = term.copy()
-        q = (xs / 2.0) ** 2
-        for k in range(1, 60):
-            term = -term * q / (k * (k + nu))
-            acc += term
-        out[small] = acc
-    if np.any(~small):
-        xl = x[~small]
-        a = _bessel_a(nu, 16)
-        ks = np.arange(8)
-        P = np.sum((-1.0) ** ks[None, :] * a[2 * ks][None, :]
-                   * xl[:, None] ** (-2.0 * ks), axis=1)
-        Q = np.sum((-1.0) ** ks[None, :] * a[2 * ks + 1][None, :]
-                   * xl[:, None] ** (-2.0 * ks - 1.0), axis=1)
-        omega = xl - nu * np.pi / 2.0 - np.pi / 4.0
-        out[~small] = np.sqrt(2.0 / (np.pi * xl)) * (np.cos(omega) * P
-                                                     - np.sin(omega) * Q)
-    return float(out[0]) if scalar else out
-
-
-def _sph_jn(nmax: int, z: np.ndarray) -> np.ndarray:
-    """Spherical Bessel j_0..j_nmax(z), z >= 0; shape (nmax+1, len(z))."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.zeros((nmax + 1, z.size))
-    small = z < 1.5
-    if np.any(small):
-        zs = z[small]
-        for n in range(nmax + 1):
-            dfact = math.prod(range(1, 2 * n + 2, 2))
-            term = zs ** n / dfact
-            acc = term.copy()
-            q = zs * zs / 2.0
-            for k in range(1, 8):
-                term = -term * q / (k * (2 * n + 2 * k + 1))
-                acc += term
-            out[n, small] = acc
-    if np.any(~small):
-        zl = z[~small]
-        M = nmax + 25
-        jp = np.zeros_like(zl)
-        jc = np.full_like(zl, 1e-200)
-        cols = np.zeros((nmax + 1, zl.size))
-        for n in range(M, 0, -1):
-            jm = (2 * n + 1) / zl * jc - jp
-            jp, jc = jc, jm
-            big = np.abs(jc) > 1e250
-            if np.any(big):
-                jc[big] *= 1e-200
-                jp[big] *= 1e-200
-                cols[:, big] *= 1e-200
-            if n - 1 <= nmax:
-                cols[n - 1] = jc
-        scale = (np.sin(zl) / zl) / cols[0]
-        out[:, ~small] = cols * scale
-    return out
+    out = _scipy_jv(nu, x)
+    return float(out) if x.ndim == 0 else out
 
 
 def sphere_area(d: int) -> float:
@@ -210,7 +151,6 @@ def shell_integral(rs: RootSystem, r: np.ndarray, s: float) -> np.ndarray:
 class QuadratureControls:
     r_max: float | None = None        # lower bound for the analytic-tail start
     panels: int = 128                 # width divisor: 2x panels = half widths
-    filon_threshold: float = 6.0      # oscillation count switching to Filon
     oracle_mode: bool = False
 
     def __post_init__(self):
@@ -278,7 +218,9 @@ def _filon_integrate(amp_fn, phase_fn, dphase_fn, edges: np.ndarray) -> complex:
     Per panel the phase is linearized at the midpoint; the residual phase is
     folded into the amplitude samples, so the only error is the Legendre
     resolution of the folded amplitude.  Linear-phase moments are exact:
-    int_-1^1 P_n(x) e^{i kappa x} dx = 2 i^n j_n(kappa).
+    int_-1^1 P_n(x) e^{i kappa x} dx = 2 i^n j_n(kappa), with j_n from
+    ``scipy.special.spherical_jn`` on the signed kappa (it applies
+    j_n(-kappa) = (-1)^n j_n(kappa) itself), accurate for every kappa.
     """
     x, _, L = _gl_tables()
     mids = (edges[1:] + edges[:-1]) / 2.0
@@ -291,11 +233,8 @@ def _filon_integrate(amp_fn, phase_fn, dphase_fn, edges: np.ndarray) -> complex:
     resid = Phi - phase_fn(mids)[:, None] - dphase_fn(mids)[:, None] * (nodes - mids[:, None])
     A *= np.exp(1j * resid)
     coef = A @ L.T                       # (panels, n) Legendre coefficients
-    sign = np.where(kappa < 0, -1.0, 1.0)
-    jn = _sph_jn(_GL_N - 1, np.abs(kappa))
-    parity = np.array([(-1.0) ** n for n in range(_GL_N)])
-    moments = 2.0 * (1j ** np.arange(_GL_N))[None, :] * jn.T \
-        * np.where(sign[:, None] < 0, parity[None, :], 1.0)
+    n = np.arange(_GL_N)
+    moments = 2.0 * 1j ** n[None, :] * _spherical_jn(n[None, :], kappa[:, None])
     vals = hws * np.exp(1j * phase_fn(mids)) * np.sum(coef * moments, axis=1)
     return complex(np.sum(vals))
 

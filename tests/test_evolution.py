@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symwave.errors import ConfigError, DomainError, OutOfRangeError
+from symwave.errors import (ConfigError, DivergenceError, DomainError,
+                            OutOfRangeError)
 from symwave.evolution import (KleinGordonPropagator, WaveState, admissible,
                                gaussian_state, gwp_curves, gwp_powers,
                                gwp_sigma, semilinear_solve, sigma_pq,
@@ -231,6 +232,13 @@ def test_semilinear_validation(setup_a1):
         semilinear_solve(rs, state, gamma=1.0, T=1.0, steps=10)
     with pytest.raises(ConfigError):
         semilinear_solve(rs, state, gamma=3.0, T=1.0, steps=1)
+    with pytest.raises(ConfigError):
+        semilinear_solve(rs, state, gamma=3.0, T=1.0, steps=10, max_iter=0)
+    # one Picard step cannot reach tol = 1e-30: stopping above tol must raise
+    with pytest.raises(DivergenceError) as exc:
+        semilinear_solve(rs, state, gamma=3.0, T=1.0, steps=10, tol=1e-30,
+                         max_iter=1)
+    assert exc.value.data_norm > 0.0
 
 
 def test_suggested_steps_resolves_phase(setup_a1):

@@ -83,6 +83,17 @@ def test_bessel_domain():
         bessel_j(1.0, -0.5)
 
 
+@pytest.mark.parametrize("k", [10.0, 30.0, 40.0, 45.0, -40.0])
+def test_filon_single_panel_matches_quad(k):
+    # one panel of width 2 with linear phase k r: the Legendre moments are
+    # 2 i^n j_n(k), here at |k| beyond the range production panels reach
+    val = _filon_integrate(np.exp, lambda r: k * r, lambda r: k + 0 * r,
+                           np.array([-1.0, 1.0]))
+    re = si.quad(np.exp, -1.0, 1.0, weight="cos", wvar=k)[0]
+    im = si.quad(np.exp, -1.0, 1.0, weight="sin", wvar=k)[0]
+    assert val == pytest.approx(complex(re, im), rel=1e-12)
+
+
 def test_shell_integral_sphere_limit(a1, a2):
     for rs in (a1, a2):
         d = rs.dim_X
