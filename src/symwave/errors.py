@@ -46,17 +46,25 @@ class DataError(SymwaveError):
 
 
 class InconclusiveIntegralError(SymwaveError):
-    """Quadrature tail control failed; carries the offending tail estimate."""
+    """Quadrature tail control failed; carries the offending tail estimate
+    and, for a stacked transform, the index of the failing slice."""
 
     def __init__(self, message: str, tail_bound: float = float("nan"),
-                 accumulated: float = float("nan")):
+                 accumulated: float = float("nan"),
+                 slice_index: int | None = None):
         super().__init__(message)
         self.tail_bound = tail_bound
         self.accumulated = accumulated
+        self.slice_index = slice_index
 
 
 class ResolutionError(SymwaveError):
-    """Spectral grid does not resolve the data to the required tail level."""
+    """Spectral grid does not resolve the data to the required tail level;
+    carries the index of the failing slice of a stacked transform."""
+
+    def __init__(self, message: str, slice_index: int | None = None):
+        super().__init__(message)
+        self.slice_index = slice_index
 
 
 class DivergenceError(SymwaveError):

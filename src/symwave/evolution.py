@@ -2,10 +2,13 @@
 admissibility region and the global well-posedness regularity thresholds.
 
 The free flow applies the multipliers cos(t Omega) and sin(t Omega)/Omega,
-Omega = sqrt(|lam|^2 + |rho|^2), in the spherical-transform domain; the
-inhomogeneous term uses trapezoidal time quadrature of Duhamel's formula,
-and the semilinear solver iterates the classical fixed-point scheme on a
-uniform time mesh.
+Omega = sqrt(|lam|^2 + |rho|^2), in the spherical-transform domain.  The
+inhomogeneous term uses trapezoidal time quadrature of Duhamel's formula;
+sin((t_k - s) Omega) = sin(t_k Omega) cos(s Omega) - cos(t_k Omega) sin(s Omega)
+turns the integrals at all K mesh times into running sums, O(K M) for M
+frequencies.  The semilinear solver iterates the classical fixed-point
+scheme on a uniform time mesh, transforming the whole trajectory in one
+stacked call per direction and iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .errors import (ConfigError, DivergenceError, DomainError,
 from .geometry import RadialFunction, RadialGrid
 from .root_system import RootSystem
 from .spherical import (SpectralFunction, SpectralGrid, forward_transform,
-                        inverse_transform, plancherel_constant,
+                        forward_transform_stack, inverse_transform,
+                        inverse_transform_stack, plancherel_constant,
                         plancherel_density)
 
 
@@ -142,8 +146,17 @@ def suggested_steps(rs: RootSystem, sgrid: SpectralGrid, T: float) -> int:
     return max(8, int(math.ceil(abs(T) * om_max / (math.pi / 8.0))))
 
 
+# Relative mass below which a slice is rounding noise next to the flow.
+_NOISE = 1e-10
+
+
 class KleinGordonPropagator:
-    """Caches the transform pair between one radial and one spectral grid."""
+    """Klein-Gordon flow between one radial and one spectral grid.
+
+    Caches omega and the Plancherel quadrature weights of the spectral grid.
+    Both transform methods take one function or a stack of time slices, and
+    their tail-check floors come from the arguments of each call.
+    """
 
     def __init__(self, rs: RootSystem, rgrid: RadialGrid,
                  sgrid: SpectralGrid | None = None, tail_tol: float = 1e-8):
@@ -152,29 +165,52 @@ class KleinGordonPropagator:
         self.sgrid = sgrid or default_spectral_grid(rs, rgrid)
         self.tail_tol = tail_tol
         self.omega = _omega(rs, self.sgrid)
-        self._scale = 0.0   # dominant spectral mass seen so far; noise floor
+        self._wq = self.sgrid.weights * plancherel_density(rs, self.sgrid.nodes)
 
-    def to_spectral(self, f: RadialFunction) -> SpectralFunction:
+    def _spectral_mass(self, values: np.ndarray) -> np.ndarray:
+        """Plancherel-weighted mass sum w |g| pi^2 of each slice (last axis)."""
+        return np.sum(self._wq * np.abs(values), axis=-1)
+
+    def to_spectral(self, f, tail_floor: float = 0.0):
+        """Forward transform of one RadialFunction, returned as a
+        SpectralFunction, or of a stack of values (B, N) on ``rgrid``,
+        returned as values (B, M).  Slices of radial mass at most
+        ``tail_floor`` skip the tail check."""
         try:
-            return forward_transform(self.rs, f, self.sgrid, tail_tol=self.tail_tol,
-                                     tail_floor=1e-10 * self._scale)
+            if isinstance(f, RadialFunction):
+                return forward_transform(self.rs, f, self.sgrid,
+                                         self.tail_tol, tail_floor)
+            return forward_transform_stack(self.rs, self.rgrid, f, self.sgrid,
+                                           self.tail_tol, tail_floor)
         except InconclusiveIntegralError as exc:
-            raise ResolutionError(f"data not resolved by the grids: {exc}") from exc
+            raise ResolutionError(f"data not resolved by the grids: {exc}",
+                                  slice_index=exc.slice_index) from exc
 
-    def to_radial(self, g: SpectralFunction) -> RadialFunction:
-        mass = float(np.sum(self.sgrid.weights * np.abs(g.values)
-                            * plancherel_density(self.rs, self.sgrid.nodes)))
-        self._scale = max(self._scale, mass)
+    def to_radial(self, g):
+        """Inverse transform of one SpectralFunction, returned as a
+        RadialFunction, or of a stack of values (B, M) on ``sgrid``,
+        returned as values (B, N).  Slices holding at most 1e-10 of the
+        largest spectral mass in the call are rounding noise next to it and
+        skip the tail check."""
+        single = isinstance(g, SpectralFunction)
+        floor = _NOISE * float(np.max(self._spectral_mass(
+            g.values if single else g)))
         try:
-            return inverse_transform(self.rs, g, self.rgrid, tail_tol=self.tail_tol,
-                                     tail_floor=1e-10 * self._scale)
+            if single:
+                return inverse_transform(self.rs, g, self.rgrid,
+                                         self.tail_tol, floor)
+            return inverse_transform_stack(self.rs, self.sgrid, g, self.rgrid,
+                                           self.tail_tol, floor)
         except InconclusiveIntegralError as exc:
-            raise ResolutionError(f"spectrum not resolved by the grids: {exc}") from exc
+            raise ResolutionError(f"spectrum not resolved by the grids: {exc}",
+                                  slice_index=exc.slice_index) from exc
 
-    def free_flow_spectral(self, fh: np.ndarray, gh: np.ndarray,
-                           t: float) -> tuple:
+    def free_flow_spectral(self, fh: np.ndarray, gh: np.ndarray, t) -> tuple:
+        """(u, ut) of the free flow from (fh, gh) at time t, or one row per
+        time when t is a mesh of times."""
         om = self.omega
-        c, s = np.cos(t * om), np.sin(t * om)
+        phase = np.multiply.outer(t, om)
+        c, s = np.cos(phase), np.sin(phase)
         u = c * fh + s / om * gh
         ut = -om * s * fh + c * gh
         return u, ut
@@ -183,38 +219,34 @@ class KleinGordonPropagator:
                   forcing=None) -> WaveState:
         """Evolve ``state`` by time t; ``forcing`` is (times, [RadialFunction])
         sampled uniformly over [state.time, state.time + t]."""
-        fh = self.to_spectral(state.u).values
-        gh = self.to_spectral(state.ut).values
+        fh, gh = self.to_spectral(np.stack([state.u.values, state.ut.values]))
         u, ut = self.free_flow_spectral(fh, gh, t)
         if forcing is not None:
             f_times, f_vals = forcing
             f_times = np.asarray(f_times, dtype=float) - state.time
-            if f_times.size < 2 or not np.allclose(np.diff(f_times),
-                                                   f_times[1] - f_times[0]):
-                raise ConfigError("forcing must be sampled on a uniform mesh")
-            Fh = np.stack([self.to_spectral(F).values for F in f_vals])
-            om = self.omega
-            dt = f_times[1] - f_times[0]
-            w = np.full(f_times.size, dt)
-            w[0] = w[-1] = dt / 2.0
-            inside = (f_times >= min(0.0, t) - 1e-12) & (f_times <= max(0.0, t) + 1e-12)
-            ker_u = np.sin((t - f_times[:, None]) * om[None, :]) / om[None, :]
-            ker_ut = np.cos((t - f_times[:, None]) * om[None, :])
-            sel = np.where(inside, w, 0.0)
-            u = u + (sel[:, None] * ker_u * Fh).sum(axis=0)
-            ut = ut + (sel[:, None] * ker_ut * Fh).sum(axis=0)
-        ru = self.to_radial(SpectralFunction(self.sgrid, u))
-        rut = self.to_radial(SpectralFunction(self.sgrid, ut))
-        return WaveState(u=ru, ut=rut, time=state.time + t)
+            slack = 1e-12 * max(1.0, abs(t))
+            if (f_times.size < 2 or len(f_vals) != f_times.size
+                    or abs(f_times[0]) > slack or abs(f_times[-1] - t) > slack
+                    or not np.allclose(np.diff(f_times), f_times[1] - f_times[0])):
+                raise ConfigError("forcing must be sampled on a uniform mesh "
+                                  "from state.time to state.time + t")
+            Fh = self.to_spectral(np.stack([F.values for F in f_vals]))
+            du, dut = _duhamel(f_times, self.omega, Fh)
+            u, ut = u + du[-1], ut + dut[-1]
+        ru, rut = self.to_radial(np.stack([u, ut]))
+        return WaveState(u=RadialFunction(self.rgrid, ru),
+                         ut=RadialFunction(self.rgrid, rut),
+                         time=state.time + t)
+
+    def _energies(self, uh: np.ndarray, uth: np.ndarray) -> np.ndarray:
+        """Free energy C int (|ut^|^2 + Omega^2 |u^|^2) pi^2 of each slice."""
+        dens = np.abs(uth) ** 2 + self.omega ** 2 * np.abs(uh) ** 2
+        return plancherel_constant(self.rs) * np.sum(self._wq * dens, axis=-1)
 
     def energy(self, state: WaveState) -> float:
         """Free energy ||ut||_2^2 + ||sqrt(-Lap) u||_2^2 via the transform."""
-        fh = self.to_spectral(state.u).values
-        gh = self.to_spectral(state.ut).values
-        w = self.sgrid.weights * plancherel_density(self.rs, self.sgrid.nodes)
-        C = plancherel_constant(self.rs)
-        return float(C * np.sum(w * (np.abs(gh) ** 2
-                                     + self.omega ** 2 * np.abs(fh) ** 2)))
+        fh, gh = self.to_spectral(np.stack([state.u.values, state.ut.values]))
+        return float(self._energies(fh, gh))
 
 
 def sobolev_norm_2(rs: RootSystem, u: RadialFunction, s: float,
@@ -223,18 +255,62 @@ def sobolev_norm_2(rs: RootSystem, u: RadialFunction, s: float,
     ( C int (|lam|^2+|rho|^2)^s |Hu|^2 pi^2 dlam )^{1/2}."""
     prop = KleinGordonPropagator(rs, u.grid, sgrid)
     uh = prop.to_spectral(u).values
-    w = prop.sgrid.weights * plancherel_density(rs, prop.sgrid.nodes)
     C = plancherel_constant(rs)
-    val = C * np.sum(w * prop.omega ** (2.0 * s) * np.abs(uh) ** 2)
+    val = C * np.sum(prop._wq * prop.omega ** (2.0 * s) * np.abs(uh) ** 2)
     return float(math.sqrt(max(val, 0.0)))
 
 
 # ---------------------------------------------------------------------------
-# semilinear fixed point
+# Duhamel sums and the semilinear fixed point
 # ---------------------------------------------------------------------------
+
+def _cumulative_trapezoid(g: np.ndarray, dt: float) -> np.ndarray:
+    """Row k: trapezoid integral of the rows of g over mesh points 0..k."""
+    out = np.cumsum(g, axis=0)
+    out -= 0.5 * (g[0] + g)
+    out *= dt
+    return out
+
+
+def _duhamel(times: np.ndarray, om: np.ndarray, Fh: np.ndarray) -> tuple:
+    """Trapezoid Duhamel integrals on a uniform mesh, one row per mesh time:
+    U_k = int_{t_0}^{t_k} sin((t_k - s) Omega)/Omega F(s) ds and U'_k, the
+    same with cos.  sin((t_k - s) w) = sin(t_k w) cos(s w) - cos(t_k w) sin(s w)
+    turns both into running sums, O(K M) for K times and M frequencies."""
+    phase = np.multiply.outer(times, om)
+    c, s = np.cos(phase), np.sin(phase)
+    dt = times[1] - times[0]
+    A = _cumulative_trapezoid(c * Fh, dt)
+    B = _cumulative_trapezoid(s * Fh, dt)
+    U = (s * A - c * B) / om
+    Ut = c * A + s * B
+    return U, Ut
+
 
 def _nonlinearity(u: np.ndarray, gamma: float, mu: float) -> np.ndarray:
     return mu * np.abs(u) ** (gamma - 1.0) * u
+
+
+def _on_mesh(transform, values: np.ndarray, times: np.ndarray, **kw):
+    """Apply a stacked transform to time slices; a ResolutionError then
+    names the mesh time of the failing slice."""
+    try:
+        return transform(values, **kw)
+    except ResolutionError as exc:
+        t = times[exc.slice_index % times.size]
+        raise ResolutionError(f"at mesh time t = {t:.6g}: {exc}",
+                              slice_index=exc.slice_index) from exc
+
+
+def _nonlinear_duhamel(prop: KleinGordonPropagator, u: np.ndarray,
+                       times: np.ndarray, gamma: float, mu: float) -> tuple:
+    """Duhamel integrals of F(u) for spectral slices u (K, M) at the mesh
+    times; F(u) is tail-checked against the mass of the flow it came from."""
+    floor = _NOISE * float(np.max(prop._spectral_mass(u)))
+    phys = _on_mesh(prop.to_radial, u, times)
+    Fh = _on_mesh(prop.to_spectral, _nonlinearity(phys, gamma, mu), times,
+                  tail_floor=floor)
+    return _duhamel(times, prop.omega, Fh)
 
 
 @dataclass
@@ -252,10 +328,13 @@ def semilinear_solve(rs: RootSystem, state0: WaveState, gamma: float, T: float,
                      sgrid: SpectralGrid | None = None) -> SemilinearResult:
     """Picard iteration of u -> linear flow + Duhamel(F(u)) on a uniform mesh.
 
-    F(u) = mu |u|^{gamma-1} u.  Divergence (residual growth over five
-    consecutive iterations) and a last residual still above ``tol`` after
-    ``max_iter`` iterations both raise DivergenceError, carrying the data
-    norm as a smallness diagnostic; a returned result has converged.
+    F(u) = mu |u|^{gamma-1} u.  Each iteration transforms the whole
+    trajectory in one stacked call per direction, and F(u) is tail-checked
+    against the mass of the flow it came from.  Divergence (residual growth
+    over five consecutive iterations) and a last residual still above
+    ``tol`` after ``max_iter`` iterations both raise DivergenceError,
+    carrying the data norm as a smallness diagnostic; a returned result has
+    converged.
     """
     if gamma <= 1.0:
         raise DomainError("gamma must exceed 1")
@@ -265,40 +344,20 @@ def semilinear_solve(rs: RootSystem, state0: WaveState, gamma: float, T: float,
         raise ConfigError("max_iter must be >= 1")
     prop = KleinGordonPropagator(rs, state0.u.grid, sgrid)
     times = np.linspace(0.0, T, steps + 1)
-    dt = times[1] - times[0]
-    om = prop.omega
-    fh = prop.to_spectral(state0.u).values
-    gh = prop.to_spectral(state0.ut).values
-    lin_u, lin_ut = [], []
-    for t in times:
-        u, ut = prop.free_flow_spectral(fh, gh, t)
-        lin_u.append(u)
-        lin_ut.append(ut)
-    lin_u, lin_ut = np.stack(lin_u), np.stack(lin_ut)
+    K = times.size
+    fh, gh = prop.to_spectral(np.stack([state0.u.values, state0.ut.values]))
+    # rows 0..K-1 hold u at each mesh time, rows K..2K-1 hold ut
+    lin = np.concatenate(prop.free_flow_spectral(fh, gh, times))
 
-    cur_u = lin_u.copy()
+    cur = lin
     residuals = []
     grow = 0
     for _ in range(max_iter):
-        phys = np.stack([prop.to_radial(SpectralFunction(prop.sgrid, cur_u[k])).values
-                         for k in range(times.size)])
-        Fh = np.stack([prop.to_spectral(
-            RadialFunction(prop.rgrid, _nonlinearity(phys[k], gamma, mu))).values
-            for k in range(times.size)])
-        new_u = lin_u.copy()
-        new_ut = lin_ut.copy()
-        for k in range(1, times.size):
-            w = np.full(k + 1, dt)
-            w[0] = w[-1] = dt / 2.0
-            tk = times[k]
-            ker_u = np.sin((tk - times[:k + 1, None]) * om[None, :]) / om[None, :]
-            ker_ut = np.cos((tk - times[:k + 1, None]) * om[None, :])
-            new_u[k] += (w[:, None] * ker_u * Fh[:k + 1]).sum(axis=0)
-            new_ut[k] += (w[:, None] * ker_ut * Fh[:k + 1]).sum(axis=0)
-        resid = float(np.max(np.abs(new_u - cur_u)))
+        new = np.concatenate(_nonlinear_duhamel(prop, cur[:K], times, gamma, mu))
+        new += lin
+        resid = float(np.max(np.abs(new[:K] - cur[:K])))
         residuals.append(resid)
-        cur_u = new_u
-        cur_ut = new_ut
+        cur = new
         if resid < tol:
             break
         if len(residuals) >= 2 and residuals[-1] > residuals[-2]:
@@ -315,19 +374,13 @@ def semilinear_solve(rs: RootSystem, state0: WaveState, gamma: float, T: float,
         raise DivergenceError(
             f"Picard residual {resid:.3e} still above tol {tol:.0e} after "
             f"{max_iter} iterations", data_norm=data_norm)
-    trajectory = []
-    energies = []
-    C = plancherel_constant(rs)
-    wq = prop.sgrid.weights * plancherel_density(rs, prop.sgrid.nodes)
-    for k, t in enumerate(times):
-        ru = prop.to_radial(SpectralFunction(prop.sgrid, cur_u[k]))
-        rut = prop.to_radial(SpectralFunction(prop.sgrid, cur_ut[k]))
-        trajectory.append(WaveState(u=ru, ut=rut, time=float(t)))
-        energies.append(float(C * np.sum(wq * (np.abs(cur_ut[k]) ** 2
-                                               + om ** 2 * np.abs(cur_u[k]) ** 2))))
+    phys = _on_mesh(prop.to_radial, cur, times)
+    trajectory = [WaveState(u=RadialFunction(prop.rgrid, ru),
+                            ut=RadialFunction(prop.rgrid, rut), time=float(t))
+                  for ru, rut, t in zip(phys[:K], phys[K:], times)]
     return SemilinearResult(times=times, trajectory=trajectory,
                             residuals=residuals, iterations=len(residuals),
-                            energies=np.asarray(energies))
+                            energies=prop._energies(cur[:K], cur[K:]))
 
 
 def gaussian_state(rs: RootSystem, rgrid: RadialGrid, amplitude: float = 1.0,

@@ -15,8 +15,14 @@ floating point.  Points within 1e-4 of a singular set (lam on a root
 hyperplane, H on a wall) are handled by 6-point polynomial extrapolation
 along a fixed generic direction.
 
-Transforms are plain trapezoid sums over tensor grids, reorganized per Weyl
-element into axis-by-axis contractions so rank-2 grids stay cheap.
+Transforms are plain trapezoid sums over tensor grids, applied to a stack of
+B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
+``forward_transform`` and ``inverse_transform`` are the B = 1 case.  At rank
+1 the signed Weyl images fold into one phase matrix, applied to the whole
+stack as a single matrix product.  At rank 2 each Weyl element's per-axis
+phase matrices are built once per call and contracted axis by axis with
+each slice, so rank-2 grids stay cheap.  Each slice passes its own tail
+check, and a failure names the slice.
 """
 
 from __future__ import annotations
@@ -133,32 +139,57 @@ def _near_singular(rs: RootSystem, pts: np.ndarray) -> np.ndarray:
         | (np.prod(pair, axis=1) < 1e-6 * norm)
 
 
-def _w_fold(rs: RootSystem, tensor: np.ndarray, axis: np.ndarray,
-            pts: np.ndarray) -> np.ndarray:
-    """sum_w det(w) sum_x tensor(x) exp(i <p, w x>) for each row p of pts.
+def _phase(mu: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """The (M, n) matrix exp(i mu_j x_k), exponentiated in place."""
+    E = np.multiply.outer(mu, 1j * axis)
+    return np.exp(E, out=E)
 
-    The inner sum runs over the tensor grid with 1D nodes ``axis``; it is
-    folded one coordinate axis at a time, so the cost per Weyl element is
-    O(M * n^rank) with small constants instead of forming an M x n^rank
-    phase matrix.
+
+def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
+            axis: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_w det(w) sum_x weights(x) values_b(x) exp(i <p, w x>) for each
+    slice b of the stack ``values`` (B, n^rank) and each row p of pts;
+    returns (B, M).
+
+    The inner sum runs over the tensor grid with 1D nodes ``axis``.  At rank
+    1 the signed Weyl images and the weights fold into one M x n matrix,
+    applied to the whole stack as a single matrix product.  At higher rank
+    each Weyl element's per-axis phase matrices are built once and reused
+    across the stack, and the sum is folded one coordinate axis at a time,
+    so the cost per Weyl element and slice is O(M * n^rank) with small
+    constants instead of forming an M x n^rank phase matrix.
     """
     W = weyl_group(rs)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = axis.shape[0]
-    out = np.zeros(pts.shape[0], dtype=complex)
+    if rs.rank == 1:
+        P = np.zeros((pts.shape[0], axis.shape[0]), dtype=complex)
+        for mat, sign in zip(W.matrices, W.signs):
+            E = _phase((pts @ mat)[:, 0], axis)
+            E *= sign
+            P += E
+            del E                 # one phase matrix alive at a time
+        P *= weights
+        return values @ P.T
+    out = np.zeros((values.shape[0], pts.shape[0]), dtype=complex)
     for mat, sign in zip(W.matrices, W.signs):
-        mu = pts @ mat            # row p -> w^T p, so <p, w x> = <w^T p, x>
-        E = np.exp(1j * np.multiply.outer(mu[:, 0], axis))
-        T = E @ tensor.reshape(n, -1).astype(complex)   # (M, n^{rank-1})
-        for k in range(1, rs.rank):
-            E = np.exp(1j * np.multiply.outer(mu[:, k], axis))
-            rest = T.shape[1] // n
-            if rest == 1:
-                T = np.sum(E * T.reshape(-1, n), axis=1, keepdims=True)
-            else:
-                T = np.einsum("ji,jir->jr", E,
-                              T.reshape(T.shape[0], n, rest))
-        out += sign * T.ravel()
+        # row p -> w^T p, so <p, w x> = <w^T p, x>
+        out += sign * _axis_fold(pts @ mat, values, weights, axis)
+    return out
+
+
+def _axis_fold(mu: np.ndarray, values: np.ndarray, weights: np.ndarray,
+               axis: np.ndarray) -> np.ndarray:
+    """sum_x weights(x) values_b(x) exp(i <mu_p, x>) for each slice b and
+    row mu_p, folded one coordinate axis at a time with per-axis phase
+    matrices shared by all slices."""
+    n, M = axis.shape[0], mu.shape[0]
+    E = [_phase(mu[:, k], axis) for k in range(mu.shape[1])]
+    out = np.empty((values.shape[0], M), dtype=complex)
+    for b, v in enumerate(values):
+        T = E[0] @ (weights * v).reshape(n, -1)     # (M, n^{rank-1})
+        for Ek in E[1:]:
+            T = np.einsum("ji,jir->jr", Ek, T.reshape(M, n, -1))
+        out[b] = T[:, 0]
     return out
 
 
@@ -246,47 +277,51 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H_pts: np.ndarray) -> np.nd
 # transform pair
 # ---------------------------------------------------------------------------
 
-def _forward_core(rs: RootSystem, f: RadialFunction, pts: np.ndarray) -> np.ndarray:
-    """Trapezoid spherical transform of f at arbitrary spectral points.
+def _forward_core(rs: RootSystem, rgrid: RadialGrid, values: np.ndarray,
+                  pts: np.ndarray) -> np.ndarray:
+    """Trapezoid spherical transform of a stack of values (B, N) on rgrid at
+    arbitrary spectral points; returns (B, M).
 
     Uses Hf = pi(rho) S(lam) / (i^m pi(lam) |W| 4^m) with
     S(lam) = sum_w det(w) sum_H  wts f D e^{i<w lam, H>},  m = |Sigma+|.
     Callers must keep pts away from root hyperplanes.
     """
-    grid = f.grid
-    T = (grid.weights * f.values * weyl_denominator(rs, grid.nodes)).reshape(grid.shape)
-    S = _w_fold(rs, T, grid.axis, pts)
+    S = _w_fold(rs, values, rgrid.weights * weyl_denominator(rs, rgrid.nodes),
+                rgrid.axis, pts)
     n_pos = rs.n_positive
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
     denom = (1j ** n_pos) * pi_many(rs, np.atleast_2d(pts)) \
         * weyl_group(rs).order * 4.0 ** n_pos
-    return pi_rho * S / denom
+    S *= pi_rho / denom
+    return S
 
 
-def _inverse_core(rs: RootSystem, g: SpectralFunction, pts: np.ndarray,
-                  constant: float) -> np.ndarray:
-    """Inverse transform at arbitrary flat-part points off the walls."""
-    grid = g.grid
-    lam_pi = pi_many(rs, grid.nodes)
-    T = (grid.weights * g.values * lam_pi).reshape(grid.shape)
-    S = _w_fold(rs, T, grid.axis, pts)
+def _inverse_core(rs: RootSystem, sgrid: SpectralGrid, values: np.ndarray,
+                  pts: np.ndarray, constant: float) -> np.ndarray:
+    """Inverse transform of a stack (B, M) at arbitrary flat-part points off
+    the walls; returns (B, N)."""
+    S = _w_fold(rs, values, sgrid.weights * pi_many(rs, sgrid.nodes),
+                sgrid.axis, pts)
     n_pos = rs.n_positive
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
     den = weyl_denominator(rs, np.atleast_2d(pts))
-    return constant * pi_rho * S / ((1j ** n_pos) * den)
+    S *= constant * pi_rho / ((1j ** n_pos) * den)
+    return S
 
 
 def _patched(rs: RootSystem, pts: np.ndarray, core, box_scale: float,
-             exact_origin) -> np.ndarray:
-    """Evaluate ``core`` on pts, patching hyperplane points by extrapolation."""
+             at_origin: np.ndarray) -> np.ndarray:
+    """Evaluate ``core`` (points -> (B, points) values) on pts, patching
+    hyperplane points by extrapolation; ``at_origin`` holds the B exact
+    values at the origin."""
     pts = np.atleast_2d(pts)
-    out = np.empty(pts.shape[0], dtype=complex)
+    out = np.empty((at_origin.shape[0], pts.shape[0]), dtype=complex)
     sing = _near_singular(rs, pts)
     origin = np.linalg.norm(pts, axis=1) < 1e-14
     regular = ~sing & ~origin
     if np.any(regular):
-        out[regular] = core(pts[regular])
-    out[origin] = exact_origin()
+        out[:, regular] = core(pts[regular])
+    out[:, origin] = at_origin[:, None]
     todo = np.nonzero(sing & ~origin)[0]
     if todo.size:
         u = _generic_direction(rs.rank)
@@ -294,9 +329,75 @@ def _patched(rs: RootSystem, pts: np.ndarray, core, box_scale: float,
         ks = np.arange(1, _EXTRAP_K + 1)
         shifted = (pts[todo][:, None, :]
                    + (tau * ks)[None, :, None] * u[None, None, :])
-        vals = core(shifted.reshape(-1, rs.rank)).reshape(todo.size, _EXTRAP_K)
-        out[todo] = vals @ _extrap_weights()
+        vals = core(shifted.reshape(-1, rs.rank))
+        out[:, todo] = vals.reshape(-1, todo.size, _EXTRAP_K) @ _extrap_weights()
     return out
+
+
+def _as_stack(values: np.ndarray, grid) -> np.ndarray:
+    """A stack of slices (B, n_nodes) of complex values on ``grid``."""
+    v = np.asarray(values, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != grid.n_nodes:
+        raise ConfigError(f"stack of shape {v.shape} does not match a grid of "
+                          f"{grid.n_nodes} nodes")
+    return v
+
+
+def _check_tail(kind: str, values: np.ndarray, weights: np.ndarray,
+                shell_mask: np.ndarray, tail_tol: float,
+                tail_floor: float) -> None:
+    """Raise for the first slice of the masses weights |values| (B, N) whose
+    shell part exceeds ``tail_tol`` of its total; slices of total mass at
+    most ``tail_floor`` are waived."""
+    bound = np.abs(values)
+    bound *= weights
+    total = bound.sum(axis=1)
+    shell = bound[:, shell_mask].sum(axis=1)
+    bad = np.nonzero((total > tail_floor) & (shell > tail_tol * total))[0]
+    if bad.size:
+        b = int(bad[0])
+        raise InconclusiveIntegralError(
+            f"{kind} tail mass {shell[b]:.3e} exceeds {tail_tol:.1e} of "
+            f"{total[b]:.3e} in slice {b} of {bound.shape[0]}",
+            tail_bound=float(shell[b]), accumulated=float(total[b]),
+            slice_index=b)
+
+
+def forward_transform_stack(rs: RootSystem, rgrid: RadialGrid,
+                            values: np.ndarray, grid: SpectralGrid,
+                            tail_tol: float = TAIL_TOL,
+                            tail_floor: float = 0.0) -> np.ndarray:
+    """Spherical transform of each slice of a stack of values (B, N) on
+    ``rgrid``, returned as values (B, M) on ``grid``.
+
+    Each slice passes its own tail check; see ``forward_transform``."""
+    if rgrid.rs is not rs or grid.rs is not rs:
+        raise ConfigError("grids belong to a different root system")
+    values = _as_stack(values, rgrid)
+    wdp = rgrid.weights * density_delta(rs, rgrid.nodes) * phi0(rs, rgrid.nodes)
+    _check_tail("radial", values, wdp, rgrid.shell_mask(), tail_tol, tail_floor)
+    at_origin = values @ wdp / weyl_group(rs).order
+    return _patched(rs, grid.nodes, lambda p: _forward_core(rs, rgrid, values, p),
+                    box_scale=rgrid.box_radius, at_origin=at_origin)
+
+
+def inverse_transform_stack(rs: RootSystem, sgrid: SpectralGrid,
+                            values: np.ndarray, grid: RadialGrid,
+                            tail_tol: float = TAIL_TOL,
+                            tail_floor: float = 0.0) -> np.ndarray:
+    """Inverse transform of each slice of a stack of values (B, M) on
+    ``sgrid``, returned as values (B, N) on ``grid``.
+
+    Each slice passes its own tail check; see ``inverse_transform``."""
+    if sgrid.rs is not rs or grid.rs is not rs:
+        raise ConfigError("grids belong to a different root system")
+    values = _as_stack(values, sgrid)
+    wp = sgrid.weights * plancherel_density(rs, sgrid.nodes)
+    _check_tail("spectral", values, wp, sgrid.shell_mask(), tail_tol, tail_floor)
+    C = plancherel_constant(rs)
+    at_origin = C * (values @ wp)
+    return _patched(rs, grid.nodes, lambda p: _inverse_core(rs, sgrid, values, p, C),
+                    box_scale=sgrid.box_radius, at_origin=at_origin)
 
 
 def forward_transform(rs: RootSystem, f: RadialFunction, grid: SpectralGrid,
@@ -304,51 +405,23 @@ def forward_transform(rs: RootSystem, f: RadialFunction, grid: SpectralGrid,
                       tail_floor: float = 0.0) -> SpectralFunction:
     """Spherical Fourier transform Hf(lam) = int_{a+} delta f phi_lam dH.
 
+    The radial shell of the box may hold at most ``tail_tol`` of the mass
+    int delta |f| phi0, or InconclusiveIntegralError is raised.
     ``tail_floor`` is an absolute mass below which the tail check is waived
     (for functions that are negligible relative to some reference flow)."""
-    rgrid = f.grid
-    if rgrid.rs is not rs or grid.rs is not rs:
-        raise ConfigError("grids belong to a different root system")
-    bound = rgrid.weights * density_delta(rs, rgrid.nodes) * np.abs(f.values) \
-        * phi0(rs, rgrid.nodes)
-    total, shell = float(bound.sum()), float(bound[rgrid.shell_mask()].sum())
-    if total > tail_floor and shell > tail_tol * total:
-        raise InconclusiveIntegralError(
-            f"radial tail mass {shell:.3e} exceeds {tail_tol:.1e} of {total:.3e}",
-            tail_bound=shell, accumulated=total)
-
-    def origin():
-        w = rgrid.weights * density_delta(rs, rgrid.nodes) * f.values \
-            * phi0(rs, rgrid.nodes)
-        return complex(w.sum() / weyl_group(rs).order)
-
-    vals = _patched(rs, grid.nodes, lambda p: _forward_core(rs, f, p),
-                    box_scale=rgrid.box_radius, exact_origin=origin)
-    return SpectralFunction(grid, vals)
+    vals = forward_transform_stack(rs, f.grid, f.values[None], grid,
+                                   tail_tol, tail_floor)
+    return SpectralFunction(grid, vals[0])
 
 
 def inverse_transform(rs: RootSystem, g: SpectralFunction, grid: RadialGrid,
                       tail_tol: float = TAIL_TOL,
                       tail_floor: float = 0.0) -> RadialFunction:
-    """Inverse transform f(H) = C_rs int Hf(lam) phi_lam(H) pi(lam)^2 dlam."""
-    sgrid = g.grid
-    if sgrid.rs is not rs or grid.rs is not rs:
-        raise ConfigError("grids belong to a different root system")
-    bound = sgrid.weights * np.abs(g.values) * plancherel_density(rs, sgrid.nodes)
-    total, shell = float(bound.sum()), float(bound[sgrid.shell_mask()].sum())
-    if total > tail_floor and shell > tail_tol * total:
-        raise InconclusiveIntegralError(
-            f"spectral tail mass {shell:.3e} exceeds {tail_tol:.1e} of {total:.3e}",
-            tail_bound=shell, accumulated=total)
-    C = plancherel_constant(rs)
-
-    def origin():
-        w = sgrid.weights * g.values * plancherel_density(rs, sgrid.nodes)
-        return complex(C * w.sum())
-
-    vals = _patched(rs, grid.nodes, lambda p: _inverse_core(rs, g, p, C),
-                    box_scale=sgrid.box_radius, exact_origin=origin)
-    return RadialFunction(grid, vals)
+    """Inverse transform f(H) = C_rs int Hf(lam) phi_lam(H) pi(lam)^2 dlam,
+    with the same tail check on the spectral box as ``forward_transform``."""
+    vals = inverse_transform_stack(rs, g.grid, g.values[None], grid,
+                                   tail_tol, tail_floor)
+    return RadialFunction(grid, vals[0])
 
 
 _REFERENCE_GRIDS = {1: dict(R=11.0, n=441, L=11.0, m=441),

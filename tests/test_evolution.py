@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from symwave.errors import (ConfigError, DivergenceError, DomainError,
-                            OutOfRangeError)
-from symwave.evolution import (KleinGordonPropagator, WaveState, admissible,
-                               gaussian_state, gwp_curves, gwp_powers,
-                               gwp_sigma, semilinear_solve, sigma_pq,
-                               sobolev_norm_2, suggested_steps)
+                            OutOfRangeError, ResolutionError)
+from symwave.evolution import (KleinGordonPropagator, WaveState, _duhamel,
+                               admissible, gaussian_state, gwp_curves,
+                               gwp_powers, gwp_sigma, semilinear_solve,
+                               sigma_pq, sobolev_norm_2, suggested_steps)
 from symwave.geometry import (RadialFunction, RadialGrid,
                               integrate_biinvariant, w_invariance_defect)
 from symwave.root_system import build_root_system
@@ -81,6 +81,52 @@ def test_duhamel_constant_forcing(setup_a1):
     expected = (1.0 - np.cos(t * prop.omega)) / prop.omega ** 2 * Fh
     got = prop.to_spectral(out.u).values
     assert np.max(np.abs(got - expected)) < 1e-4 * np.max(np.abs(expected))
+
+
+def test_forcing_mesh_must_span_the_step(setup_a1):
+    rs, grid, prop, state = setup_a1
+    F = RadialFunction(grid, np.exp(-grid.nodes[:, 0] ** 2))
+    for times in (np.linspace(0.0, 2.0, 11), np.linspace(0.5, 1.0, 11),
+                  np.array([0.0, 0.2, 1.0])):
+        with pytest.raises(ConfigError):
+            prop.propagate(state, 1.0, forcing=(times, [F] * times.size))
+
+
+@pytest.mark.parametrize("T", [2.5, -1.7])
+def test_duhamel_cumulative_sums_match_direct_trapezoid(T):
+    # reference: the O(K^2) trapezoid sum of Duhamel's formula at each t_k
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, T, 41)
+    om = np.sqrt(np.linspace(0.0, 90.0, 33) + 2.0)
+    Fh = rng.normal(size=(41, 33)) + 1j * rng.normal(size=(41, 33))
+    U, Ut = _duhamel(times, om, Fh)
+    dt = times[1] - times[0]
+    ref_u, ref_ut = np.zeros_like(Fh), np.zeros_like(Fh)
+    for k in range(1, times.size):
+        w = np.full(k + 1, dt)
+        w[0] = w[-1] = dt / 2.0
+        lag = (times[k] - times[:k + 1])[:, None] * om[None, :]
+        ref_u[k] = np.sum(w[:, None] * np.sin(lag) / om * Fh[:k + 1], axis=0)
+        ref_ut[k] = np.sum(w[:, None] * np.cos(lag) * Fh[:k + 1], axis=0)
+    assert np.max(np.abs(U - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
+    assert np.max(np.abs(Ut - ref_ut)) <= 1e-12 * np.max(np.abs(ref_ut))
+
+
+def test_to_spectral_has_no_hidden_state(setup_a1):
+    # a propagator that has inverted a large spectrum must transform (or
+    # refuse) data exactly as a fresh one does
+    rs, grid, _, state = setup_a1
+    fresh, used = KleinGordonPropagator(rs, grid), KleinGordonPropagator(rs, grid)
+    used.to_radial(used.to_spectral(RadialFunction(grid, 1e12 * state.u.values)))
+    assert np.array_equal(fresh.to_spectral(state.u).values,
+                          used.to_spectral(state.u).values)
+    tiny = RadialFunction(grid, np.full(grid.n_nodes, 1e-20))
+    messages = []
+    for prop in (fresh, used):
+        with pytest.raises(ResolutionError, match="radial tail mass") as exc:
+            prop.to_spectral(tiny)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_sobolev_norm_examples(setup_a1):
@@ -239,6 +285,20 @@ def test_semilinear_validation(setup_a1):
         semilinear_solve(rs, state, gamma=3.0, T=1.0, steps=10, tol=1e-30,
                          max_iter=1)
     assert exc.value.data_norm > 0.0
+
+
+def test_semilinear_resolution_error_names_mesh_time():
+    # on a box of radius 5 the wave reaches the edge near t = 4, where the
+    # tail check of F(u) fails
+    rs = build_root_system("A", 1)
+    grid = RadialGrid(rs, 5.0, 129)
+    state = gaussian_state(rs, grid, amplitude=0.1)
+    with pytest.raises(ResolutionError,
+                       match=r"^at mesh time t = 4: data not resolved by the grids: "
+                             r"radial tail mass \S+ exceeds 1\.0e-08 of \S+ "
+                             r"in slice 20 of 41$") as exc:
+        semilinear_solve(rs, state, gamma=3.0, T=8.0, steps=40)
+    assert exc.value.slice_index == 20
 
 
 def test_suggested_steps_resolves_phase(setup_a1):

@@ -7,11 +7,14 @@ import scipy.integrate as si
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symwave.errors import InconclusiveIntegralError
 from symwave.geometry import (RadialFunction, RadialGrid, phi0,
                               w_invariance_defect)
 from symwave.root_system import build_root_system, weyl_group
-from symwave.spherical import (SpectralGrid, _near_singular, _phi_direct,
-                               forward_transform, inverse_transform,
+from symwave.spherical import (SpectralFunction, SpectralGrid,
+                               _near_singular, _phi_direct,
+                               forward_transform, forward_transform_stack,
+                               inverse_transform, inverse_transform_stack,
                                phi_lambda, phi_lambda_many,
                                plancherel_constant, plancherel_density,
                                radial_laplacian_apply, parseval_pair)
@@ -258,6 +261,61 @@ def test_round_trip(tag, R, n, L, m, tol):
     err = np.max(np.abs(frt.values - f.values)) / np.max(np.abs(f.values))
     assert err < tol
     assert w_invariance_defect(frt) < 1e-8
+
+
+@pytest.mark.parametrize("tag,R,n,L,m", [
+    ("A1", 8.0, 65, 7.0, 61),
+    ("A2", 5.0, 25, 5.0, 21),
+])
+def test_stacked_transforms_match_per_slice(tag, R, n, L, m):
+    # The comparison is about stacking, not resolution, so the tail checks
+    # are off (tail_tol = 1).  Both grids hold the origin, and on A2 the
+    # spectral grid has points on root hyperplanes and the radial grid
+    # points on walls, which take the extrapolated path.
+    rs = build_root_system(tag[0], int(tag[1]))
+    rgrid, sgrid = RadialGrid(rs, R, n), SpectralGrid(rs, L, m)
+    for grid in (rgrid, sgrid):
+        assert np.any(np.all(grid.nodes == 0.0, axis=1))
+        if rs.rank == 2:
+            assert np.any(_near_singular(rs, grid.nodes)
+                          & np.any(grid.nodes != 0.0, axis=1))
+    r2 = np.sum(rgrid.nodes ** 2, axis=1)
+    l2 = np.sum(sgrid.nodes ** 2, axis=1)
+    radial = np.stack([np.exp(-r2 / w ** 2) * (1.0 + 0.3j * np.cos(r2 / w))
+                       for w in (0.7, 1.0, 1.4)])
+    spectral = np.stack([np.exp(-l2 / s ** 2) * (1.0 - 0.2j * np.sin(l2 / s))
+                         for s in (1.0, 1.6, 2.5)])
+    fwd = forward_transform_stack(rs, rgrid, radial, sgrid, tail_tol=1.0)
+    inv = inverse_transform_stack(rs, sgrid, spectral, rgrid, tail_tol=1.0)
+    for b in range(3):
+        one = forward_transform(rs, RadialFunction(rgrid, radial[b]), sgrid,
+                                tail_tol=1.0).values
+        assert np.max(np.abs(fwd[b] - one)) <= 1e-13 * np.max(np.abs(one))
+        one = inverse_transform(rs, SpectralFunction(sgrid, spectral[b]), rgrid,
+                                tail_tol=1.0).values
+        assert np.max(np.abs(inv[b] - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_stacked_tail_check_names_the_slice(a1):
+    rgrid, sgrid = RadialGrid(a1, 8.0, 65), SpectralGrid(a1, 7.0, 61)
+    resolved = np.exp(-np.sum(rgrid.nodes ** 2, axis=1))
+    flat = np.ones(rgrid.n_nodes)
+    with pytest.raises(InconclusiveIntegralError,
+                       match=r"radial tail mass \S+ exceeds 1\.0e-10 of \S+ "
+                             r"in slice 1 of 3") as exc:
+        forward_transform_stack(a1, rgrid, np.stack([resolved, flat, flat]), sgrid)
+    assert exc.value.slice_index == 1
+    assert 0.0 < exc.value.tail_bound < exc.value.accumulated
+    # a slice at or below the floor is waived, whatever its tail
+    forward_transform_stack(a1, rgrid, np.stack([resolved, 1e-30 * flat]), sgrid,
+                            tail_floor=1e-20)
+    spec = np.exp(-np.sum(sgrid.nodes ** 2, axis=1) * 4.0)
+    with pytest.raises(InconclusiveIntegralError,
+                       match=r"spectral tail mass \S+ exceeds 1\.0e-10 of \S+ "
+                             r"in slice 0 of 2") as exc:
+        inverse_transform_stack(a1, sgrid, np.stack([np.ones(sgrid.n_nodes), spec]),
+                                rgrid)
+    assert exc.value.slice_index == 0
 
 
 def test_plancherel_density_values(a1, a2, rng):
