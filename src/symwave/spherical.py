@@ -424,34 +424,18 @@ def inverse_transform(rs: RootSystem, g: SpectralFunction, grid: RadialGrid,
     return RadialFunction(grid, vals[0])
 
 
-_REFERENCE_GRIDS = {1: dict(R=11.0, n=441, L=11.0, m=441),
-                    2: dict(R=10.0, n=161, L=12.0, m=161)}
-
-
-@lru_cache(maxsize=8)
-def _plancherel_constant_cached(family: str, rank: int) -> float:
-    from .root_system import build_root_system
-    rs = build_root_system(family, rank)
-    if rank not in _REFERENCE_GRIDS:
-        raise UnsupportedConfigurationError(
-            "transform calibration grids are defined for rank <= 2")
-    ref = _REFERENCE_GRIDS[rank]
-    rgrid = RadialGrid(rs, ref["R"], ref["n"])
-    sgrid = SpectralGrid(rs, ref["L"], ref["m"])
-    f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1)))
-    Hf = forward_transform(rs, f, sgrid, tail_tol=1e-6)
-    w = sgrid.weights * Hf.values * plancherel_density(rs, sgrid.nodes)
-    raw_at_zero = complex(w.sum())   # inverse with constant 1 at H = 0
-    return float(1.0 / raw_at_zero.real)
-
-
 def plancherel_constant(rs: RootSystem) -> float:
-    """Frozen calibration constant making inverse(forward(.)) the identity.
+    """Inversion constant making inverse(forward(.)) the identity, in closed
+    form: 4^{|Sigma+|} / (pi(rho)^2 (2 pi)^rank |W|).
 
-    Determined once per root system by a reference-Gaussian round trip
-    pinned at the origin, where phi_lam = 1 exactly.
-    """
-    return _plancherel_constant_cached(rs.family, rs.rank)
+    The transform pair is defined for rank <= 2; a reference-Gaussian round
+    trip pinned at the origin reproduces the constant (see the tests)."""
+    if rs.rank > 2:
+        raise UnsupportedConfigurationError(
+            "the transform pair is defined for rank <= 2")
+    return float(4.0 ** rs.n_positive / (
+        np.prod(rs.pairings(rs.rho_c)) ** 2
+        * (2.0 * np.pi) ** rs.rank * weyl_group(rs).order))
 
 
 def parseval_pair(rs: RootSystem, f: RadialFunction, grid: SpectralGrid) -> tuple:

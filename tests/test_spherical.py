@@ -7,7 +7,7 @@ import scipy.integrate as si
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symwave.errors import InconclusiveIntegralError
+from symwave.errors import InconclusiveIntegralError, UnsupportedConfigurationError
 from symwave.geometry import (RadialFunction, RadialGrid, phi0,
                               w_invariance_defect)
 from symwave.root_system import build_root_system, weyl_group
@@ -329,12 +329,21 @@ def test_plancherel_density_values(a1, a2, rng):
 
 
 def test_plancherel_constant_closed_form(a1, a2):
-    # calibrated constant equals 4^{|Sigma+|}/(pi(rho)^2 (2 pi)^rank |W|)
+    # the closed form 4^{|Sigma+|}/(pi(rho)^2 (2 pi)^rank |W|) against a
+    # reference-Gaussian round trip pinned at the origin, where phi_lam = 1:
+    # the inverse transform with constant 1 gives 1/C at H = 0
+    grids = {1: (11.0, 441, 11.0, 441), 2: (10.0, 161, 12.0, 161)}
     for rs in (a1, a2):
-        closed = 4.0 ** rs.n_positive / (
-            np.prod(rs.pairings(rs.rho_c)) ** 2
-            * (2 * np.pi) ** rs.rank * weyl_group(rs).order)
-        assert plancherel_constant(rs) == pytest.approx(closed, rel=1e-7)
+        R, n, L, m = grids[rs.rank]
+        rgrid, sgrid = RadialGrid(rs, R, n), SpectralGrid(rs, L, m)
+        f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1)))
+        Hf = forward_transform(rs, f, sgrid, tail_tol=1e-6)
+        raw_at_zero = np.sum(sgrid.weights * Hf.values
+                             * plancherel_density(rs, sgrid.nodes))
+        assert plancherel_constant(rs) == pytest.approx(1.0 / raw_at_zero.real,
+                                                        rel=1e-12)
+    with pytest.raises(UnsupportedConfigurationError):
+        plancherel_constant(build_root_system("A", 3))
 
 
 def test_parseval(a1):

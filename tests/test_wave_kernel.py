@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -5,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from symwave.errors import ConfigError, PoleError
+import symwave
+from symwave import wave_kernel
+from symwave.errors import ConfigError, InconclusiveIntegralError, PoleError
 from symwave.geometry import phi0
 from symwave.wave_kernel import (KernelParams, QuadratureControls, bessel_j,
                                  chi_pair, kernel_high_regularized,
                                  kernel_low, kernel_piece, kernel_total,
                                  shell_integral, sphere_area, smooth_step,
                                  with_doubled_panels)
-from symwave.wave_kernel import _filon_integrate, _build_panels, _tail_value
+from symwave.wave_kernel import (_SERIES_LEN, _build_panels, _filon_integrate,
+                                 _power_tail_orders, _tail_value)
 
 SIGMA = 2.0 + 1.0j
 
@@ -167,6 +175,52 @@ def test_filon_engine_vs_adaptive_quadrature():
         np.sqrt(0.8 / (t * 4.0 / (r * r + 4.0) ** 1.5 + 1e-30))), 1.0)
     val = _filon_integrate(amp, phase, dphase, edges)
     assert val == pytest.approx(re + 1j * im, abs=1e-11)
+
+
+@pytest.mark.parametrize("p0", [-1.0, 0.0, 1.5, 2.0, 1 + 0.49j, 0.9965j, 18 + 0.49j])
+def test_power_tail_orders_match_mpmath(p0):
+    # M_k = int_R^inf r^{-p} e^{i xi r} dr = R^{1-p} E_p(-i xi R), p = p0 + k,
+    # across the segment/ray switch at |xi| R = 10 and both signs of xi
+    R = 2.5
+    for xi_R in (1e-12, 1e-6, 1e-3, 0.5, 9.99, 10.0, 30.0, 1e3, 1e4):
+        for sign in (1.0, -1.0):
+            xi = sign * xi_R / R
+            got = _power_tail_orders(complex(p0), xi, R, _SERIES_LEN)
+            with mpmath.workdps(30):
+                for k in range(_SERIES_LEN):
+                    p = mpmath.mpc(p0) + k
+                    exact = complex(mpmath.power(R, 1 - p)
+                                    * mpmath.expint(p, mpmath.mpc(0, -xi * R)))
+                    assert got[k] == pytest.approx(exact, rel=1e-12), (xi_R, sign, k)
+
+
+def test_radial_integral_errors_name_the_inputs(a1, monkeypatch):
+    H = np.array([0.8])
+    names = ("high piece", "|H| = 0.8", "sigma = 2+1j", "R = ")
+    # the analytic tail may not start beyond 5e6
+    far = QuadratureControls(r_max=6e6)
+    with pytest.raises(InconclusiveIntegralError, match="out of reach") as exc:
+        kernel_high_regularized(a1, KernelParams(t=1.25, sigma=SIGMA, quad=far), H)
+    assert all(n in str(exc.value) for n in names + ("t = 1.25",))
+    with pytest.raises(InconclusiveIntegralError, match="out of reach") as exc:
+        kernel_high_regularized(a1, KernelParams(t=-1.25, sigma=np.conj(SIGMA),
+                                                 quad=far), H)
+    assert "conjugate of the problem at t = -1.25, sigma = 2-1j" in str(exc.value)
+    # no tail estimate is ever below a zero tolerance
+    monkeypatch.setattr(wave_kernel, "TAIL_REL_TOL", 0.0)
+    with pytest.raises(InconclusiveIntegralError, match="tail estimate") as exc:
+        kernel_high_regularized(a1, KernelParams(t=1.35, sigma=SIGMA), H)
+    assert all(n in str(exc.value) for n in names + ("t = 1.35",))
+    assert 0.0 < exc.value.tail_bound and 0.0 < exc.value.accumulated
+
+
+def test_runtime_import_does_not_load_mpmath():
+    # mpmath is a test-only oracle; the library must not import it
+    src = os.path.dirname(os.path.dirname(symwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c",
+                    "import symwave, sys; assert 'mpmath' not in sys.modules"],
+                   env=env, check=True, timeout=120)
 
 
 def test_tail_seam_consistency(a1):
