@@ -127,7 +127,8 @@ def _cmd_transform(args, cfg) -> int:
     R = _resolve(args, cfg, "transform", "box_radius", float, 10.0)
     n = int(_resolve(args, cfg, "transform", "points", int,
                      193 if rs.rank == 1 else 121))
-    L = _resolve(args, cfg, "transform", "spectral_radius", float, 9.0)
+    L = _resolve(args, cfg, "transform", "spectral_radius", float,
+                 9.0 if rs.rank == 1 else 12.0)
     m = int(_resolve(args, cfg, "transform", "spectral_points", int,
                      193 if rs.rank == 1 else 109))
     width = _resolve(args, cfg, "transform", "width", float, 1.0)

@@ -19,17 +19,24 @@ Transforms are plain trapezoid sums over tensor grids, applied to a stack of
 B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
 ``forward_transform`` and ``inverse_transform`` are the B = 1 case.  At rank
 1 the signed Weyl images fold into one phase matrix, applied to the whole
-stack as a single matrix product.  At rank 2 each Weyl element's per-axis
-phase matrices are built once per call and contracted axis by axis with
-each slice, so rank-2 grids stay cheap.  Each slice passes its own tail
-check, and a failure names the slice.
+stack as a single matrix product.  At rank 2 the output points are the nodes
+of a tensor grid with 1D axis y, so for each Weyl element w the phase
+exp(i (w^T p)_k x) on axis k is the product of the (m x n) tables
+exp(i w_0k y_a x) and exp(i w_1k y_b x): a few small tables are
+exponentiated per call, the (m^2 x n) phase matrices are formed from them by
+complex multiplies, and the sum is contracted axis by axis with each slice.
+The transform is evaluated on the whole output grid, and only its regular
+points are divided by pi(lam) or by the Weyl denominator.  Points on a
+singular set are patched from off-grid points, whose phases are
+exponentiated point by point.
+Each slice passes its own tail check, and a failure names the slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 from scipy.special import gammainc
@@ -109,15 +116,14 @@ def _generic_direction(rank: int) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-@lru_cache(maxsize=8)
-def _extrap_weights() -> np.ndarray:
-    # Lagrange weights extrapolating samples at offsets {1..K} to 0
-    k = np.arange(1, _EXTRAP_K + 1, dtype=float)
-    w = np.empty(_EXTRAP_K)
-    for i, ki in enumerate(k):
-        others = k[k != ki]
-        w[i] = np.prod(-others) / np.prod(ki - others)
+def _lagrange_to_zero(k: np.ndarray) -> np.ndarray:
+    """Lagrange weights extrapolating samples at offsets k to 0."""
+    w = np.array([np.prod(-k[k != ki]) / np.prod(ki - k[k != ki]) for ki in k])
+    w.flags.writeable = False
     return w
+
+
+_EXTRAP_WEIGHTS = _lagrange_to_zero(np.arange(1, _EXTRAP_K + 1, dtype=float))
 
 
 def _min_abs_pairing(rs: RootSystem, pts: np.ndarray) -> np.ndarray:
@@ -146,22 +152,25 @@ def _phase(mu: np.ndarray, axis: np.ndarray) -> np.ndarray:
 
 
 def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
-            axis: np.ndarray, pts: np.ndarray) -> np.ndarray:
+            axis: np.ndarray, pts: np.ndarray, tensor: bool) -> np.ndarray:
     """sum_w det(w) sum_x weights(x) values_b(x) exp(i <p, w x>) for each
-    slice b of the stack ``values`` (B, n^rank) and each row p of pts;
-    returns (B, M).
+    slice b of the stack ``values`` (B, n^rank) and each output point p;
+    returns (B, P).
 
-    The inner sum runs over the tensor grid with 1D nodes ``axis``.  At rank
-    1 the signed Weyl images and the weights fold into one M x n matrix,
-    applied to the whole stack as a single matrix product.  At higher rank
-    each Weyl element's per-axis phase matrices are built once and reused
-    across the stack, and the sum is folded one coordinate axis at a time,
-    so the cost per Weyl element and slice is O(M * n^rank) with small
-    constants instead of forming an M x n^rank phase matrix.
+    The inner sum runs over the tensor grid with 1D nodes ``axis``.  The
+    output points are the rows of ``pts`` (P, rank), or with ``tensor`` the
+    nodes of the tensor grid over the 1D axis ``pts``, in ``_tensor_nodes``
+    order.  At rank 1 the signed Weyl images and the weights fold into one
+    P x n matrix, applied to the whole stack as a single matrix product.  At
+    higher rank each Weyl element's per-axis phase matrices (see
+    ``_weyl_phases``) are reused across the stack and freed before the next
+    element's are built, and the sum is folded one coordinate axis at a
+    time, so the cost per Weyl element and slice is O(P * n^rank) with small
+    constants instead of forming a P x n^rank phase matrix.
     """
     W = weyl_group(rs)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if rs.rank == 1:
+        pts = np.reshape(pts, (-1, 1))     # a rank-1 tensor grid is its axis
         P = np.zeros((pts.shape[0], axis.shape[0]), dtype=complex)
         for mat, sign in zip(W.matrices, W.signs):
             E = _phase((pts @ mat)[:, 0], axis)
@@ -170,20 +179,40 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
             del E                 # one phase matrix alive at a time
         P *= weights
         return values @ P.T
-    out = np.zeros((values.shape[0], pts.shape[0]), dtype=complex)
-    for mat, sign in zip(W.matrices, W.signs):
-        # row p -> w^T p, so <p, w x> = <w^T p, x>
-        out += sign * _axis_fold(pts @ mat, values, weights, axis)
-    return out
+    return sum(sign * _axis_fold(_weyl_phases(mat, pts, axis, tensor),
+                                 values, weights)
+               for mat, sign in zip(W.matrices, W.signs))
 
 
-def _axis_fold(mu: np.ndarray, values: np.ndarray, weights: np.ndarray,
-               axis: np.ndarray) -> np.ndarray:
-    """sum_x weights(x) values_b(x) exp(i <mu_p, x>) for each slice b and
-    row mu_p, folded one coordinate axis at a time with per-axis phase
-    matrices shared by all slices."""
-    n, M = axis.shape[0], mu.shape[0]
-    E = [_phase(mu[:, k], axis) for k in range(mu.shape[1])]
+def _weyl_phases(mat: np.ndarray, pts: np.ndarray, axis: np.ndarray,
+                 tensor: bool) -> list:
+    """The per-axis phase matrices exp(i (w^T p)_k x), k < rank, of the Weyl
+    matrix ``mat`` at the output points p of ``_w_fold``, each (P, n).
+
+    Off a tensor grid each is exponentiated point by point.  On the tensor
+    grid over the axis y, (w^T p)_k = sum_j w_jk y_{a_j}, so each is the
+    product of the rank tables exp(i w_jk y x), each (m, n), broadcast
+    against each other over the grid: P x n complex multiplies in place of
+    P x n exponentials.
+    """
+    if not tensor:
+        return [_phase(mu, axis) for mu in (pts @ mat).T]
+    rank, n = mat.shape[0], axis.shape[0]
+    E = []
+    for k in range(rank):
+        Ek = 1.0
+        for j in range(rank):
+            T = _phase(mat[j, k] * pts, axis)
+            Ek = Ek * T.reshape((1,) * j + (-1,) + (1,) * (rank - 1 - j) + (n,))
+        E.append(Ek.reshape(-1, n))
+    return E
+
+
+def _axis_fold(E: list, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_x weights(x) values_b(x) prod_k E_k(p, x_k) for each slice b and
+    output point p, folded one coordinate axis at a time with the per-axis
+    phase matrices E_k (M, n) shared by all slices."""
+    M, n = E[0].shape
     out = np.empty((values.shape[0], M), dtype=complex)
     for b, v in enumerate(values):
         T = E[0] @ (weights * v).reshape(n, -1)     # (M, n^{rank-1})
@@ -253,7 +282,7 @@ def phi_lambda(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> complex:
         else np.repeat(H[None, :], _EXTRAP_K, axis=0)
     vals = np.array([_phi_direct(rs, lam_path[i], H_path[i])[0, 0]
                      for i in range(_EXTRAP_K)])
-    return complex(_extrap_weights() @ vals)
+    return complex(_EXTRAP_WEIGHTS @ vals)
 
 
 def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H_pts: np.ndarray) -> np.ndarray:
@@ -264,7 +293,7 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H_pts: np.ndarray) -> np.nd
         return phi0(rs, H_pts).astype(complex)
     out = np.empty(H_pts.shape[0], dtype=complex)
     ok = ~_near_singular(rs, H_pts)
-    if np.linalg.norm(lam) >= 1e-14 and _near_singular(rs, lam)[0]:
+    if _near_singular(rs, lam)[0]:
         ok[:] = False
     if np.any(ok):
         out[ok] = _phi_direct(rs, lam, H_pts[ok])[0]
@@ -277,50 +306,54 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H_pts: np.ndarray) -> np.nd
 # transform pair
 # ---------------------------------------------------------------------------
 
-def _forward_core(rs: RootSystem, rgrid: RadialGrid, values: np.ndarray,
-                  pts: np.ndarray) -> np.ndarray:
-    """Trapezoid spherical transform of a stack of values (B, N) on rgrid at
-    arbitrary spectral points; returns (B, M).
+def _forward_parts(rs: RootSystem, rgrid: RadialGrid, values: np.ndarray):
+    """The fold and the normalisation of the trapezoid spherical transform of
+    a stack of values (B, N) on rgrid, for ``_patched``.
 
     Uses Hf = pi(rho) S(lam) / (i^m pi(lam) |W| 4^m) with
-    S(lam) = sum_w det(w) sum_H  wts f D e^{i<w lam, H>},  m = |Sigma+|.
-    Callers must keep pts away from root hyperplanes.
+    S(lam) = sum_w det(w) sum_H  wts f D e^{i<w lam, H>},  m = |Sigma+|;
+    the normalisation is finite only off the root hyperplanes.
     """
-    S = _w_fold(rs, values, rgrid.weights * weyl_denominator(rs, rgrid.nodes),
-                rgrid.axis, pts)
+    wts = rgrid.weights * weyl_denominator(rs, rgrid.nodes)
     n_pos = rs.n_positive
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
-    denom = (1j ** n_pos) * pi_many(rs, np.atleast_2d(pts)) \
-        * weyl_group(rs).order * 4.0 ** n_pos
-    S *= pi_rho / denom
-    return S
+    order = weyl_group(rs).order
+
+    def norm(lam):
+        return pi_rho / ((1j ** n_pos) * pi_many(rs, lam) * order * 4.0 ** n_pos)
+    return partial(_w_fold, rs, values, wts, rgrid.axis), norm
 
 
-def _inverse_core(rs: RootSystem, sgrid: SpectralGrid, values: np.ndarray,
-                  pts: np.ndarray, constant: float) -> np.ndarray:
-    """Inverse transform of a stack (B, M) at arbitrary flat-part points off
-    the walls; returns (B, N)."""
-    S = _w_fold(rs, values, sgrid.weights * pi_many(rs, sgrid.nodes),
-                sgrid.axis, pts)
+def _inverse_parts(rs: RootSystem, sgrid: SpectralGrid, values: np.ndarray,
+                   constant: float):
+    """The fold and the normalisation of the inverse transform of a stack
+    (B, M) on sgrid, for ``_patched``; the normalisation is finite only off
+    the walls."""
+    wts = sgrid.weights * pi_many(rs, sgrid.nodes)
     n_pos = rs.n_positive
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
-    den = weyl_denominator(rs, np.atleast_2d(pts))
-    S *= constant * pi_rho / ((1j ** n_pos) * den)
-    return S
+
+    def norm(H):
+        return constant * pi_rho / ((1j ** n_pos) * weyl_denominator(rs, H))
+    return partial(_w_fold, rs, values, wts, sgrid.axis), norm
 
 
-def _patched(rs: RootSystem, pts: np.ndarray, core, box_scale: float,
+def _patched(rs: RootSystem, grid, fold, norm, box_scale: float,
              at_origin: np.ndarray) -> np.ndarray:
-    """Evaluate ``core`` (points -> (B, points) values) on pts, patching
-    hyperplane points by extrapolation; ``at_origin`` holds the B exact
-    values at the origin."""
-    pts = np.atleast_2d(pts)
-    out = np.empty((at_origin.shape[0], pts.shape[0]), dtype=complex)
+    """Values (B, grid.n_nodes) on the tensor grid ``grid``: ``fold``
+    ((pts, tensor) -> (B, points), as ``_w_fold``) times ``norm``
+    (points (P, rank) -> (P,)).
+
+    The fold is evaluated on the whole grid, but ``norm`` only on its
+    regular points.  Points near a singular set are patched by extrapolation
+    from off-grid points along a generic ray, and the origin takes the B
+    exact values ``at_origin``."""
+    pts = grid.nodes
     sing = _near_singular(rs, pts)
     origin = np.linalg.norm(pts, axis=1) < 1e-14
     regular = ~sing & ~origin
-    if np.any(regular):
-        out[:, regular] = core(pts[regular])
+    out = fold(grid.axis, True)
+    out[:, regular] *= norm(pts[regular])
     out[:, origin] = at_origin[:, None]
     todo = np.nonzero(sing & ~origin)[0]
     if todo.size:
@@ -329,8 +362,9 @@ def _patched(rs: RootSystem, pts: np.ndarray, core, box_scale: float,
         ks = np.arange(1, _EXTRAP_K + 1)
         shifted = (pts[todo][:, None, :]
                    + (tau * ks)[None, :, None] * u[None, None, :])
-        vals = core(shifted.reshape(-1, rs.rank))
-        out[:, todo] = vals.reshape(-1, todo.size, _EXTRAP_K) @ _extrap_weights()
+        shifted = shifted.reshape(-1, rs.rank)
+        vals = fold(shifted, False) * norm(shifted)
+        out[:, todo] = vals.reshape(-1, todo.size, _EXTRAP_K) @ _EXTRAP_WEIGHTS
     return out
 
 
@@ -377,7 +411,7 @@ def forward_transform_stack(rs: RootSystem, rgrid: RadialGrid,
     wdp = rgrid.weights * density_delta(rs, rgrid.nodes) * phi0(rs, rgrid.nodes)
     _check_tail("radial", values, wdp, rgrid.shell_mask(), tail_tol, tail_floor)
     at_origin = values @ wdp / weyl_group(rs).order
-    return _patched(rs, grid.nodes, lambda p: _forward_core(rs, rgrid, values, p),
+    return _patched(rs, grid, *_forward_parts(rs, rgrid, values),
                     box_scale=rgrid.box_radius, at_origin=at_origin)
 
 
@@ -396,7 +430,7 @@ def inverse_transform_stack(rs: RootSystem, sgrid: SpectralGrid,
     _check_tail("spectral", values, wp, sgrid.shell_mask(), tail_tol, tail_floor)
     C = plancherel_constant(rs)
     at_origin = C * (values @ wp)
-    return _patched(rs, grid.nodes, lambda p: _inverse_core(rs, sgrid, values, p, C),
+    return _patched(rs, grid, *_inverse_parts(rs, sgrid, values, C),
                     box_scale=sgrid.box_radius, at_origin=at_origin)
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from symwave.cli import run
+from symwave.root_system import root_system_from_tag
+from symwave.spherical import plancherel_constant
 
 
 def _read(path: Path) -> bytes:
@@ -39,14 +41,17 @@ def test_phi_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["lam"] == [1.0]
 
 
-def test_transform_roundtrip_and_metadata(tmp_path, capsys):
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2", "C2"])
+def test_transform_roundtrip_and_metadata(tag, tmp_path, capsys):
+    # default grids and spectral radius for each rank
     out = tmp_path / "o"
-    assert run(["transform", "--root-system", "A1",
+    assert run(["transform", "--root-system", tag,
                 "--output-dir", str(out)]) == 0
     meta = json.loads((out / "transform_manifest.json").read_text())
     assert meta["roundtrip_sup_rel_error"] < 1e-5
-    assert meta["plancherel_constant"] == pytest.approx(0.07957747154594767,
-                                                        rel=1e-6)
+    expected = 0.07957747154594767 if tag == "A1" \
+        else plancherel_constant(root_system_from_tag(tag))
+    assert meta["plancherel_constant"] == pytest.approx(expected, rel=1e-6)
 
 
 def test_kernel_csv_schema(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symwave.errors import InconclusiveIntegralError, UnsupportedConfigurationError
-from symwave.geometry import (RadialFunction, RadialGrid, phi0,
+from symwave.geometry import (RadialFunction, RadialGrid, density_delta, phi0,
                               w_invariance_defect)
 from symwave.root_system import build_root_system, weyl_group
 from symwave.spherical import (SpectralFunction, SpectralGrid,
@@ -241,12 +242,38 @@ def test_forward_weyl_invariance(a2):
     rgrid, sgrid = RadialGrid(a2, 7.0, 71), SpectralGrid(a2, 4.0, 41)
     f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1)))
     Hf = forward_transform(a2, f, sgrid)
-
-    class _S:
-        grid = None
     # reuse the radial defect helper by viewing the spectral data on a grid
     rg = RadialGrid(a2, 4.0, 41)
     assert w_invariance_defect(RadialFunction(rg, Hf.values)) < 1e-8
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_forward_rank2_matches_direct_quadrature(family):
+    # Oracle independent of the Weyl fold and its phase tables: the same
+    # trapezoid rule written as (1/|W|) sum_H w(H) delta(H) f(H) phi_lam(H),
+    # with phi_lam from phi_lambda_many.  Twenty regular spectral nodes: the
+    # ten closest to a root hyperplane and ten more drawn at random.
+    rs = build_root_system(family, 2)
+    rgrid, sgrid = RadialGrid(rs, 7.0, 71), SpectralGrid(rs, 4.0, 41)
+    r = np.linalg.norm(rgrid.nodes, axis=1)
+    f = RadialFunction(rgrid, np.exp(-r ** 2) * (1.0 + 0.3 * np.cos(3.0 * r)))
+    regular = np.nonzero(~_near_singular(rs, sgrid.nodes))[0]
+    closeness = np.min(np.abs(sgrid.nodes[regular] @ rs.roots_c.T), axis=1)
+    near = regular[np.argsort(closeness, kind="stable")[:10]]
+    rest = np.setdiff1d(regular, near)
+    picked = np.concatenate(
+        [near, np.random.default_rng(7).choice(rest, 10, replace=False)])
+    # wall nodes, where delta = 0, drop out of both sums
+    delta = density_delta(rs, rgrid.nodes)
+    live = delta > 0.0
+    wdf = (rgrid.weights * delta * f.values)[live]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Hf = forward_transform(rs, f, sgrid).values
+        oracle = np.array([wdf @ phi_lambda_many(rs, sgrid.nodes[j],
+                                                 rgrid.nodes[live])
+                           for j in picked]) / weyl_group(rs).order
+    assert np.max(np.abs(Hf[picked] - oracle)) <= 1e-10 * np.max(np.abs(Hf))
 
 
 @pytest.mark.parametrize("tag,R,n,L,m,tol", [
@@ -266,12 +293,14 @@ def test_round_trip(tag, R, n, L, m, tol):
 @pytest.mark.parametrize("tag,R,n,L,m", [
     ("A1", 8.0, 65, 7.0, 61),
     ("A2", 5.0, 25, 5.0, 21),
+    ("B2", 5.0, 25, 5.0, 21),
 ])
 def test_stacked_transforms_match_per_slice(tag, R, n, L, m):
     # The comparison is about stacking, not resolution, so the tail checks
-    # are off (tail_tol = 1).  Both grids hold the origin, and on A2 the
+    # are off (tail_tol = 1).  Both grids hold the origin, and at rank 2 the
     # spectral grid has points on root hyperplanes and the radial grid
-    # points on walls, which take the extrapolated path.
+    # points on walls, which take the extrapolated path; on B2 these lie on
+    # the axes and on the diagonals.
     rs = build_root_system(tag[0], int(tag[1]))
     rgrid, sgrid = RadialGrid(rs, R, n), SpectralGrid(rs, L, m)
     for grid in (rgrid, sgrid):
