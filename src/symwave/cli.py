@@ -178,22 +178,22 @@ def _cmd_kernel(args, cfg) -> int:
         w = csv.writer(fh)
         w.writerow(["t", "abs_H"] + [f"H_{k + 1}" for k in range(rs.rank)]
                    + ["re", "im", "abs", "weighted_abs"])
+        H = radii[:, None] * direction[None, :]
+        env = phi0_envelope(rs, H, N)
         for t in ts:
             p = KernelParams(t=t, sigma=sig, rho_tilde=rho_tilde, quad=quad)
-            for s in radii:
-                H = direction * s
-                v = kernel_piece(rs, p, H, piece)
-                env = phi0_envelope(rs, H, N)
-                w.writerow([_fmt(t), _fmt(s)] + [_fmt(x) for x in H]
+            vals = kernel_piece(rs, p, H, piece)
+            for s, h, v, e in zip(radii, H, vals, env):
+                w.writerow([_fmt(t), _fmt(s)] + [_fmt(x) for x in h]
                            + [_fmt(v.real), _fmt(v.imag), _fmt(abs(v)),
-                              _fmt(abs(v) / env)])
+                              _fmt(abs(v) / e)])
     _write_manifest(out / "kernel_manifest.json", {
         "command": "kernel", "root_system": rs.tag, "t": list(ts),
         "sigma": [sig.real, sig.imag],
         "rho_tilde": rs.rho_norm if rho_tilde is None else rho_tilde,
         "piece": piece, "h_max": h_max, "h_points": h_points,
         "envelope_power": N,
-        "quadrature": {"panels": panels, "oracle_mode": quad.oracle_mode}})
+        "quadrature": {"panels": panels}})
     print(f"wrote {out / 'kernel.csv'}")
     return 0
 

@@ -93,8 +93,9 @@ def sup_weighted(rs: RootSystem, p: KernelParams, piece: str, N: float,
     The box grid is augmented with nodes at |H| = (fractions of t) along the
     chamber ray through rho, so the regime boundary |H|/t = 1/2 is straddled
     at every t, including t below the grid spacing.  ``interior_only``
-    restricts to |H| <= |t|/2, the inside-the-cone regime.  Kernel values
-    are cached per |H|, so symmetric grids cost one radial profile per time.
+    restricts to |H| <= |t|/2, the inside-the-cone regime.  All nodes go to
+    ``kernel_piece`` as one stack, which evaluates one radial integral per
+    distinct |H|, so symmetric grids cost one radial profile per time.
     """
     nodes = chamber_grid.nodes[chamber_grid.chamber_mask]
     ray = rs.rho_c / np.linalg.norm(rs.rho_c)
@@ -105,11 +106,8 @@ def sup_weighted(rs: RootSystem, p: KernelParams, piece: str, N: float,
         nodes = nodes[np.linalg.norm(nodes, axis=1) <= abs(p.t) / 2.0]
     if nodes.shape[0] == 0:
         raise DomainError("no chamber nodes in requested regime")
-    best = 0.0
-    for H in nodes:
-        val = abs(kernel_piece(rs, p, H, piece))
-        best = max(best, val / phi0_envelope(rs, H, N))
-    return best
+    vals = np.abs(kernel_piece(rs, p, nodes, piece))
+    return float(np.max(vals / phi0_envelope(rs, nodes, N)))
 
 
 SMALL_TIMES = np.geomspace(0.05, 0.8, 12)
@@ -176,21 +174,16 @@ def kunze_stein_bound(rs: RootSystem, kernel_samples: RadialFunction,
 
 def kernel_on_grid(rs: RootSystem, p: KernelParams, grid: RadialGrid,
                    piece: str = "total") -> RadialFunction:
-    """Sample a kernel piece on every grid node (radial in |H|, so values
-    are filled from a per-|H| profile)."""
+    """Sample a kernel piece on every grid node.
+
+    The kernel is phi0(H) psi(|H|), so one stacked ``kernel_piece`` call on
+    the rho_c-ray points with the nodes' |H| gives psi on the whole grid, one
+    radial integral per distinct |H|; phi0 then restores the dependence on
+    the direction of H."""
     r = np.round(np.linalg.norm(grid.nodes, axis=1), 12)
-    # any chamber representative with a given |H| works; use the rho_c ray
     direction = rs.rho_c / np.linalg.norm(rs.rho_c)
-    profile = {}
-    vals = np.empty(grid.n_nodes, dtype=complex)
-    for i, s in enumerate(r):
-        if s not in profile:
-            profile[s] = kernel_piece(rs, p, direction * s, piece)
-        vals[i] = profile[s]
-    # restore the bi-invariant H-dependence through phi0: kernel = phi0 * psi(|H|)
-    base = phi0(rs, grid.nodes)
-    ref = phi0(rs, direction[None, :] * r[:, None])
-    vals *= base / ref
+    ray = direction[None, :] * r[:, None]
+    vals = kernel_piece(rs, p, ray, piece) * (phi0(rs, grid.nodes) / phi0(rs, ray))
     return RadialFunction(grid, vals)
 
 

@@ -150,15 +150,16 @@ def phi0(rs: RootSystem, H: np.ndarray) -> np.ndarray:
     return np.prod(_x_over_sinh(pair), axis=-1)
 
 
-def phi0_envelope(rs: RootSystem, H: np.ndarray, N: float) -> float:
-    """(1+|H|)^N exp(-<rho,H>) for H in the closed positive chamber."""
+def phi0_envelope(rs: RootSystem, H: np.ndarray, N: float):
+    """(1+|H|)^N exp(-<rho,H>) for H in the closed positive chamber: a float
+    for one point (rank,), an (n,) array for a stack (n, rank)."""
     H = np.asarray(H, dtype=float)
     if N < 0:
         raise ChamberError("envelope exponent N must be >= 0")
     if not rs.in_closed_chamber(H, tol=1e-9):
         raise ChamberError("H outside the closed positive chamber; fold by W first")
-    r = np.linalg.norm(H)
-    return float((1.0 + r) ** N * np.exp(-float(rs.rho_c @ H)))
+    env = (1.0 + np.linalg.norm(H, axis=-1)) ** N * np.exp(-(H @ rs.rho_c))
+    return float(env) if env.ndim == 0 else env
 
 
 def integrate_biinvariant(rs: RootSystem, f: RadialFunction,

@@ -59,8 +59,10 @@ class RootSystem:
         return np.asarray(H, dtype=None) @ self.roots_c.T
 
     def in_closed_chamber(self, H: np.ndarray, tol: float = 1e-12) -> bool:
+        """Whether H, one point (rank,) or every row of a stack, lies in the
+        closed positive chamber."""
         H = np.asarray(H, dtype=float)
-        return bool(np.all(self.simple_c @ H >= -tol))
+        return bool(np.all(H @ self.simple_c.T >= -tol))
 
 
 @dataclass(frozen=True)

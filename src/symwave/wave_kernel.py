@@ -17,6 +17,10 @@ e^{+-isr} branches, every remaining smooth factor is expanded in powers of
 double precision by numerical steepest descent: a Gauss-Laguerre rule on a
 ray into the complex plane, after a short real-axis segment where the
 frequency is too low for the ray alone.  Nothing is ever hard-truncated.
+
+The kernel functions take one point H (rank,) or a stack (N, rank); the
+point is the N = 1 case of the same code.  A call evaluates one radial
+integral per distinct |H| in its stack and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -48,7 +52,10 @@ _SEG_NODES = 20
 
 @lru_cache(maxsize=1)
 def _psi_table():
-    """Dense table of the bump-quotient smooth step on [0, 1]."""
+    """Dense table of the bump-quotient smooth step on [0, 1].
+
+    Built on first use rather than at import (about 12 ms), so the spectral
+    workflows, which never evaluate a cutoff, do not pay for it."""
     n = 200_001
     u = np.linspace(0.0, 1.0, n)
     b = np.zeros(n)
@@ -152,17 +159,11 @@ def shell_integral(rs: RootSystem, r: np.ndarray, s: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureControls:
-    r_max: float | None = None        # lower bound for the analytic-tail start
     panels: int = 128                 # width divisor: 2x panels = half widths
-    oracle_mode: bool = False
 
     def __post_init__(self):
         if self.panels < 64:
             raise ConfigError("panels must be >= 64")
-
-    def validate_for(self, rho_norm: float, t: float) -> None:
-        if self.r_max is not None and self.r_max < 4.0 * max(rho_norm, 1.0 / abs(t)):
-            raise ConfigError("r_max below 4*max(|rho|, 1/|t|)")
 
 
 @dataclass(frozen=True)
@@ -192,15 +193,10 @@ def _gamma_pole_distance(z: complex) -> float:
 # panel quadrature (finite oscillatory pieces)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _gl_tables():
-    x, w = np.polynomial.legendre.leggauss(_GL_N)
-    L = np.empty((_GL_N, _GL_N))
-    for nn in range(_GL_N):
-        c = np.zeros(nn + 1)
-        c[nn] = 1.0
-        L[nn] = (2 * nn + 1) / 2.0 * w * _leg.legval(x, c)
-    return x, w, L
+_GL_X, _GL_W = _leg.leggauss(_GL_N)
+# row n maps samples at the Gauss nodes to the n-th Legendre coefficient
+_GL_L = np.array([(2 * n + 1) / 2.0 * _GL_W * _leg.legval(_GL_X, np.eye(n + 1)[n])
+                  for n in range(_GL_N)])
 
 
 def _build_panels(a: float, b: float, width_fn, width_scale: float) -> np.ndarray:
@@ -225,17 +221,16 @@ def _filon_integrate(amp_fn, phase_fn, dphase_fn, edges: np.ndarray) -> complex:
     ``scipy.special.spherical_jn`` on the signed kappa (it applies
     j_n(-kappa) = (-1)^n j_n(kappa) itself), accurate for every kappa.
     """
-    x, _, L = _gl_tables()
     mids = (edges[1:] + edges[:-1]) / 2.0
     hws = (edges[1:] - edges[:-1]) / 2.0
-    nodes = mids[:, None] + hws[:, None] * x[None, :]
+    nodes = mids[:, None] + hws[:, None] * _GL_X[None, :]
     flat = nodes.ravel()
     A = amp_fn(flat).reshape(nodes.shape).astype(complex)
     Phi = phase_fn(flat).reshape(nodes.shape)
     kappa = dphase_fn(mids) * hws
     resid = Phi - phase_fn(mids)[:, None] - dphase_fn(mids)[:, None] * (nodes - mids[:, None])
     A *= np.exp(1j * resid)
-    coef = A @ L.T                       # (panels, n) Legendre coefficients
+    coef = A @ _GL_L.T                     # (panels, n) Legendre coefficients
     n = np.arange(_GL_N)
     moments = 2.0 * 1j ** n[None, :] * _spherical_jn(n[None, :], kappa[:, None])
     vals = hws * np.exp(1j * phase_fn(mids)) * np.sum(coef * moments, axis=1)
@@ -288,13 +283,10 @@ def _phase_correction_series(rho_norm: float, t: float) -> np.ndarray:
     return _series_exp(1j * t * g)
 
 
-@lru_cache(maxsize=1)
-def _contour_rules():
-    """Gauss-Laguerre rule of the steepest-descent ray and Gauss-Legendre
-    rule of one real-axis panel."""
-    lx, lw = np.polynomial.laguerre.laggauss(_RAY_NODES)
-    sx, sw = np.polynomial.legendre.leggauss(_SEG_NODES)
-    return lx, lw, sx, sw
+# Gauss-Laguerre rule of the steepest-descent ray and Gauss-Legendre rule of
+# one real-axis panel
+_RAY_X, _RAY_W = np.polynomial.laguerre.laggauss(_RAY_NODES)
+_SEG_X, _SEG_W = _leg.leggauss(_SEG_NODES)
 
 
 def _power_tail_orders(p0: complex, xi: float, R: float, K: int) -> np.ndarray:
@@ -325,12 +317,11 @@ def _power_tail_orders(p0: complex, xi: float, R: float, K: int) -> np.ndarray:
                     "power tail divergent at zero asymptotic frequency")
             out[k] = R ** (1.0 - p) / (p - 1.0)
         return out
-    lx, lw, sx, sw = _contour_rules()
     scale = 1.0 / abs(xi)                     # one radian of phase
     R1 = max(R, max(10.0, 0.6 * abs(p0 + (K - 1))) * scale)
     rot = math.copysign(1.0, xi) * 1j * scale
-    base = R1 + rot * lx
-    w = rot * np.exp(1j * xi * R1) * lw
+    base = R1 + rot * _RAY_X
+    w = rot * np.exp(1j * xi * R1) * _RAY_W
     if R1 > R:
         J = math.ceil(math.log2(scale / R)) if R < scale else 0
         start = R * 2.0 ** J                  # panels from here are <= 1 rad
@@ -338,9 +329,9 @@ def _power_tail_orders(p0: complex, xi: float, R: float, K: int) -> np.ndarray:
             start, R1, math.ceil((R1 - start) / scale) + 1)])
         mid = (edges[1:] + edges[:-1]) / 2.0
         hw = (edges[1:] - edges[:-1]) / 2.0
-        r = (mid[:, None] + hw[:, None] * sx).ravel()
+        r = (mid[:, None] + hw[:, None] * _SEG_X).ravel()
         base = np.concatenate([r, base])
-        w = np.concatenate([(hw[:, None] * sw).ravel() * np.exp(1j * xi * r), w])
+        w = np.concatenate([(hw[:, None] * _SEG_W).ravel() * np.exp(1j * xi * r), w])
     powers = np.empty((K, base.size), dtype=complex)
     powers[0] = w * base ** (-p0)
     powers[1:] = 1.0 / base
@@ -423,8 +414,6 @@ def _radial_integral(rs: RootSystem, sigma: complex, rho_tilde: float,
 
     s_eff = 0.0 if s < 1e-4 else s
     R_split = max(2.0 * rho_norm, 2.0 * rho_tilde, t * rho_norm ** 2)
-    if quad.r_max is not None:
-        R_split = max(R_split, quad.r_max)
     if s_eff > 0.0:
         R_split = max(R_split, 12.0 / s_eff)
     context = f"{piece} piece at t = {t:.6g}, |H| = {s:.6g}, sigma = {sigma:.6g}"
@@ -452,117 +441,91 @@ def _radial_integral(rs: RootSystem, sigma: complex, rho_tilde: float,
         tail_bound=tail_err, accumulated=mass)
 
 
-def _oracle_integral(rs: RootSystem, sigma: complex, rho_tilde: float,
-                     t: float, s: float, piece: str,
-                     r_big: float = 4e4) -> complex:
-    """Brute-force dense reference integrator: plain Gauss panels sized to a
-    quarter-period of the fastest oscillation, with a smooth roll-off over
-    the last octave instead of a hard truncation.  Shares nothing with the
-    production tail machinery."""
-    assert t > 0
-    rho_norm = rs.rho_norm
-    x, w = np.polynomial.legendre.leggauss(20)
-
-    def integrand(r):
-        c0, cinf = chi_pair(r / rho_norm)
-        chi = c0 if piece == "low" else cinf
-        vals = (chi * (r * r + rho_tilde ** 2) ** (-sigma / 2.0)
-                * shell_integral(rs, r, s)
-                * np.exp(1j * t * np.sqrt(r * r + rho_norm ** 2)))
-        if piece != "low":
-            vals = vals * smooth_step(2.0 * r / r_big - 1.0)
-        return vals
-
-    b = 2.0 * rho_norm if piece == "low" else r_big
-    rate = t + s + 0.1
-    n_panels = int(np.ceil(b * rate / (np.pi / 4.0)))
-    edges = np.linspace(0.0, b, n_panels + 1)
-    mids = (edges[1:] + edges[:-1]) / 2.0
-    hws = (edges[1:] - edges[:-1]) / 2.0
-    total = 0.0 + 0.0j
-    chunk = 200_000
-    for i0 in range(0, mids.size, chunk):
-        m = mids[i0:i0 + chunk, None]
-        h = hws[i0:i0 + chunk, None]
-        nodes = (m + h * x[None, :]).ravel()
-        vals = integrand(nodes).reshape(-1, x.size)
-        total += complex(np.sum(h[:, 0] * (vals @ w)))
-    return total
-
-
-@lru_cache(maxsize=200_000)
-def _kernel_radial_cached(tag: str, piece: str, t: float, sigma: complex,
-                          rho_tilde: float, s: float,
-                          quad: QuadratureControls, chi_variant: str) -> complex:
-    from .root_system import root_system_from_tag
-    rs = root_system_from_tag(tag)
+def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray,
+                    chi_variant: str) -> np.ndarray:
+    """Spectral integral of one piece at the radii s (N,): one
+    ``_radial_integral`` per distinct ``round(|H|, 12)`` (Python's round;
+    ``np.round`` is one ulp off on some radii).  The key matters on the
+    light cone |H| = t, where the high piece moves by up to 1.5 relative
+    under a 1e-13 shift of |H| and every sweep has a node.  For t < 0 the
+    conjugate problem at (-t, conj sigma) is solved and conjugated back.
+    """
+    keys, inverse = np.unique([round(x, 12) for x in s.tolist()], return_inverse=True)
+    t, sigma = float(p.t), complex(p.sigma)
     if t < 0:
-        try:
-            return complex(np.conj(_kernel_radial_cached(
-                tag, piece, -t, np.conj(sigma), rho_tilde, s, quad, chi_variant)))
-        except InconclusiveIntegralError as exc:
-            raise InconclusiveIntegralError(
-                f"{exc}, the conjugate of the problem at t = {t:.6g}, sigma = {sigma:.6g}",
-                tail_bound=exc.tail_bound, accumulated=exc.accumulated) from None
-    if quad.oracle_mode:
-        return _oracle_integral(rs, sigma, rho_tilde, t, s, piece)
-    return _radial_integral(rs, sigma, rho_tilde, t, s, quad, piece, chi_variant)
+        t, sigma = -t, sigma.conjugate()
+    rho_tilde = p.resolved_rho_tilde(rs)
+    try:
+        vals = np.array([_radial_integral(rs, sigma, rho_tilde, t, float(x), p.quad,
+                                          piece, chi_variant) for x in keys], dtype=complex)
+    except InconclusiveIntegralError as exc:
+        if p.t > 0:
+            raise
+        raise InconclusiveIntegralError(
+            f"{exc}, the conjugate of the problem at t = {p.t:.6g}, sigma = {complex(p.sigma):.6g}",
+            tail_bound=exc.tail_bound, accumulated=exc.accumulated) from None
+    return (vals.conj() if p.t < 0 else vals)[inverse]
 
 
-def _spectral_factor(rs: RootSystem, p: KernelParams, H: np.ndarray,
-                     piece: str, chi_variant: str) -> complex:
-    H = np.asarray(H, dtype=float).reshape(rs.rank)
-    if not rs.in_closed_chamber(H, tol=1e-9):
-        raise ConfigError("H must lie in the closed positive chamber")
-    p.quad.validate_for(rs.rho_norm, p.t)
-    s = float(np.linalg.norm(H))
-    return _kernel_radial_cached(rs.tag, piece, float(p.t), complex(p.sigma),
-                                 p.resolved_rho_tilde(rs), round(s, 12),
-                                 p.quad, chi_variant)
+def _kernel(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str,
+            chi_variant: str):
+    """Kernel piece at one point (rank,) or a stack (N, rank) of chamber
+    points.  Each row's phi0 and |H| come from a (1, rank) product of its
+    own, and all arithmetic is on (N,) arrays (numpy's scalar complex
+    product can differ in the last bit), so a point gets the same bits
+    alone as in any stack."""
+    sigma = complex(p.sigma)
+    if piece != "low":
+        z = (rs.dim_X + 1) / 2.0 - sigma
+        if _gamma_pole_distance(z) < 1e-8:
+            raise PoleError(f"sigma within 1e-8 of a Gamma pole (argument {z})")
+    H = np.asarray(H, dtype=float)
+    single = H.ndim < 2
+    rows = H.reshape(1 if single else len(H), 1, rs.rank)
+    outside = np.flatnonzero(~np.all(rows[:, 0] @ rs.simple_c.T >= -1e-9, axis=1))
+    if outside.size:
+        i = outside[0]
+        raise ConfigError(f"{'H' if single else f'H[{i}]'} = {rows[i, 0].tolist()} "
+                          "is outside the closed positive chamber")
+    w = phi0(rs, rows)[:, 0]
+    s = np.sqrt(rows @ rows.transpose(0, 2, 1))[:, 0, 0]
+    if piece != "high_reg":
+        vals = w * _radial_profile(rs, p, "low", s, chi_variant)
+    if piece != "low":
+        high = (w * (np.exp(sigma ** 2) / _cgamma(z))
+                * _radial_profile(rs, p, "high", s, chi_variant))
+        vals = high if piece == "high_reg" else vals + _cgamma(z) * np.exp(-sigma ** 2) * high
+    return complex(vals[0]) if single else vals
 
 
 def kernel_low(rs: RootSystem, p: KernelParams, H: np.ndarray,
-               chi_variant: str = "bump") -> complex:
+               chi_variant: str = "bump"):
     """Low-frequency kernel piece; compactly supported cutoff, no
     regularization factor."""
-    return complex(phi0(rs, np.asarray(H, dtype=float))
-                   * _spectral_factor(rs, p, H, "low", chi_variant))
+    return _kernel(rs, p, H, "low", chi_variant)
 
 
 def kernel_high_regularized(rs: RootSystem, p: KernelParams, H: np.ndarray,
-                            chi_variant: str = "bump") -> complex:
+                            chi_variant: str = "bump"):
     """Regularized high-frequency kernel
     phi0(H) e^{sigma^2}/Gamma((d+1)/2 - sigma) * (spectral integral)."""
-    z = (rs.dim_X + 1) / 2.0 - complex(p.sigma)
-    if _gamma_pole_distance(z) < 1e-8:
-        raise PoleError(f"sigma within 1e-8 of a Gamma pole (argument {z})")
-    pref = np.exp(complex(p.sigma) ** 2) / _cgamma(z)
-    return complex(phi0(rs, np.asarray(H, dtype=float)) * pref
-                   * _spectral_factor(rs, p, H, "high", chi_variant))
+    return _kernel(rs, p, H, "high_reg", chi_variant)
 
 
 def kernel_total(rs: RootSystem, p: KernelParams, H: np.ndarray,
-                 chi_variant: str = "bump") -> complex:
-    """Full kernel: low piece plus the unregularized high piece."""
-    z = (rs.dim_X + 1) / 2.0 - complex(p.sigma)
-    if _gamma_pole_distance(z) < 1e-8:
-        raise PoleError(f"sigma within 1e-8 of a Gamma pole (argument {z})")
-    unreg = _cgamma(z) * np.exp(-complex(p.sigma) ** 2)
-    return complex(kernel_low(rs, p, H, chi_variant)
-                   + unreg * kernel_high_regularized(rs, p, H, chi_variant))
-
-
-_PIECES = {"low": kernel_low, "high_reg": kernel_high_regularized,
-           "total": kernel_total}
+                 chi_variant: str = "bump"):
+    """Full kernel: low piece plus the unregularized high piece
+    Gamma((d+1)/2 - sigma) e^{-sigma^2} * (regularized high piece)."""
+    return _kernel(rs, p, H, "total", chi_variant)
 
 
 def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str,
-                 chi_variant: str = "bump") -> complex:
-    try:
-        fn = _PIECES[piece]
-    except KeyError:
-        raise ConfigError(f"unknown kernel piece {piece!r}") from None
-    return fn(rs, p, H, chi_variant)
+                 chi_variant: str = "bump"):
+    """Kernel piece "low", "high_reg" or "total" at one point H (rank,), as a
+    complex number, or at a stack H (N, rank), as an (N,) array."""
+    if piece not in ("low", "high_reg", "total"):
+        raise ConfigError(f"unknown kernel piece {piece!r}")
+    return _kernel(rs, p, H, piece, chi_variant)
 
 
 def with_doubled_panels(p: KernelParams) -> KernelParams:

@@ -1,11 +1,14 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symwave.cli import run
 from symwave.root_system import root_system_from_tag
 from symwave.spherical import plancherel_constant
+from symwave.wave_kernel import KernelParams, kernel_piece
 
 
 def _read(path: Path) -> bytes:
@@ -64,6 +67,23 @@ def test_kernel_csv_schema(tmp_path, capsys):
     assert len(lines) == 6
     sidecar = json.loads((out / "kernel_manifest.json").read_text())
     assert sidecar["quadrature"]["panels"] == 128
+
+
+def test_kernel_csv_matches_kernel_piece(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["kernel", "--root-system", "A1", "--t", "1.0,1.5",
+                "--h-points", "5", "--h-max", "2",
+                "--output-dir", str(out)]) == 0
+    rs = root_system_from_tag("A1")
+    with open(out / "kernel.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    for row in rows:
+        p = KernelParams(t=float(row["t"]), sigma=2.0 + 1.0j)
+        v = kernel_piece(rs, p, np.array([float(row["H_1"])]), "total")
+        assert (v.real, v.imag) == (float(row["re"]), float(row["im"]))
+    sidecar = json.loads((out / "kernel_manifest.json").read_text())
+    assert sidecar["quadrature"] == {"panels": 128}
 
 
 def test_kernel_pole_sigma_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -21,6 +22,8 @@ from symwave.wave_kernel import (KernelParams, QuadratureControls, bessel_j,
                                  with_doubled_panels)
 from symwave.wave_kernel import (_SERIES_LEN, _build_panels, _filon_integrate,
                                  _power_tail_orders, _tail_value)
+
+from kernel_oracle import oracle_high_regularized
 
 SIGMA = 2.0 + 1.0j
 
@@ -137,8 +140,6 @@ def test_params_validation(a1):
         KernelParams(t=1.0, sigma=SIGMA, rho_tilde=0.5).resolved_rho_tilde(a1)
     with pytest.raises(ConfigError):
         QuadratureControls(panels=32)
-    with pytest.raises(ConfigError):
-        QuadratureControls(r_max=1.0).validate_for(a1.rho_norm, 1.0)
 
 
 def test_gamma_pole_guard(a1):
@@ -197,15 +198,13 @@ def test_power_tail_orders_match_mpmath(p0):
 def test_radial_integral_errors_name_the_inputs(a1, monkeypatch):
     H = np.array([0.8])
     names = ("high piece", "|H| = 0.8", "sigma = 2+1j", "R = ")
-    # the analytic tail may not start beyond 5e6
-    far = QuadratureControls(r_max=6e6)
+    # the analytic tail may not start beyond 5e6; it starts at t |rho|^2 = 6e6
     with pytest.raises(InconclusiveIntegralError, match="out of reach") as exc:
-        kernel_high_regularized(a1, KernelParams(t=1.25, sigma=SIGMA, quad=far), H)
-    assert all(n in str(exc.value) for n in names + ("t = 1.25",))
+        kernel_high_regularized(a1, KernelParams(t=3e6, sigma=SIGMA), H)
+    assert all(n in str(exc.value) for n in names + ("t = 3e+06",))
     with pytest.raises(InconclusiveIntegralError, match="out of reach") as exc:
-        kernel_high_regularized(a1, KernelParams(t=-1.25, sigma=np.conj(SIGMA),
-                                                 quad=far), H)
-    assert "conjugate of the problem at t = -1.25, sigma = 2-1j" in str(exc.value)
+        kernel_high_regularized(a1, KernelParams(t=-3e6, sigma=np.conj(SIGMA)), H)
+    assert "conjugate of the problem at t = -3e+06, sigma = 2-1j" in str(exc.value)
     # no tail estimate is ever below a zero tolerance
     monkeypatch.setattr(wave_kernel, "TAIL_REL_TOL", 0.0)
     with pytest.raises(InconclusiveIntegralError, match="tail estimate") as exc:
@@ -255,12 +254,9 @@ def test_conjugation_symmetry(a1):
 
 
 def test_oracle_agreement_spot(a1):
-    p_f = KernelParams(t=2.0, sigma=SIGMA)
-    p_o = KernelParams(t=2.0, sigma=SIGMA,
-                       quad=QuadratureControls(oracle_mode=True))
     H = np.array([1.0])
-    a = kernel_high_regularized(a1, p_f, H)
-    b = kernel_high_regularized(a1, p_o, H)
+    a = kernel_high_regularized(a1, KernelParams(t=2.0, sigma=SIGMA), H)
+    b = oracle_high_regularized(a1, 2.0, SIGMA, H)
     assert abs(a - b) / abs(b) < 1e-6
 
 
@@ -344,6 +340,28 @@ def test_spectral_route_cross_check(a1, a2):
         kappa = np.pi ** (rs.dim_X / 2.0) / I
         assert spectral == pytest.approx(W.order / kappa * radial,
                                          rel=2e-4 if rs.rank == 2 else 1e-6)
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2"])
+@pytest.mark.parametrize("t", [0.7, -0.7])
+def test_stacked_kernel_equals_single_points(tag, t, a1, a2):
+    rs = {"A1": a1, "A2": a2}[tag]
+    p = KernelParams(t=t, sigma=SIGMA)
+    # a repeated |H|, the origin, a wall point (A2: the wall of the first
+    # simple root; the only wall point of A1 is the origin) and the cone node
+    u = rs.rho_c / np.linalg.norm(rs.rho_c)
+    wall = np.linalg.solve(rs.simple_c, np.eye(rs.rank)[-1])
+    wall /= np.linalg.norm(wall)
+    H = np.array([1.1 * u, np.zeros(rs.rank), 1.1 * wall, abs(t) * u, 1.1 * u])
+    for piece in ("low", "high_reg", "total"):
+        stacked = kernel_piece(rs, p, H, piece)
+        single = [kernel_piece(rs, p, h, piece) for h in H]
+        assert stacked.shape == (len(H),)
+        assert all(type(v) is complex for v in single)
+        assert np.all(stacked == np.array(single)), piece
+    outside = np.vstack([H[:2], -H[:1], H[2:]])
+    with pytest.raises(ConfigError, match=re.escape(f"H[2] = {(-H[0]).tolist()}")):
+        kernel_piece(rs, p, outside, "low")
 
 
 def test_kernel_piece_dispatch(a1):
