@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -20,8 +21,9 @@ from symwave.wave_kernel import (KernelParams, QuadratureControls, bessel_j,
                                  kernel_low, kernel_piece, kernel_total,
                                  shell_integral, sphere_area, smooth_step,
                                  with_doubled_panels)
-from symwave.wave_kernel import (_SERIES_LEN, _build_panels, _filon_integrate,
-                                 _power_tail_orders, _tail_value)
+from symwave.root_system import root_system_from_tag
+from symwave.wave_kernel import (_FILON_BLOCK, _SERIES_LEN, _build_panels, _filon_sums,
+                                 _power_tail_orders, _tail_series, _tail_value)
 
 from kernel_oracle import oracle_high_regularized
 
@@ -54,6 +56,11 @@ def test_chi_partition_of_unity(r):
         c0, cinf = chi_pair(r, variant)
         assert c0 + cinf == pytest.approx(1.0, abs=1e-15)
         assert -1e-15 <= c0 <= 1 + 1e-15
+
+
+def test_chi_pair_rejects_unknown_variant():
+    with pytest.raises(ConfigError, match="unknown cutoff variant 'Bump'"):
+        chi_pair(1.5, "Bump")
 
 
 def test_smooth_step_monotone():
@@ -98,8 +105,10 @@ def test_bessel_domain():
 def test_filon_single_panel_matches_quad(k):
     # one panel of width 2 with linear phase k r: the Legendre moments are
     # 2 i^n j_n(k), here at |k| beyond the range production panels reach
-    val = _filon_integrate(np.exp, lambda r: k * r, lambda r: k + 0 * r,
-                           np.array([-1.0, 1.0]))
+    out = np.zeros(1, dtype=complex)
+    _filon_sums(lambda r, owner: np.exp(r), lambda r: k * r, lambda r: k + 0 * r,
+                np.array([-1.0, 1.0]), np.zeros(2, dtype=int), out)
+    val = out[0]
     re = si.quad(np.exp, -1.0, 1.0, weight="cos", wvar=k)[0]
     im = si.quad(np.exp, -1.0, 1.0, weight="sin", wvar=k)[0]
     assert val == pytest.approx(complex(re, im), rel=1e-12)
@@ -117,6 +126,29 @@ def test_shell_integral_d3_closed_form(a1):
     s = 1.7
     exact = 4 * np.pi * r * np.sin(r * s) / s
     assert np.max(np.abs(shell_integral(a1, r, s) - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("tag", ["A1", "A3"])
+def test_shell_integral_odd_d_matches_jv(tag):
+    # odd d uses sqrt(2z/pi) j_{(d-3)/2}(z) for J_{(d-2)/2}(z); errors are
+    # measured against the shell's amplitude scale, the Bessel envelope
+    # sqrt(2/(pi z)), because both forms lose relative digits at the zeros
+    rs = root_system_from_tag(tag)
+    d = rs.dim_X
+    z = np.linspace(0.5, 400.0, 40001)
+    for s in (0.35, 1.0, 2.7):
+        r = z / s
+        pref = (2 * np.pi) ** (d / 2) * r ** (d / 2) * s ** ((2 - d) / 2)
+        ref = pref * jv((d - 2) / 2, z)
+        got = shell_integral(rs, r, s)
+        assert np.max(np.abs(got - ref) / (pref * np.sqrt(2 / (np.pi * z)))) < 1e-13
+    # an array s broadcast against r equals the per-scalar calls
+    r = np.linspace(0.0, 30.0, 301)
+    s = np.array([0.0, 0.01, 0.7, 3.8])
+    stacked = shell_integral(rs, r, s[:, None])
+    assert stacked.shape == (4, 301)
+    assert np.all(stacked == np.array([shell_integral(rs, r, float(x)) for x in s]))
+    assert type(shell_integral(rs, 2.0, 0.7)) is float
 
 
 def test_shell_oscillation_bound(a1):
@@ -164,6 +196,81 @@ def test_chamber_requirement(a1):
 # Filon panel engine
 # ---------------------------------------------------------------------------
 
+def _sequential_panels(a, b, t, s, rho_norm, width_scale):
+    """The panel recurrence of one key in scalar arithmetic, the reference
+    that the lockstep edges must equal bit for bit."""
+    def dphase(r):
+        return t * r / np.sqrt(r * r + rho_norm ** 2)
+
+    def d2phase(r):
+        return t * rho_norm ** 2 / (r * r + rho_norm ** 2) ** 1.5
+
+    def width(r):
+        rate = abs(dphase(r)) + s
+        w = min(0.5 * max(r, 0.3 * rho_norm), rho_norm / 3.0 if r < 2.5 * rho_norm else 0.5 * r)
+        w = min(w, 20.0 / (rate + 1e-30))
+        w = min(w, math.sqrt(0.8 / (abs(d2phase(r)) + 1e-30)))
+        return min(w, 6.0 / (s + 1e-30))
+
+    edges = [a]
+    r = a
+    while r < b - 1e-14 * max(1.0, b):
+        w = max(width(r) * width_scale, 1e-9)
+        r = min(r + w, b)
+        edges.append(r)
+    return np.asarray(edges)
+
+
+@pytest.mark.parametrize("panels", [128, 256])
+@pytest.mark.parametrize("t", [0.3, 40.0])
+def test_lockstep_panels_equal_sequential_recurrence(a1, a2, panels, t):
+    scale = 128.0 / panels
+    s = np.array([0.0, 0.7, 3.8])
+    for rs in (a1, a2):
+        rho = rs.rho_norm
+        R = np.maximum(max(2.0 * rho, t * rho ** 2), 12.0 / np.where(s > 0, s, np.inf))
+        for a, b in ((0.0, np.full(3, 2.0 * rho)), (rho, R)):    # low, high piece
+            edges, owner = _build_panels(a, b, s, t, rho, scale)
+            for k in range(3):
+                seq = _sequential_panels(a, float(b[k]), t, float(s[k]), rho, scale)
+                assert edges[owner == k].tobytes() == seq.tobytes(), (rs.tag, a, k)
+
+
+def test_lockstep_panels_from_staggered_starts(a1, a2):
+    # extension rounds start every key at its own R_k; at t = 400 the phase
+    # curvature bounds the width over many steps from these starts
+    for rs in (a1, a2):
+        rho = rs.rho_norm
+        a = np.linspace(0.0, 2.0 * rho, 64)
+        edges, owner = _build_panels(a, 4.0 * rho, 0.7, 400.0, rho, 0.5)
+        for k in range(64):
+            seq = _sequential_panels(float(a[k]), 4.0 * rho, 400.0, 0.7, rho, 0.5)
+            assert edges[owner == k].tobytes() == seq.tobytes(), (rs.tag, k)
+
+
+def test_filon_sums_do_not_depend_on_the_stack():
+    # a key's sum has the same bits alone as after other keys' panels, with
+    # its own panels split differently between blocks.  The first key has a
+    # single panel at kappa ~ 10, a one-row block when alone: a BLAS product
+    # gives such a row other bits than the same row inside a larger block
+    t, rho = 3.0, 1.5
+    s = np.linspace(0.1, 4.0, 40)
+    phase = lambda r: t * np.sqrt(r * r + rho ** 2)
+    dphase = lambda r: t * r / np.sqrt(r * r + rho ** 2)
+    amp = lambda r, k: np.cos(s[k][:, None] * r) / (1.0 + r) ** (1.5 + 0.5j)
+    first = np.arange(s.size) == 0
+    edges, owner = _build_panels(np.where(first, 100.0, 0.0), np.where(first, 106.0, 300.0),
+                                 s, t, rho, 1.0)
+    assert np.sum(owner == 0) == 2 and np.sum(owner == 1) > 2 * _FILON_BLOCK // s.size
+    stacked = np.zeros(s.size, dtype=complex)
+    _filon_sums(amp, phase, dphase, edges, owner, stacked)
+    for k in range(s.size):
+        alone = np.zeros(s.size, dtype=complex)
+        mine = owner == k
+        _filon_sums(amp, phase, dphase, edges[mine], owner[mine], alone)
+        assert alone[k] == stacked[k], k
+
+
 def test_filon_engine_vs_adaptive_quadrature():
     t = 9.0
     amp = lambda r: np.cos(3 * r) / (1.0 + r * r)
@@ -171,10 +278,11 @@ def test_filon_engine_vs_adaptive_quadrature():
     dphase = lambda r: t * r / np.sqrt(r * r + 4.0)
     re = si.quad(lambda r: amp(r) * np.cos(phase(r)), 0, 12, limit=4000)[0]
     im = si.quad(lambda r: amp(r) * np.sin(phase(r)), 0, 12, limit=4000)[0]
-    edges = _build_panels(0.0, 12.0, lambda r: min(
-        0.5, 20.0 / (dphase(r) + 3 + 1e-30),
-        np.sqrt(0.8 / (t * 4.0 / (r * r + 4.0) ** 1.5 + 1e-30))), 1.0)
-    val = _filon_integrate(amp, phase, dphase, edges)
+    # the kernel's panels for |rho| = 2 and a shell frequency |H| = 3
+    edges, owner = _build_panels(0.0, 12.0, 3.0, t, 2.0, 1.0)
+    out = np.zeros(1, dtype=complex)
+    _filon_sums(lambda r, k: amp(r), phase, dphase, edges, owner, out)
+    val = out[0]
     assert val == pytest.approx(re + 1j * im, abs=1e-11)
 
 
@@ -228,13 +336,16 @@ def test_tail_seam_consistency(a1):
     # over [R1, R2] up to the Bessel-remainder level
     t, s, rho_t = 1.3, 0.8, a1.rho_norm
     R1, R2 = 20.0, 55.0
-    tail1, _ = _tail_value(a1, SIGMA, rho_t, t, s, R1)
-    tail2, _ = _tail_value(a1, SIGMA, rho_t, t, s, R2)
-    amp = lambda r: (r * r + rho_t ** 2) ** (-SIGMA / 2.0) * shell_integral(a1, r, s)
+    series = _tail_series(a1, SIGMA, rho_t, t)
+    tail1, _ = _tail_value(a1, SIGMA, t, s, R1, series)
+    tail2, _ = _tail_value(a1, SIGMA, t, s, R2, series)
+    amp = lambda r, k: (r * r + rho_t ** 2) ** (-SIGMA / 2.0) * shell_integral(a1, r, s)
     phase = lambda r: t * np.sqrt(r * r + a1.rho_norm ** 2)
     dphase = lambda r: t * r / np.sqrt(r * r + a1.rho_norm ** 2)
-    edges = _build_panels(R1, R2, lambda r: min(0.5 * r, 20.0 / (dphase(r) + s)), 1.0)
-    seg = _filon_integrate(amp, phase, dphase, edges)
+    edges, owner = _build_panels(R1, R2, s, t, a1.rho_norm, 1.0)
+    out = np.zeros(1, dtype=complex)
+    _filon_sums(amp, phase, dphase, edges, owner, out)
+    seg = out[0]
     assert tail1 - tail2 == pytest.approx(seg, rel=1e-8)
 
 
@@ -348,11 +459,15 @@ def test_stacked_kernel_equals_single_points(tag, t, a1, a2):
     rs = {"A1": a1, "A2": a2}[tag]
     p = KernelParams(t=t, sigma=SIGMA)
     # a repeated |H|, the origin, a wall point (A2: the wall of the first
-    # simple root; the only wall point of A1 is the origin) and the cone node
+    # simple root; the only wall point of A1 is the origin), the cone node,
+    # |H| = 5e-5 (below 1e-4 the tail takes the |H| = 0 shell; its tail is
+    # extended), |H| = 2e-4 (panels out to 12/|H| = 6e4, more than one Filon
+    # block) and |H| = 4 (a tail extension on A1 and A2)
     u = rs.rho_c / np.linalg.norm(rs.rho_c)
     wall = np.linalg.solve(rs.simple_c, np.eye(rs.rank)[-1])
     wall /= np.linalg.norm(wall)
-    H = np.array([1.1 * u, np.zeros(rs.rank), 1.1 * wall, abs(t) * u, 1.1 * u])
+    H = np.array([1.1 * u, np.zeros(rs.rank), 1.1 * wall, abs(t) * u, 1.1 * u,
+                  5e-5 * u, 2e-4 * u, 4.0 * u])
     for piece in ("low", "high_reg", "total"):
         stacked = kernel_piece(rs, p, H, piece)
         single = [kernel_piece(rs, p, h, piece) for h in H]
