@@ -19,16 +19,21 @@ Transforms are plain trapezoid sums over tensor grids, applied to a stack of
 B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
 ``forward_transform`` and ``inverse_transform`` are the B = 1 case.  At rank
 1 the signed Weyl images fold into one phase matrix, applied to the whole
-stack as a single matrix product.  At rank 2 the output points are the nodes
-of a tensor grid with 1D axis y, so for each Weyl element w the phase
-exp(i (w^T p)_k x) on axis k is the product of the (m x n) tables
-exp(i w_0k y_a x) and exp(i w_1k y_b x): a few small tables are
-exponentiated per call, the (m^2 x n) phase matrices are formed from them by
-complex multiplies, and the sum is contracted axis by axis with each slice.
-The transform is evaluated on the whole output grid, and only its regular
-points are divided by pi(lam) or by the Weyl denominator.  Points on a
-singular set are patched from off-grid points, whose phases are
-exponentiated point by point.
+stack as a single matrix product.  The transform pair is defined for
+rank <= 2.  At rank 2 the output points are the nodes of a tensor grid
+symmetric about 0.  A Weyl element whose entries are within 1e-12 of 0 or
++-1 is snapped to an integer signed permutation s, which maps that grid onto
+itself, and the alternating sum S of any stack obeys S(s p) = det(s) S(p):
+only the rows y_a >= 0 are folded, and the others are filled through a
+diagonal s with s_00 = -1 (diag(-1, 1) on A2, B2 and C2).  A
+signed-permutation element is contracted with each slice V as A @ V @ B^T
+from one phase table per output coordinate; the other elements (4 of 6 on
+A2) go through per-coordinate phase tables multiplied out on the folded
+rows, a matrix product and a rowwise dot (see ``_w_fold``).  The transform
+is evaluated on the whole output grid, and only its regular points are
+divided by pi(lam) or by the Weyl denominator.  Points on a singular set
+are patched from off-grid points, whose phases are exponentiated point by
+point.
 Each slice passes its own tail check, and a failure names the slice.
 """
 
@@ -134,13 +139,15 @@ def _near_singular(rs: RootSystem, pts: np.ndarray) -> np.ndarray:
     """Points near a wall (H) or a root hyperplane (lam), where the
     alternating-sum evaluation cancels too hard.
 
-    Cancellation severity scales with the product of all root pairings, so
-    both a single tiny pairing and a compound of small ones are flagged.
-    Each argument is judged on its own; the cancellation when lam and H are
-    both small is handled inside ``_phi_direct``."""
+    Cancellation severity scales with the product of all root pairings
+    relative to |p|^m, m = |Sigma+|, so both a single tiny pairing and a
+    compound of small ones are flagged.  The single-pairing test is
+    absolute, which keeps the origin flagged.  Each argument is judged on
+    its own; the cancellation when lam and H are both small is handled
+    inside ``_phi_direct``."""
     pts = np.atleast_2d(pts)
     pair = np.abs(pts @ rs.roots_c.T)
-    norm = np.maximum(1.0, np.linalg.norm(pts, axis=1)) ** rs.n_positive
+    norm = np.linalg.norm(pts, axis=1) ** rs.n_positive
     return (np.min(pair, axis=1) < SINGULAR_EPS) \
         | (np.prod(pair, axis=1) < 1e-6 * norm)
 
@@ -160,13 +167,24 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     The inner sum runs over the tensor grid with 1D nodes ``axis``.  The
     output points are the rows of ``pts`` (P, rank), or with ``tensor`` the
     nodes of the tensor grid over the 1D axis ``pts``, in ``_tensor_nodes``
-    order.  At rank 1 the signed Weyl images and the weights fold into one
-    P x n matrix, applied to the whole stack as a single matrix product.  At
-    higher rank each Weyl element's per-axis phase matrices (see
-    ``_weyl_phases``) are reused across the stack and freed before the next
-    element's are built, and the sum is folded one coordinate axis at a
-    time, so the cost per Weyl element and slice is O(P * n^rank) with small
-    constants instead of forming a P x n^rank phase matrix.
+    order; that axis must be symmetric about 0, as every grid's is.  At rank
+    1 the signed Weyl images and the weights fold into one P x n matrix,
+    applied to the whole stack as a single matrix product.  At rank 2 off
+    the grid, each Weyl element's per-axis phase matrices exp(i (w^T p)_k x)
+    are exponentiated point by point and contracted by ``_axis_fold``.
+
+    On the rank-2 grid two symmetries of the grid cut the work.  A Weyl
+    element s whose entries are within 1e-12 of 0 or +-1 is a signed
+    permutation; snapped to exact integers it maps the output grid onto
+    itself, and substituting w -> s^-1 w in the sum gives
+    S(s p) = det(s) S(p) for any stack.  Every rank-2 Weyl group holds a
+    diagonal s with s_00 = -1 (diag(-1, 1) on A2, B2 and C2, -I on D2), so
+    only the rows y_a >= 0 are folded and the others are filled from them.
+    For a signed permutation w the phase exp(i <p, w x>) is the product of
+    one (rows x n) table in y_a and one (m x n) table in y_b, each in one
+    coordinate of x, so its sum is A @ V @ B^T per slice, with V^T when w
+    swaps the coordinates.  The other elements (4 of 6 on A2) go through
+    the per-axis phase matrices of ``_weyl_phases`` on the folded rows.
     """
     W = weyl_group(rs)
     if rs.rank == 1:
@@ -179,46 +197,64 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
             del E                 # one phase matrix alive at a time
         P *= weights
         return values @ P.T
-    return sum(sign * _axis_fold(_weyl_phases(mat, pts, axis, tensor),
-                                 values, weights)
-               for mat, sign in zip(W.matrices, W.signs))
-
-
-def _weyl_phases(mat: np.ndarray, pts: np.ndarray, axis: np.ndarray,
-                 tensor: bool) -> list:
-    """The per-axis phase matrices exp(i (w^T p)_k x), k < rank, of the Weyl
-    matrix ``mat`` at the output points p of ``_w_fold``, each (P, n).
-
-    Off a tensor grid each is exponentiated point by point.  On the tensor
-    grid over the axis y, (w^T p)_k = sum_j w_jk y_{a_j}, so each is the
-    product of the rank tables exp(i w_jk y x), each (m, n), broadcast
-    against each other over the grid: P x n complex multiplies in place of
-    P x n exponentials.
-    """
     if not tensor:
-        return [_phase(mu, axis) for mu in (pts @ mat).T]
-    rank, n = mat.shape[0], axis.shape[0]
-    E = []
-    for k in range(rank):
-        Ek = 1.0
-        for j in range(rank):
-            T = _phase(mat[j, k] * pts, axis)
-            Ek = Ek * T.reshape((1,) * j + (-1,) + (1,) * (rank - 1 - j) + (n,))
-        E.append(Ek.reshape(-1, n))
-    return E
+        return sum(sign * _axis_fold([_phase(mu, axis) for mu in (pts @ mat).T],
+                                     values, weights)
+                   for mat, sign in zip(W.matrices, W.signs))
+    n, m = axis.shape[0], pts.shape[0]
+    lo = m // 2                          # rows pts[lo:] >= 0 are folded
+    rows = pts[lo:]
+    V = (weights * values).reshape(-1, n, n)
+    half = np.zeros((values.shape[0], m - lo, m), dtype=complex)
+    mirror = None
+    for mat, sign in zip(W.matrices, W.signs):
+        s = np.round(mat)
+        if np.any(np.abs(mat - s) > 1e-12):
+            E = _weyl_phases(mat, rows, pts, axis)
+            half += sign * _axis_fold(E, values, weights).reshape(half.shape)
+            del E
+            continue
+        if s[0, 0] == -1 and s[0, 1] == 0:
+            mirror = s, sign
+        k = int(np.flatnonzero(s[0])[0])     # y_a pairs with x_k, y_b with x_(1-k)
+        A = _phase(s[0, k] * rows, axis)
+        B = _phase(s[1, 1 - k] * pts, axis)
+        half += sign * (A @ (V if k == 0 else V.transpose(0, 2, 1)) @ B.T)
+    s, sign = mirror
+    low = half[:, ::-1, ::-1] if s[1, 1] == -1 else half[:, ::-1]
+    out = np.concatenate([sign * low[:, :lo], half], axis=1)
+    return out.reshape(values.shape[0], -1)
+
+
+def _weyl_phases(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 axis: np.ndarray) -> list:
+    """The per-axis phase matrices exp(i (w^T p)_k x), k < 2, of the Weyl
+    matrix ``mat`` on the tensor grid of output points p = (y_a, y_b),
+    y_a in ``rows`` and y_b in ``cols``, each (rows * cols, n) in row-major
+    order.
+
+    (w^T p)_k = w_0k y_a + w_1k y_b, so each is the product of the tables
+    exp(i w_0k y_a x) (rows x n) and exp(i w_1k y_b x) (cols x n), broadcast
+    against each other: rows * cols * n complex multiplies in place of as
+    many exponentials.
+    """
+    n = axis.shape[0]
+    return [(_phase(mat[0, k] * rows, axis)[:, None, :]
+             * _phase(mat[1, k] * cols, axis)[None, :, :]).reshape(-1, n)
+            for k in range(2)]
 
 
 def _axis_fold(E: list, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_x weights(x) values_b(x) prod_k E_k(p, x_k) for each slice b and
-    output point p, folded one coordinate axis at a time with the per-axis
-    phase matrices E_k (M, n) shared by all slices."""
-    M, n = E[0].shape
+    """sum_x weights(x) values_b(x) E_0(p, x_0) E_1(p, x_1) for each slice b
+    and output point p of a rank-2 fold: the phase matrices E_k (M, n),
+    shared by all slices, are contracted first with the grid's x_0 axis by
+    a matrix product and then with its x_1 axis by a rowwise dot."""
+    E0, E1 = E
+    M, n = E0.shape
     out = np.empty((values.shape[0], M), dtype=complex)
     for b, v in enumerate(values):
-        T = E[0] @ (weights * v).reshape(n, -1)     # (M, n^{rank-1})
-        for Ek in E[1:]:
-            T = np.einsum("ji,jir->jr", Ek, T.reshape(M, n, -1))
-        out[b] = T[:, 0]
+        T = E0 @ (weights * v).reshape(n, n)        # (M, n)
+        out[b] = np.einsum("ji,ji->j", E1, T)
     return out
 
 
@@ -407,6 +443,9 @@ def forward_transform_stack(rs: RootSystem, rgrid: RadialGrid,
     Each slice passes its own tail check; see ``forward_transform``."""
     if rgrid.rs is not rs or grid.rs is not rs:
         raise ConfigError("grids belong to a different root system")
+    if rs.rank > 2:
+        raise UnsupportedConfigurationError(
+            "the transform pair is defined for rank <= 2")
     values = _as_stack(values, rgrid)
     wdp = rgrid.weights * density_delta(rs, rgrid.nodes) * phi0(rs, rgrid.nodes)
     _check_tail("radial", values, wdp, rgrid.shell_mask(), tail_tol, tail_floor)

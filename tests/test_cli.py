@@ -141,3 +141,10 @@ def test_byte_identical_reruns(tmp_path, capsys):
                     "--output-dir", str(out)]) == 0
     assert _read(out1 / "phi.csv") == _read(out2 / "phi.csv")
     assert _read(out1 / "phi_manifest.json") == _read(out2 / "phi_manifest.json")
+    for out in (out1, out2):
+        # coarse grids that still pass both tail checks
+        assert run(["transform", "--root-system", "A2", "--box-radius", "9",
+                    "--points", "81", "--spectral-points", "41",
+                    "--output-dir", str(out)]) == 0
+    for name in ("transform.csv", "roundtrip.csv", "transform_manifest.json"):
+        assert _read(out1 / name) == _read(out2 / name)

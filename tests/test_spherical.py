@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symwave.errors import InconclusiveIntegralError, UnsupportedConfigurationError
-from symwave.geometry import (RadialFunction, RadialGrid, density_delta, phi0,
+from symwave.geometry import (RadialFunction, RadialGrid, _tensor_nodes,
+                              _trapezoid_weights, density_delta, phi0,
                               w_invariance_defect)
 from symwave.root_system import build_root_system, weyl_group
 from symwave.spherical import (SpectralFunction, SpectralGrid,
-                               _near_singular, _phi_direct,
+                               _near_singular, _phi_direct, _w_fold,
                                forward_transform, forward_transform_stack,
                                inverse_transform, inverse_transform_stack,
                                phi_lambda, phi_lambda_many,
@@ -129,11 +130,12 @@ def test_phi_direct_matches_high_precision_closed_form(family, joint):
 @pytest.mark.parametrize("family,lam,H", [
     pytest.param("A", *_BOUND_COUNTEREXAMPLE, id="A-bound-counterexample"),
     *[pytest.param(f, *_joint_case(j), id=f"{f}-joint{j:g}")
-      for f in "AB" for j in (1e-2, 1.0, 10.0)],
+      for f in "AB" for j in (1e-4, 1e-2, 1.0, 10.0)],
 ])
 def test_phi_lambda_matches_high_precision_closed_form(family, lam, H):
     # points off the singular sets, so phi_lambda takes the closed form;
-    # at |lam||H| = 1e-4 both arguments of A2 and B2 are flagged singular
+    # at |lam||H| = 1e-4 both arguments have norm 0.01, so the wall test
+    # must be relative to |p| to leave them unflagged
     rs = build_root_system(family, 2)
     assert not (_near_singular(rs, lam)[0] or _near_singular(rs, H)[0])
     ref = _phi_closed_form_mp(rs, lam, H)
@@ -294,6 +296,7 @@ def test_round_trip(tag, R, n, L, m, tol):
     ("A1", 8.0, 65, 7.0, 61),
     ("A2", 5.0, 25, 5.0, 21),
     ("B2", 5.0, 25, 5.0, 21),
+    ("C2", 5.0, 25, 5.0, 21),
 ])
 def test_stacked_transforms_match_per_slice(tag, R, n, L, m):
     # The comparison is about stacking, not resolution, so the tail checks
@@ -323,6 +326,22 @@ def test_stacked_transforms_match_per_slice(tag, R, n, L, m):
         one = inverse_transform(rs, SpectralFunction(sgrid, spectral[b]), rgrid,
                                 tail_tol=1.0).values
         assert np.max(np.abs(inv[b] - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
+def test_tensor_fold_matches_point_fold(tag):
+    # The grid fold folds only the rows y_a >= 0 and fills the others by the
+    # mirror identity S(s p) = det(s) S(p), with s = diag(-1, 1) or -I; that
+    # identity holds for any stack, so a random complex stack that is not
+    # W-invariant must give the point-by-point fold on every node.
+    rs = build_root_system(tag[0], int(tag[1]))
+    x, y = np.linspace(-5.0, 5.0, 33), np.linspace(-6.0, 6.0, 27)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(2, x.size ** 2)) + 1j * rng.normal(size=(2, x.size ** 2))
+    weights = _trapezoid_weights(x, 2)
+    grid = _w_fold(rs, values, weights, x, y, True)
+    points = _w_fold(rs, values, weights, x, _tensor_nodes(y, 2), False)
+    assert np.max(np.abs(grid - points)) <= 1e-13 * np.max(np.abs(points))
 
 
 def test_stacked_tail_check_names_the_slice(a1):
