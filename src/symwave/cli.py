@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, DomainError, InconclusiveIntegralError,
-                     ResolutionError, SymwaveError)
+from .errors import (ConfigError, InconclusiveIntegralError, ResolutionError,
+                     SymwaveError)
 from .estimates import (LARGE_TIMES, decay_sweep, dispersive_report)
 from .evolution import (KleinGordonPropagator, admissible, gaussian_state,
                         gwp_sigma, semilinear_solve, suggested_steps)
@@ -74,6 +74,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     parser = configparser.ConfigParser()
+    parser.optionxform = str        # keys keep their case, as in _SECTIONS ("T")
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     out = {}
@@ -359,9 +360,6 @@ def run(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except (InconclusiveIntegralError, ResolutionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -106,9 +106,9 @@ def gwp_curves(d: int) -> dict:
             "sigma_2": sigma_2, "sigma_3": sigma_3}
 
 
-def gwp_sigma(d: int, gamma: float, eps: float = 1e-3) -> float:
+def gwp_sigma(d: int, gamma: float) -> float:
     """Piecewise regularity threshold for small-data global well-posedness;
-    the first branch ("0+") is reported as ``eps``."""
+    the first branch ("0+") is reported as 1e-3."""
     g = gwp_powers(d)
     c = gwp_curves(d)
     if gamma <= 1.0:
@@ -116,7 +116,7 @@ def gwp_sigma(d: int, gamma: float, eps: float = 1e-3) -> float:
     if gamma > g["gamma_4"] + 1e-12:
         raise OutOfRangeError(f"gamma beyond gamma_4 = {g['gamma_4']:.6g}")
     if gamma <= g["gamma_1"]:
-        return eps
+        return 1e-3
     if gamma <= g["gamma_2"]:
         return c["sigma_1"](gamma)
     if gamma <= g["gamma_c"]:
@@ -132,10 +132,9 @@ def _omega(rs: RootSystem, sgrid: SpectralGrid) -> np.ndarray:
     return np.sqrt(np.sum(sgrid.nodes ** 2, axis=1) + rs.rho_norm ** 2)
 
 
-def default_spectral_grid(rs: RootSystem, rgrid: RadialGrid,
-                          margin: float = 0.66) -> SpectralGrid:
-    """Spectral box resolving the radial grid: L = margin * pi / h."""
-    L = margin * np.pi / rgrid.spacing
+def default_spectral_grid(rs: RootSystem, rgrid: RadialGrid) -> SpectralGrid:
+    """Spectral box resolving the radial grid: L = 0.66 pi / h."""
+    L = 0.66 * np.pi / rgrid.spacing
     m = rgrid.points_per_axis
     return SpectralGrid(rs, L, m if m % 2 == 1 else m + 1)
 
@@ -148,6 +147,8 @@ def suggested_steps(rs: RootSystem, sgrid: SpectralGrid, T: float) -> int:
 
 # Relative mass below which a slice is rounding noise next to the flow.
 _NOISE = 1e-10
+# Largest share of a slice's mass that the transforms' box shell may hold.
+_TAIL_TOL = 1e-8
 
 
 class KleinGordonPropagator:
@@ -159,11 +160,10 @@ class KleinGordonPropagator:
     """
 
     def __init__(self, rs: RootSystem, rgrid: RadialGrid,
-                 sgrid: SpectralGrid | None = None, tail_tol: float = 1e-8):
+                 sgrid: SpectralGrid | None = None):
         self.rs = rs
         self.rgrid = rgrid
         self.sgrid = sgrid or default_spectral_grid(rs, rgrid)
-        self.tail_tol = tail_tol
         self.omega = _omega(rs, self.sgrid)
         self._wq = self.sgrid.weights * plancherel_density(rs, self.sgrid.nodes)
 
@@ -179,9 +179,9 @@ class KleinGordonPropagator:
         try:
             if isinstance(f, RadialFunction):
                 return forward_transform(self.rs, f, self.sgrid,
-                                         self.tail_tol, tail_floor)
+                                         _TAIL_TOL, tail_floor)
             return forward_transform_stack(self.rs, self.rgrid, f, self.sgrid,
-                                           self.tail_tol, tail_floor)
+                                           _TAIL_TOL, tail_floor)
         except InconclusiveIntegralError as exc:
             raise ResolutionError(f"data not resolved by the grids: {exc}",
                                   slice_index=exc.slice_index) from exc
@@ -198,9 +198,9 @@ class KleinGordonPropagator:
         try:
             if single:
                 return inverse_transform(self.rs, g, self.rgrid,
-                                         self.tail_tol, floor)
+                                         _TAIL_TOL, floor)
             return inverse_transform_stack(self.rs, self.sgrid, g, self.rgrid,
-                                           self.tail_tol, floor)
+                                           _TAIL_TOL, floor)
         except InconclusiveIntegralError as exc:
             raise ResolutionError(f"spectrum not resolved by the grids: {exc}",
                                   slice_index=exc.slice_index) from exc

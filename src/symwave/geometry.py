@@ -77,14 +77,14 @@ class RadialGrid:
         edge = np.isclose(np.abs(self.nodes), self.box_radius)
         return np.any(edge, axis=1)
 
-    def interior_chamber_mask(self, margin_steps: int = 2) -> np.ndarray:
-        """Chamber nodes at least ``margin_steps`` grid spacings from every
-        root wall and from the box boundary."""
+    def interior_chamber_mask(self) -> np.ndarray:
+        """Chamber nodes at least 2 grid spacings from every root wall and
+        from the box boundary."""
         h = self.spacing
         norms = np.linalg.norm(self.rs.roots_c, axis=1)
         dist = (self.nodes @ self.rs.roots_c.T) / norms   # signed wall distances
-        ok = np.all(dist >= margin_steps * h - 1e-12, axis=1)
-        box_ok = np.all(np.abs(self.nodes) <= self.box_radius - margin_steps * h + 1e-12,
+        ok = np.all(dist >= 2 * h - 1e-12, axis=1)
+        box_ok = np.all(np.abs(self.nodes) <= self.box_radius - 2 * h + 1e-12,
                         axis=1)
         return ok & box_ok
 
@@ -106,15 +106,16 @@ class RadialFunction:
         return self.values.reshape(self.grid.shape)
 
 
-def w_invariance_defect(f: RadialFunction, decimals: int = 9) -> float:
-    """Max |f(H) - f(wH)| over Weyl images that land back on grid nodes."""
+def w_invariance_defect(f: RadialFunction) -> float:
+    """Max |f(H) - f(wH)| over Weyl images that land back on grid nodes,
+    matched to 9 decimals."""
     grid, rs = f.grid, f.grid.rs
-    index = {np.round(node, decimals).tobytes(): i
+    index = {np.round(node, 9).tobytes(): i
              for i, node in enumerate(grid.nodes)}
     worst = 0.0
     for w in weyl_group(rs).matrices:
         mapped = grid.nodes @ w.T
-        for i, m in enumerate(np.round(mapped, decimals)):
+        for i, m in enumerate(np.round(mapped, 9)):
             j = index.get(m.tobytes())
             if j is not None:
                 worst = max(worst, abs(f.values[i] - f.values[j]))
@@ -206,9 +207,13 @@ def read_radial_csv(path, grid: RadialGrid) -> RadialFunction:
         header = next(rows)
         if header[:rank] != [f"H_{k + 1}" for k in range(rank)] or header[rank:] != ["re", "im"]:
             raise ConfigError(f"unexpected CSV header {header}")
-        for i, row in enumerate(rows):
+        body = list(rows)
+        if len(body) != grid.n_nodes:
+            raise ConfigError(f"CSV has {len(body)} data rows for a grid of "
+                              f"{grid.n_nodes} nodes")
+        for i, row in enumerate(body):
             node = np.array([float(x) for x in row[:rank]])
-            if i >= grid.n_nodes or not np.allclose(node, grid.nodes[i], atol=1e-12):
+            if not np.allclose(node, grid.nodes[i], atol=1e-12):
                 raise ConfigError("CSV nodes do not match the target grid")
             vals[i] = float(row[rank]) + 1j * float(row[rank + 1])
     return RadialFunction(grid, vals)

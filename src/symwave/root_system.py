@@ -188,11 +188,11 @@ def pi_many(rs: RootSystem, lam: np.ndarray) -> np.ndarray:
     return np.prod(lam @ rs.roots_c.T, axis=-1)
 
 
-def fold_into_chamber(rs: RootSystem, H: np.ndarray, max_steps: int = 200) -> np.ndarray:
+def fold_into_chamber(rs: RootSystem, H: np.ndarray) -> np.ndarray:
     """Reflect H by simple reflections until it lies in the closed chamber."""
     H = np.asarray(H, dtype=float).copy()
     gens = [_reflection(a) for a in rs.simple_c]
-    for _ in range(max_steps):
+    for _ in range(200):
         pair = rs.simple_c @ H
         j = int(np.argmin(pair))
         if pair[j] >= -1e-14:

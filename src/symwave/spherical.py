@@ -11,9 +11,12 @@ prod 2 sinh<alpha,H>, normalized so phi_lam(0) = 1.  The alternating sum
 annihilates every polynomial of degree below m = |Sigma+|, so near the joint
 origin (small |lam||H|) it is formed from the exponential remainders
 e^z - sum_{j<m} z^j/j!, whose dropped terms would otherwise cancel in
-floating point.  Points within 1e-4 of a singular set (lam on a root
-hyperplane, H on a wall) are handled by 6-point polynomial extrapolation
-along a fixed generic direction.
+floating point.  There is one evaluation path: ``phi_lambda_many`` takes
+lam and H broadcast against each other, evaluates every regular pair in
+one ``_phi_direct`` call and every pair within 1e-4 of a singular set (lam
+on a root hyperplane, H on a wall) in one more, by 6-point polynomial
+extrapolation along a fixed generic direction; ``phi_lambda`` is its
+one-point case.
 
 Transforms are plain trapezoid sums over tensor grids, applied to a stack of
 B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
@@ -115,12 +118,6 @@ def plancherel_density(rs: RootSystem, lam: np.ndarray) -> np.ndarray:
     return pi_many(rs, np.asarray(lam, dtype=float)) ** 2
 
 
-def _generic_direction(rank: int) -> np.ndarray:
-    golden = (1 + 5 ** 0.5) / 2
-    u = np.array([golden ** (-k) for k in range(rank)])
-    return u / np.linalg.norm(u)
-
-
 def _lagrange_to_zero(k: np.ndarray) -> np.ndarray:
     """Lagrange weights extrapolating samples at offsets k to 0."""
     w = np.array([np.prod(-k[k != ki]) / np.prod(ki - k[k != ki]) for ki in k])
@@ -129,10 +126,6 @@ def _lagrange_to_zero(k: np.ndarray) -> np.ndarray:
 
 
 _EXTRAP_WEIGHTS = _lagrange_to_zero(np.arange(1, _EXTRAP_K + 1, dtype=float))
-
-
-def _min_abs_pairing(rs: RootSystem, pts: np.ndarray) -> np.ndarray:
-    return np.min(np.abs(np.atleast_2d(pts) @ rs.roots_c.T), axis=1)
 
 
 def _near_singular(rs: RootSystem, pts: np.ndarray) -> np.ndarray:
@@ -267,7 +260,7 @@ def _exp_remainder(z: np.ndarray, m: int) -> np.ndarray:
 
 
 def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Closed-form evaluation on generic points; lam (M,r), H (N,r) -> (M,N).
+    """Closed-form evaluation on generic pairs; lam (P, r), H (P, r) -> (P,).
 
     The numerator sum_w det(w) e^{i<w lam, H>} vanishes to order m = |Sigma+|
     in |lam||H|, because the alternating sum kills every polynomial of degree
@@ -276,66 +269,76 @@ def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     series is used where its bound sum_{j>=m} s^j/j! = e^s P(m, s), s =
     |lam||H| >= |z|, stays below 1 = |e^z|, so the remainders are no larger
     than the exponentials they replace; elsewhere e^z is summed directly.
+    The sum runs one Weyl element at a time, so memory stays O(P).
     """
     W = weyl_group(rs)
-    lam = np.atleast_2d(lam)
-    H = np.atleast_2d(H)
     n_pos = rs.n_positive
-    joint = np.outer(np.linalg.norm(lam, axis=1), np.linalg.norm(H, axis=1))
+    joint = np.linalg.norm(lam, axis=1) * np.linalg.norm(H, axis=1)
     near = gammainc(n_pos, joint) < np.exp(-joint)
-    num = np.zeros((lam.shape[0], H.shape[0]), dtype=complex)
+    far = ~near
+    num = np.zeros(lam.shape[0], dtype=complex)
     for mat, sign in zip(W.matrices, W.signs):
-        num += sign * np.exp(1j * (lam @ mat.T) @ H.T)
-    rows, cols = np.nonzero(near)
-    z = 1j * np.einsum("wij,kj,ki->wk", W.matrices, lam[rows], H[cols])
-    num[rows, cols] = W.signs @ _exp_remainder(z, n_pos)
-    den = weyl_denominator(rs, H)
+        # <w lam, H> elementwise: a matrix product rounds differently for
+        # different P, and near a wall the alternating sum magnifies that
+        z = 1j * np.sum(np.sum(lam[:, None, :] * mat, axis=-1) * H, axis=-1)
+        num[far] += sign * np.exp(z[far])
+        num[near] += sign * _exp_remainder(z[near], n_pos)
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
     pi_ilam = (1j ** n_pos) * pi_many(rs, lam)
-    return (pi_rho / pi_ilam)[:, None] * num / den[None, :]
+    return pi_rho / pi_ilam * num / weyl_denominator(rs, H)
+
+
+def _ray_offsets(pts: np.ndarray, tau) -> np.ndarray:
+    """The extrapolation nodes p + k tau u, k = 1.._EXTRAP_K, of the points
+    p (P, rank) along a fixed generic direction u, with one step ``tau`` or
+    one per point (P,); returns (P, _EXTRAP_K, rank)."""
+    golden = (1 + 5 ** 0.5) / 2
+    u = np.array([golden ** (-k) for k in range(pts.shape[1])])
+    u = u / np.linalg.norm(u)
+    ks = np.arange(1, _EXTRAP_K + 1)
+    return pts[:, None, :] + (np.reshape(tau, (-1, 1)) * ks)[:, :, None] * u
+
+
+def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Spherical functions phi_lam(exp H) for lam and H broadcast against
+    each other over their leading axes (the last axis is the rank): one lam
+    against many H, many lam against one H, or lam[:, None] against H[None]
+    for a table.
+
+    Regular pairs take ``_phi_direct`` in one call.  A pair with lam near a
+    root hyperplane or H near a wall is a removable singularity: the
+    singular arguments move along the generic ray by k tau, k = 1..6,
+    tau = 0.05 / max(|lam|, |H|, 1), and the value is extrapolated to k = 0,
+    all singular pairs in one more call.  H = 0 gives exactly 1 and lam = 0
+    gives phi0(H).
+    """
+    lam, H = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.asarray(H, dtype=float))
+    shape = lam.shape[:-1]
+    lam, H = lam.reshape(-1, rs.rank), H.reshape(-1, rs.rank)
+    lam_n, H_n = np.linalg.norm(lam, axis=1), np.linalg.norm(H, axis=1)
+    lam_sing, H_sing = _near_singular(rs, lam), _near_singular(rs, H)
+    out = np.empty(lam.shape[0], dtype=complex)
+    regular = ~lam_sing & ~H_sing
+    out[regular] = _phi_direct(rs, lam[regular], H[regular])
+    todo = np.nonzero(~regular & (lam_n >= 1e-14) & (H_n >= 1e-14))[0]
+    tau = 0.05 / np.maximum(np.maximum(lam_n[todo], H_n[todo]), 1.0)
+
+    def path(p, sing):
+        return np.where(sing[todo, None, None], _ray_offsets(p[todo], tau),
+                        p[todo, None, :]).reshape(-1, rs.rank)
+    vals = _phi_direct(rs, path(lam, lam_sing), path(H, H_sing))
+    out[todo] = vals.reshape(-1, _EXTRAP_K) @ _EXTRAP_WEIGHTS
+    out[lam_n < 1e-14] = phi0(rs, H[lam_n < 1e-14])
+    out[H_n < 1e-14] = 1.0
+    return out.reshape(shape)
 
 
 def phi_lambda(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> complex:
-    """Spherical function phi_lam(exp H); exact 1 at H = 0."""
-    lam = np.asarray(lam, dtype=float).reshape(rs.rank)
-    H = np.asarray(H, dtype=float).reshape(rs.rank)
-    if np.linalg.norm(H) < 1e-14:
-        return 1.0 + 0.0j
-    lam_sing = bool(_near_singular(rs, lam)[0])
-    H_sing = bool(_near_singular(rs, H)[0])
-    if np.linalg.norm(lam) < 1e-14:
-        return complex(phi0(rs, H))
-    if not lam_sing and not H_sing:
-        return complex(_phi_direct(rs, lam, H)[0, 0])
-    # removable singularity: polynomial extrapolation along a generic ray
-    u = _generic_direction(rs.rank)
-    scale = max(np.linalg.norm(lam), np.linalg.norm(H), 1.0)
-    tau = 0.05 / scale
-    ks = np.arange(1, _EXTRAP_K + 1)
-    lam_path = lam[None, :] + (tau * ks)[:, None] * u[None, :] if lam_sing \
-        else np.repeat(lam[None, :], _EXTRAP_K, axis=0)
-    H_path = H[None, :] + (tau * ks)[:, None] * u[None, :] if H_sing \
-        else np.repeat(H[None, :], _EXTRAP_K, axis=0)
-    vals = np.array([_phi_direct(rs, lam_path[i], H_path[i])[0, 0]
-                     for i in range(_EXTRAP_K)])
-    return complex(_EXTRAP_WEIGHTS @ vals)
-
-
-def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H_pts: np.ndarray) -> np.ndarray:
-    """phi_lam at many H for one lam, with singular points patched."""
-    lam = np.asarray(lam, dtype=float).reshape(rs.rank)
-    H_pts = np.atleast_2d(np.asarray(H_pts, dtype=float))
-    if np.linalg.norm(lam) < 1e-14:
-        return phi0(rs, H_pts).astype(complex)
-    out = np.empty(H_pts.shape[0], dtype=complex)
-    ok = ~_near_singular(rs, H_pts)
-    if _near_singular(rs, lam)[0]:
-        ok[:] = False
-    if np.any(ok):
-        out[ok] = _phi_direct(rs, lam, H_pts[ok])[0]
-    for i in np.nonzero(~ok)[0]:
-        out[i] = phi_lambda(rs, lam, H_pts[i])
-    return out
+    """Spherical function phi_lam(exp H) at one pair: the one-point case of
+    ``phi_lambda_many``; exact 1 at H = 0."""
+    return complex(phi_lambda_many(rs, np.reshape(lam, rs.rank),
+                                   np.reshape(H, rs.rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +396,8 @@ def _patched(rs: RootSystem, grid, fold, norm, box_scale: float,
     out[:, origin] = at_origin[:, None]
     todo = np.nonzero(sing & ~origin)[0]
     if todo.size:
-        u = _generic_direction(rs.rank)
         tau = 0.05 / max(box_scale, 1.0)
-        ks = np.arange(1, _EXTRAP_K + 1)
-        shifted = (pts[todo][:, None, :]
-                   + (tau * ks)[None, :, None] * u[None, None, :])
-        shifted = shifted.reshape(-1, rs.rank)
+        shifted = _ray_offsets(pts[todo], tau).reshape(-1, rs.rank)
         vals = fold(shifted, False) * norm(shifted)
         out[:, todo] = vals.reshape(-1, todo.size, _EXTRAP_K) @ _EXTRAP_WEIGHTS
     return out
@@ -547,7 +546,7 @@ def radial_laplacian_apply(rs: RootSystem, f: RadialFunction) -> RadialFunction:
         grads.append((plus - minus) / (2.0 * h))
     grad = np.stack([g.ravel() for g in grads], axis=-1)   # (N, rank)
     pair = grid.nodes @ rs.roots_c.T                       # (N, n_roots)
-    valid = grid.interior_chamber_mask(2)
+    valid = grid.interior_chamber_mask()
     coth = np.zeros_like(pair)
     coth[valid] = 1.0 / np.tanh(pair[valid])
     first_order = 2.0 * np.sum(coth * (grad @ rs.roots_c.T), axis=1)

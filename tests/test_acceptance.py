@@ -66,7 +66,7 @@ def test_criterion_02_eigenfunction_identity():
             grid = RadialGrid(rs, h * 32, 65)
             f = RadialFunction(grid, phi_lambda_many(rs, lam, grid.nodes))
             Lf = radial_laplacian_apply(rs, f)
-            mask = grid.interior_chamber_mask(2)
+            mask = grid.interior_chamber_mask()
             resids[h] = float(np.max(np.abs(-Lf.values[mask]
                                             - E * f.values[mask])))
         rel = resids[0.02] / (E * 1.0)
@@ -85,7 +85,7 @@ def test_criterion_03_basic_bound():
         for _ in range(100):
             lam = rng.uniform(-6.0, 6.0, size=(100, rs.rank))
             H = rng.uniform(-3.0, 3.0, size=rs.rank)
-            vals = np.abs(_phi_direct(rs, lam, H[None, :])[:, 0])
+            vals = np.abs(_phi_direct(rs, lam, np.broadcast_to(H, lam.shape)))
             violations += int(np.sum(vals > phi0(rs, H) * (1 + 1e-10)))
         details.append(f"{rs.tag}: {violations} violations in 10^4 samples")
         ok = ok and violations == 0

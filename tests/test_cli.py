@@ -116,6 +116,19 @@ def test_solve_manifest(tmp_path, capsys):
     assert (out / "solution_step00000.csv").exists()
 
 
+def test_solve_takes_T_from_config_file(tmp_path, capsys):
+    # config keys keep their case, so [solve] T is the T of the --T flag
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[solve]\nT = 0.5\n")
+    out = tmp_path / "o"
+    assert run(["--config", str(cfg), "solve", "--root-system", "A1",
+                "--gamma", "3", "--steps", "20", "--points", "129",
+                "--box-radius", "8", "--snapshots", "3",
+                "--output-dir", str(out)]) == 0
+    man = json.loads((out / "solve_manifest.json").read_text())
+    assert man["T"] == 0.5
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[common]\nroot_system = A1\n[gwp]\nd = 3\ngamma = 3\n")

@@ -160,6 +160,16 @@ def test_csv_roundtrip(tmp_path, a2):
     assert np.allclose(g.values, f.values, atol=1e-15)
 
 
+def test_csv_with_missing_rows_rejected(tmp_path, a1):
+    # a 5-node grid read from a file holding only its first 2 data rows
+    grid = RadialGrid(a1, 1.0, 5)
+    path = tmp_path / "f.csv"
+    write_radial_csv(path, RadialFunction(grid, np.arange(5.0)))
+    path.write_text("\n".join(path.read_text().splitlines()[:3]) + "\n")
+    with pytest.raises(ConfigError, match="2 data rows for a grid of 5 nodes"):
+        read_radial_csv(path, grid)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.1, 4.0), st.floats(0.0, 6.0))
 def test_envelope_positive_decreasing_in_rho_pairing(N, r):

@@ -73,19 +73,25 @@ def test_basic_bound(lx, ly, hx, hy):
     assert abs(phi_lambda(rs, lam, H)) <= phi0(rs, H) * (1 + slack) + (0 if direct else 5e-6)
 
 
-def _phi_closed_form_mp(rs, lam, H):
+def _phi_closed_form_mp(rs, lam, H, shift=0):
     """The closed form of phi_lam(exp H) to 60 digits.
 
     The Weyl group acts exactly on ambient coordinates (permutations for A,
     signed permutations for B), so the alternating sum cancels its
-    low-order Taylor terms without rounding."""
+    low-order Taylor terms without rounding.  A nonzero ``shift`` (rank 2)
+    first moves lam and H by shift * (1, sqrt 2)/sqrt 3, off every wall and
+    root hyperplane of A2 and B2, in mpmath; the cancellation then costs up
+    to -2 log10(shift) digits, which are added to the working precision."""
     n = rs.ambient_dim
     signs = [(1,) * n] if rs.family == "A" \
         else list(itertools.product((1, -1), repeat=n))
-    with mp.workdps(60):
-        lam_a = [mp.fsum(mp.mpf(lam[k]) * mp.mpf(rs.a_basis[k, i])
+    with mp.workdps(60 if shift == 0 else 60 - 2 * int(mp.log10(shift))):
+        d = [mp.sqrt(mp.mpf(k + 1) / 3) for k in range(rs.rank)]
+        lam_s = [mp.mpf(lam[k]) + shift * d[k] for k in range(rs.rank)]
+        H_s = [mp.mpf(H[k]) + shift * d[k] for k in range(rs.rank)]
+        lam_a = [mp.fsum(lam_s[k] * mp.mpf(rs.a_basis[k, i])
                          for k in range(rs.rank)) for i in range(n)]
-        H_a = [mp.fsum(mp.mpf(H[k]) * mp.mpf(rs.a_basis[k, i])
+        H_a = [mp.fsum(H_s[k] * mp.mpf(rs.a_basis[k, i])
                        for k in range(rs.rank)) for i in range(n)]
         num = mp.mpf(0)
         for perm in itertools.permutations(range(n)):
@@ -124,7 +130,7 @@ def test_phi_direct_matches_high_precision_closed_form(family, joint):
     rs = build_root_system(family, 2)
     lam, H = _joint_case(joint)
     ref = _phi_closed_form_mp(rs, lam, H)
-    assert abs(_phi_direct(rs, lam, H)[0, 0] - ref) <= 1e-11 * abs(ref)
+    assert abs(_phi_direct(rs, lam[None], H[None])[0] - ref) <= 1e-11 * abs(ref)
 
 
 @pytest.mark.parametrize("family,lam,H", [
@@ -140,6 +146,55 @@ def test_phi_lambda_matches_high_precision_closed_form(family, lam, H):
     assert not (_near_singular(rs, lam)[0] or _near_singular(rs, H)[0])
     ref = _phi_closed_form_mp(rs, lam, H)
     assert abs(phi_lambda(rs, lam, H) - ref) <= 1e-11 * abs(ref)
+
+
+def _wall(rs, k):
+    # unit vector on the wall (or root hyperplane) of the k-th positive root
+    a = rs.roots_c[k]
+    return np.array([-a[1], a[0]]) / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("case", ["H-wall", "lam-plane", "both"])
+def test_extrapolated_phi_matches_high_precision_closed_form(family, case):
+    # Removable singularities: on every wall, with |lam| and |H| in
+    # {0.3, 1, 3}, the extrapolated value must match the closed form taken
+    # 1e-30 off the singular set, with 60 digits left after cancellation.
+    rs = build_root_system(family, 2)
+    n_roots = rs.roots_c.shape[0]
+    worst = 0.0
+    for k in range(n_roots):
+        for r_lam, r_H in itertools.product((0.3, 1.0, 3.0), repeat=2):
+            lam = r_lam * (_wall(rs, k) if case != "H-wall"
+                           else np.array([np.cos(0.4), np.sin(0.4)]))
+            H = r_H * (_wall(rs, (k + 1) % n_roots) if case != "lam-plane"
+                       else np.array([np.cos(1.3), np.sin(1.3)]))
+            assert _near_singular(rs, lam)[0] == (case != "H-wall")
+            assert _near_singular(rs, H)[0] == (case != "lam-plane")
+            ref = _phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
+            worst = max(worst, abs(phi_lambda(rs, lam, H) - ref) / abs(ref))
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2"])
+def test_phi_lambda_many_matches_single_points(tag):
+    # One broadcast call over a table that mixes lam = 0, H = 0, regular
+    # pairs, lam on a root hyperplane, H on a wall and both.
+    rs = build_root_system(tag[0], int(tag[1]))
+    if rs.rank == 1:
+        lams = np.array([[0.0], [1.7], [-0.4], [1e-5]])
+        Hs = np.array([[0.0], [0.9], [-2.1], [3e-5]])
+    else:
+        lams = np.array([[0.0, 0.0], [1.1, 0.6], 1.3 * _wall(rs, 0),
+                         0.7 * _wall(rs, 1), [-2.0, 0.5]])
+        Hs = np.array([[0.0, 0.0], [0.7, 0.4], 0.9 * _wall(rs, 1),
+                       2.5 * _wall(rs, 2), [-0.3, 1.9]])
+    table = phi_lambda_many(rs, lams[:, None, :], Hs[None, :, :])
+    assert table.shape == (lams.shape[0], Hs.shape[0])
+    single = np.array([[phi_lambda(rs, lam, H) for H in Hs] for lam in lams])
+    assert np.max(np.abs(table - single)) <= 1e-13 * np.max(np.abs(single))
+    assert np.all(table[:, 0] == 1.0)
+    assert np.all(table[0, 1:] == phi0(rs, Hs[1:]))
 
 
 def test_phi_conjugation_and_weyl_symmetry(a2, rng):
@@ -178,7 +233,7 @@ def test_eigenfunction_identity(tag, lam):
     f = RadialFunction(grid, phi_lambda_many(rs, lam, grid.nodes))
     Lf = radial_laplacian_apply(rs, f)
     E = float(lam @ lam) + rs.rho_norm ** 2
-    m = grid.interior_chamber_mask(2)
+    m = grid.interior_chamber_mask()
     resid = np.max(np.abs(-Lf.values[m] - E * f.values[m]))
     assert resid / (E * np.max(np.abs(f.values[m]))) < 1e-3
 
@@ -191,7 +246,7 @@ def test_eigenfunction_residual_second_order(a1):
         grid = RadialGrid(a1, h * 32, 65)
         f = RadialFunction(grid, phi_lambda_many(a1, lam, grid.nodes))
         Lf = radial_laplacian_apply(a1, f)
-        m = grid.interior_chamber_mask(2)
+        m = grid.interior_chamber_mask()
         resids.append(np.max(np.abs(-Lf.values[m] - E * f.values[m])))
     assert 3.5 < resids[0] / resids[1] < 4.5
 
@@ -200,7 +255,7 @@ def test_laplacian_annihilates_constants(a1):
     grid = RadialGrid(a1, 2.0, 33)
     f = RadialFunction(grid, np.ones(grid.n_nodes))
     Lf = radial_laplacian_apply(a1, f)
-    m = grid.interior_chamber_mask(2)
+    m = grid.interior_chamber_mask()
     assert np.max(np.abs(Lf.values[m])) < 1e-10
 
 

@@ -424,8 +424,7 @@ def test_spectral_route_cross_check(a1, a2):
     # radial-reduction kernel against direct quadrature over the spectral
     # box, tied by the vector-space polar-decomposition constant
     from symwave.root_system import weyl_group, pi_many
-    from symwave.spherical import SpectralGrid, phi_lambda
-    from symwave.spherical import _phi_direct, _min_abs_pairing
+    from symwave.spherical import SpectralGrid, phi_lambda_many
     for rs, m in ((a1, 351), (a2, 121)):
         W = weyl_group(rs)
         t, sig = 0.7, 1.3 + 0.4j
@@ -438,11 +437,7 @@ def test_spectral_route_cross_check(a1, a2):
         mult = smooth_step(lam_n / rs.rho_norm - 1.0) \
             * (lam_n ** 2 + rho_t ** 2) ** (-sig / 2.0) \
             * np.exp(1j * t * np.sqrt(lam_n ** 2 + rs.rho_norm ** 2))
-        phiv = np.empty(len(lam), dtype=complex)
-        ok = _min_abs_pairing(rs, lam) >= 1e-4
-        phiv[ok] = _phi_direct(rs, lam[ok], H[None, :])[:, 0]
-        for i in np.nonzero(~ok)[0]:
-            phiv[i] = phi_lambda(rs, lam[i], H)
+        phiv = phi_lambda_many(rs, lam, H)
         spectral = np.sum(sg.weights * mult * pi_many(rs, lam) ** 2 * phiv)
         # kappa from the Gaussian normalization integral
         sgg = SpectralGrid(rs, 6.0, 161)
