@@ -35,8 +35,9 @@ def _trapezoid_weights(axis: np.ndarray, rank: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RadialGrid:
-    """Uniform tensor grid over the box [-R, R]^rank in the flat part."""
+class _TensorGrid:
+    """Uniform tensor grid over the box [-R, R]^rank, an odd number of
+    points per axis so that the origin is a node."""
 
     rs: RootSystem
     box_radius: float
@@ -44,7 +45,6 @@ class RadialGrid:
     axis: np.ndarray = field(repr=False, default=None)
     nodes: np.ndarray = field(repr=False, default=None)          # (N, rank)
     weights: np.ndarray = field(repr=False, default=None)        # trapezoid
-    chamber_mask: np.ndarray = field(repr=False, default=None)   # open chamber
 
     def __post_init__(self):
         n = self.points_per_axis
@@ -53,16 +53,9 @@ class RadialGrid:
         if self.box_radius <= 0:
             raise ConfigError("box_radius must be positive")
         axis = np.linspace(-self.box_radius, self.box_radius, n)
-        nodes = _tensor_nodes(axis, self.rs.rank)
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", _tensor_nodes(axis, self.rs.rank))
         object.__setattr__(self, "weights", _trapezoid_weights(axis, self.rs.rank))
-        pos = np.all(nodes @ self.rs.simple_c.T > 1e-12, axis=1)
-        object.__setattr__(self, "chamber_mask", pos)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.axis[1] - self.axis[0])
 
     @property
     def n_nodes(self) -> int:
@@ -77,6 +70,39 @@ class RadialGrid:
         edge = np.isclose(np.abs(self.nodes), self.box_radius)
         return np.any(edge, axis=1)
 
+
+@dataclass(frozen=True)
+class _TensorFunction:
+    """Complex samples over the nodes of a tensor grid."""
+
+    grid: _TensorGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=complex).ravel()
+        if v.shape[0] != self.grid.n_nodes:
+            raise ConfigError("values length does not match grid")
+        object.__setattr__(self, "values", v)
+
+    def tensor(self) -> np.ndarray:
+        return self.values.reshape(self.grid.shape)
+
+
+@dataclass(frozen=True)
+class RadialGrid(_TensorGrid):
+    """Uniform tensor grid over the box [-R, R]^rank in the flat part."""
+
+    chamber_mask: np.ndarray = field(repr=False, default=None)   # open chamber
+
+    def __post_init__(self):
+        super().__post_init__()
+        pos = np.all(self.nodes @ self.rs.simple_c.T > 1e-12, axis=1)
+        object.__setattr__(self, "chamber_mask", pos)
+
+    @property
+    def spacing(self) -> float:
+        return float(self.axis[1] - self.axis[0])
+
     def interior_chamber_mask(self) -> np.ndarray:
         """Chamber nodes at least 2 grid spacings from every root wall and
         from the box boundary."""
@@ -89,21 +115,8 @@ class RadialGrid:
         return ok & box_ok
 
 
-@dataclass(frozen=True)
-class RadialFunction:
+class RadialFunction(_TensorFunction):
     """Samples of a bi-invariant function over a RadialGrid."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).ravel()
-        if v.shape[0] != self.grid.n_nodes:
-            raise ConfigError("values length does not match grid")
-        object.__setattr__(self, "values", v)
-
-    def tensor(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
 
 
 def w_invariance_defect(f: RadialFunction) -> float:

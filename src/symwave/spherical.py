@@ -33,26 +33,29 @@ signed-permutation element is contracted with each slice V as A @ V @ B^T
 from one phase table per output coordinate; the other elements (4 of 6 on
 A2) go through per-coordinate phase tables multiplied out on the folded
 rows, a matrix product and a rowwise dot (see ``_w_fold``).  The transform
-is evaluated on the whole output grid, and only its regular points are
-divided by pi(lam) or by the Weyl denominator.  Points on a singular set
-are patched from off-grid points, whose phases are exponentiated point by
-point.
+is evaluated on the whole output grid and divided by pi(lam) or by the Weyl
+denominator, each a product of one factor per positive root.  On the wall
+(root hyperplane) of one root the alternating sum and that product both
+vanish, and the value there is their limit along the wall's normal: the
+normal derivative of the alternating sum, folded from the two first-moment
+stacks by the same phase tables at the wall nodes only, over the product
+with the vanishing factor replaced by its normal derivative.  The origin
+takes its exact value, and a grid with any other node near a singular set
+is refused.
 Each slice passes its own tail check, and a failure names the slice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.special import gammainc
 
 from .errors import (ConfigError, InconclusiveIntegralError,
                      UnsupportedConfigurationError)
-from .geometry import (TAIL_TOL, RadialFunction, RadialGrid, _tensor_nodes,
-                       _trapezoid_weights, density_delta, phi0,
+from .geometry import (TAIL_TOL, RadialFunction, RadialGrid, _TensorFunction,
+                       _TensorGrid, _tensor_nodes, density_delta, phi0,
                        weyl_denominator)
 from .root_system import RootSystem, pi_many, weyl_group
 
@@ -63,54 +66,12 @@ _EXTRAP_K = 6
 _REMAINDER_TERMS = 40
 
 
-@dataclass(frozen=True)
-class SpectralGrid:
+class SpectralGrid(_TensorGrid):
     """Uniform tensor grid over [-L, L]^rank in the spectral variable."""
 
-    rs: RootSystem
-    box_radius: float
-    points_per_axis: int
-    axis: np.ndarray = field(repr=False, default=None)
-    nodes: np.ndarray = field(repr=False, default=None)
-    weights: np.ndarray = field(repr=False, default=None)
 
-    def __post_init__(self):
-        m = self.points_per_axis
-        if m < 3 or m % 2 == 0:
-            raise ConfigError("points_per_axis must be odd and >= 3")
-        if self.box_radius <= 0:
-            raise ConfigError("box_radius must be positive")
-        axis = np.linspace(-self.box_radius, self.box_radius, m)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "nodes", _tensor_nodes(axis, self.rs.rank))
-        object.__setattr__(self, "weights", _trapezoid_weights(axis, self.rs.rank))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def shape(self) -> tuple:
-        return (self.points_per_axis,) * self.rs.rank
-
-    def shell_mask(self) -> np.ndarray:
-        edge = np.isclose(np.abs(self.nodes), self.box_radius)
-        return np.any(edge, axis=1)
-
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    grid: SpectralGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).ravel()
-        if v.shape[0] != self.grid.n_nodes:
-            raise ConfigError("values length does not match grid")
-        object.__setattr__(self, "values", v)
-
-    def tensor(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
+class SpectralFunction(_TensorFunction):
+    """Samples of a function of the spectral variable over a SpectralGrid."""
 
 
 def plancherel_density(rs: RootSystem, lam: np.ndarray) -> np.ndarray:
@@ -152,58 +113,50 @@ def _phase(mu: np.ndarray, axis: np.ndarray) -> np.ndarray:
 
 
 def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
-            axis: np.ndarray, pts: np.ndarray, tensor: bool) -> np.ndarray:
+            axis: np.ndarray, out_axis: np.ndarray) -> np.ndarray:
     """sum_w det(w) sum_x weights(x) values_b(x) exp(i <p, w x>) for each
-    slice b of the stack ``values`` (B, n^rank) and each output point p;
-    returns (B, P).
+    slice b of the stack ``values`` (B, n^rank) and each node p of the
+    tensor grid over the 1D axis ``out_axis``, in ``_tensor_nodes`` order;
+    returns (B, m^rank).
 
-    The inner sum runs over the tensor grid with 1D nodes ``axis``.  The
-    output points are the rows of ``pts`` (P, rank), or with ``tensor`` the
-    nodes of the tensor grid over the 1D axis ``pts``, in ``_tensor_nodes``
-    order; that axis must be symmetric about 0, as every grid's is.  At rank
-    1 the signed Weyl images and the weights fold into one P x n matrix,
-    applied to the whole stack as a single matrix product.  At rank 2 off
-    the grid, each Weyl element's per-axis phase matrices exp(i (w^T p)_k x)
-    are exponentiated point by point and contracted by ``_axis_fold``.
+    The inner sum runs over the tensor grid with 1D nodes ``axis``.  Both
+    axes must be symmetric about 0, as every grid's is.  At rank 1 the
+    signed Weyl images and the weights fold into one m x n matrix, applied
+    to the whole stack as a single matrix product.
 
-    On the rank-2 grid two symmetries of the grid cut the work.  A Weyl
-    element s whose entries are within 1e-12 of 0 or +-1 is a signed
-    permutation; snapped to exact integers it maps the output grid onto
-    itself, and substituting w -> s^-1 w in the sum gives
-    S(s p) = det(s) S(p) for any stack.  Every rank-2 Weyl group holds a
-    diagonal s with s_00 = -1 (diag(-1, 1) on A2, B2 and C2, -I on D2), so
-    only the rows y_a >= 0 are folded and the others are filled from them.
-    For a signed permutation w the phase exp(i <p, w x>) is the product of
-    one (rows x n) table in y_a and one (m x n) table in y_b, each in one
-    coordinate of x, so its sum is A @ V @ B^T per slice, with V^T when w
-    swaps the coordinates.  The other elements (4 of 6 on A2) go through
-    the per-axis phase matrices of ``_weyl_phases`` on the folded rows.
+    At rank 2 two symmetries of the grid cut the work.  A Weyl element s
+    whose entries are within 1e-12 of 0 or +-1 is a signed permutation;
+    snapped to exact integers it maps the output grid onto itself, and
+    substituting w -> s^-1 w in the sum gives S(s p) = det(s) S(p) for any
+    stack.  Every rank-2 Weyl group holds a diagonal s with s_00 = -1
+    (diag(-1, 1) on A2, B2 and C2, -I on D2), so only the rows y_a >= 0 are
+    folded and the others are filled from them.  For a signed permutation w
+    the phase exp(i <p, w x>) is the product of one (rows x n) table in y_a
+    and one (m x n) table in y_b, each in one coordinate of x, so its sum is
+    A @ V @ B^T per slice, with V^T when w swaps the coordinates.  The other
+    elements (4 of 6 on A2) go through the per-axis phase matrices of
+    ``_weyl_phases`` on the folded rows.
     """
     W = weyl_group(rs)
     if rs.rank == 1:
-        pts = np.reshape(pts, (-1, 1))     # a rank-1 tensor grid is its axis
-        P = np.zeros((pts.shape[0], axis.shape[0]), dtype=complex)
+        P = np.zeros((out_axis.shape[0], axis.shape[0]), dtype=complex)
         for mat, sign in zip(W.matrices, W.signs):
-            E = _phase((pts @ mat)[:, 0], axis)
+            E = _phase(mat[0, 0] * out_axis, axis)
             E *= sign
             P += E
             del E                 # one phase matrix alive at a time
         P *= weights
         return values @ P.T
-    if not tensor:
-        return sum(sign * _axis_fold([_phase(mu, axis) for mu in (pts @ mat).T],
-                                     values, weights)
-                   for mat, sign in zip(W.matrices, W.signs))
-    n, m = axis.shape[0], pts.shape[0]
-    lo = m // 2                          # rows pts[lo:] >= 0 are folded
-    rows = pts[lo:]
+    n, m = axis.shape[0], out_axis.shape[0]
+    lo = m // 2                          # rows out_axis[lo:] >= 0 are folded
+    rows = out_axis[lo:]
     V = (weights * values).reshape(-1, n, n)
     half = np.zeros((values.shape[0], m - lo, m), dtype=complex)
     mirror = None
     for mat, sign in zip(W.matrices, W.signs):
         s = np.round(mat)
         if np.any(np.abs(mat - s) > 1e-12):
-            E = _weyl_phases(mat, rows, pts, axis)
+            E = _weyl_phases(mat, out_axis, axis, np.s_[lo:, None], np.s_[:])
             half += sign * _axis_fold(E, values, weights).reshape(half.shape)
             del E
             continue
@@ -211,7 +164,7 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
             mirror = s, sign
         k = int(np.flatnonzero(s[0])[0])     # y_a pairs with x_k, y_b with x_(1-k)
         A = _phase(s[0, k] * rows, axis)
-        B = _phase(s[1, 1 - k] * pts, axis)
+        B = _phase(s[1, 1 - k] * out_axis, axis)
         half += sign * (A @ (V if k == 0 else V.transpose(0, 2, 1)) @ B.T)
     s, sign = mirror
     low = half[:, ::-1, ::-1] if s[1, 1] == -1 else half[:, ::-1]
@@ -219,21 +172,49 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     return out.reshape(values.shape[0], -1)
 
 
-def _weyl_phases(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 axis: np.ndarray) -> list:
-    """The per-axis phase matrices exp(i (w^T p)_k x), k < 2, of the Weyl
-    matrix ``mat`` on the tensor grid of output points p = (y_a, y_b),
-    y_a in ``rows`` and y_b in ``cols``, each (rows * cols, n) in row-major
-    order.
+def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
+               axis: np.ndarray, out_axis: np.ndarray, idx: np.ndarray,
+               normals: np.ndarray) -> np.ndarray:
+    """The derivative d_n S(p) of the rank-2 fold S of ``_w_fold`` along the
+    unit vector n, at the output nodes ``idx`` (flat indices into the tensor
+    grid over ``out_axis``), each with its own n, a row of ``normals``;
+    returns (B, len(idx)).
 
-    (w^T p)_k = w_0k y_a + w_1k y_b, so each is the product of the tables
-    exp(i w_0k y_a x) (rows x n) and exp(i w_1k y_b x) (cols x n), broadcast
-    against each other: rows * cols * n complex multiplies in place of as
-    many exponentials.
+        d_n S(p) = sum_w det(w) sum_k (n w)_k
+                   sum_x weights(x) values_b(x) i x_k exp(i <w^T p, x>)
+
+    is the fold of the two moment stacks i x_k values, contracted per point
+    with (n w)_k.  Their phases are the per-coordinate tables of
+    ``_weyl_phases``, indexed by each node's grid indices."""
+    W = weyl_group(rs)
+    moments = np.concatenate([1j * x * values
+                              for x in _tensor_nodes(axis, 2).T])
+    ia, ib = np.divmod(idx, out_axis.shape[0])
+    out = np.zeros((values.shape[0], idx.shape[0]), dtype=complex)
+    for mat, sign in zip(W.matrices, W.signs):
+        E = _weyl_phases(mat, out_axis, axis, ia, ib)
+        F = _axis_fold(E, moments, weights).reshape(2, values.shape[0], -1)
+        c = normals @ mat                  # (n w)_k per point
+        out += sign * (c[:, 0] * F[0] + c[:, 1] * F[1])
+    return out
+
+
+def _weyl_phases(mat: np.ndarray, out_axis: np.ndarray, axis: np.ndarray,
+                 ia: np.ndarray, ib: np.ndarray) -> list:
+    """The per-axis phase matrices exp(i (w^T p)_k x), k < 2, of the Weyl
+    matrix ``mat`` at the output points p = (out_axis[ia], out_axis[ib]),
+    with the indices ``ia`` and ``ib`` (integer arrays, or slices that keep
+    the tables' rows as views) broadcast against each other; each is
+    (points, n), in row-major order of the broadcast shape.
+
+    (w^T p)_k = w_0k y_a + w_1k y_b, so each is the product of rows of the
+    tables exp(i w_0k y x) and exp(i w_1k y x) over y in ``out_axis``
+    (m x n): points * n complex multiplies in place of as many
+    exponentials.
     """
     n = axis.shape[0]
-    return [(_phase(mat[0, k] * rows, axis)[:, None, :]
-             * _phase(mat[1, k] * cols, axis)[None, :, :]).reshape(-1, n)
+    return [(_phase(mat[0, k] * out_axis, axis)[ia]
+             * _phase(mat[1, k] * out_axis, axis)[ib]).reshape(-1, n)
             for k in range(2)]
 
 
@@ -288,15 +269,15 @@ def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     return pi_rho / pi_ilam * num / weyl_denominator(rs, H)
 
 
-def _ray_offsets(pts: np.ndarray, tau) -> np.ndarray:
+def _ray_offsets(pts: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """The extrapolation nodes p + k tau u, k = 1.._EXTRAP_K, of the points
-    p (P, rank) along a fixed generic direction u, with one step ``tau`` or
-    one per point (P,); returns (P, _EXTRAP_K, rank)."""
+    p (P, rank) along a fixed generic direction u, with one step per point
+    ``tau`` (P,); returns (P, _EXTRAP_K, rank)."""
     golden = (1 + 5 ** 0.5) / 2
     u = np.array([golden ** (-k) for k in range(pts.shape[1])])
     u = u / np.linalg.norm(u)
     ks = np.arange(1, _EXTRAP_K + 1)
-    return pts[:, None, :] + (np.reshape(tau, (-1, 1)) * ks)[:, :, None] * u
+    return pts[:, None, :] + (tau[:, None] * ks)[:, :, None] * u
 
 
 def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -345,61 +326,46 @@ def phi_lambda(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> complex:
 # transform pair
 # ---------------------------------------------------------------------------
 
-def _forward_parts(rs: RootSystem, rgrid: RadialGrid, values: np.ndarray):
-    """The fold and the normalisation of the trapezoid spherical transform of
-    a stack of values (B, N) on rgrid, for ``_patched``.
-
-    Uses Hf = pi(rho) S(lam) / (i^m pi(lam) |W| 4^m) with
-    S(lam) = sum_w det(w) sum_H  wts f D e^{i<w lam, H>},  m = |Sigma+|;
-    the normalisation is finite only off the root hyperplanes.
-    """
-    wts = rgrid.weights * weyl_denominator(rs, rgrid.nodes)
-    n_pos = rs.n_positive
-    pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
-    order = weyl_group(rs).order
-
-    def norm(lam):
-        return pi_rho / ((1j ** n_pos) * pi_many(rs, lam) * order * 4.0 ** n_pos)
-    return partial(_w_fold, rs, values, wts, rgrid.axis), norm
-
-
-def _inverse_parts(rs: RootSystem, sgrid: SpectralGrid, values: np.ndarray,
-                   constant: float):
-    """The fold and the normalisation of the inverse transform of a stack
-    (B, M) on sgrid, for ``_patched``; the normalisation is finite only off
-    the walls."""
-    wts = sgrid.weights * pi_many(rs, sgrid.nodes)
-    n_pos = rs.n_positive
-    pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
-
-    def norm(H):
-        return constant * pi_rho / ((1j ** n_pos) * weyl_denominator(rs, H))
-    return partial(_w_fold, rs, values, wts, sgrid.axis), norm
-
-
-def _patched(rs: RootSystem, grid, fold, norm, box_scale: float,
+def _patched(rs: RootSystem, grid, values: np.ndarray, weights: np.ndarray,
+             axis: np.ndarray, constant: float, root_factor,
              at_origin: np.ndarray) -> np.ndarray:
-    """Values (B, grid.n_nodes) on the tensor grid ``grid``: ``fold``
-    ((pts, tensor) -> (B, points), as ``_w_fold``) times ``norm``
-    (points (P, rank) -> (P,)).
+    """Values (B, grid.n_nodes) on the tensor grid ``grid`` of
 
-    The fold is evaluated on the whole grid, but ``norm`` only on its
-    regular points.  Points near a singular set are patched by extrapolation
-    from off-grid points along a generic ray, and the origin takes the B
-    exact values ``at_origin``."""
+        pi(rho) / i^m * constant * S(p) / prod_{beta>0} root_factor(<beta, p>),
+
+    m = |Sigma+|, S the fold (``_w_fold``) of the stack ``values`` (B, n^rank)
+    with ``weights`` over the tensor grid with 1D nodes ``axis``;
+    ``root_factor`` is the identity (pi(p)) or sinh (the Weyl denominator
+    over 2^m), each of slope 1 at 0.
+
+    On the wall <alpha, p> = 0 of one root both S and the product vanish,
+    and the value is their limit along the unit normal n = alpha/|alpha|,
+    d_n S(p) (``_wall_fold``) over the product with the vanishing factor
+    replaced by its normal derivative |alpha|.  The origin takes the B
+    exact values ``at_origin``.  Any other node near a singular set raises
+    ConfigError."""
     pts = grid.nodes
-    sing = _near_singular(rs, pts)
     origin = np.linalg.norm(pts, axis=1) < 1e-14
-    regular = ~sing & ~origin
-    out = fold(grid.axis, True)
-    out[:, regular] *= norm(pts[regular])
+    on = np.abs(pts @ rs.roots_c.T) <= 1e-12 * grid.box_radius
+    wall = (np.count_nonzero(on, axis=1) == 1) & ~origin
+    bad = np.nonzero(_near_singular(rs, pts) & ~wall & ~origin)[0]
+    if bad.size:
+        raise ConfigError(
+            f"node {pts[bad[0]]} of the grid of box radius {grid.box_radius:g} "
+            f"and {grid.points_per_axis} points per axis lies near a singular "
+            "set but on no single wall")
+    j, k = np.nonzero(on & wall[:, None])     # none at rank 1: only the origin
+    slope = np.linalg.norm(rs.roots_c[k], axis=1)
+    out = _w_fold(rs, values, weights, axis, grid.axis)
+    if j.size:
+        out[:, j] = _wall_fold(rs, values, weights, axis, grid.axis, j,
+                               rs.roots_c[k] / slope[:, None])
+    fac = root_factor(pts @ rs.roots_c.T)
+    fac[j, k] = slope
+    fac[origin] = 1.0
+    pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
+    out *= pi_rho / (1j ** rs.n_positive) * constant / np.prod(fac, axis=1)
     out[:, origin] = at_origin[:, None]
-    todo = np.nonzero(sing & ~origin)[0]
-    if todo.size:
-        tau = 0.05 / max(box_scale, 1.0)
-        shifted = _ray_offsets(pts[todo], tau).reshape(-1, rs.rank)
-        vals = fold(shifted, False) * norm(shifted)
-        out[:, todo] = vals.reshape(-1, todo.size, _EXTRAP_K) @ _EXTRAP_WEIGHTS
     return out
 
 
@@ -448,9 +414,11 @@ def forward_transform_stack(rs: RootSystem, rgrid: RadialGrid,
     values = _as_stack(values, rgrid)
     wdp = rgrid.weights * density_delta(rs, rgrid.nodes) * phi0(rs, rgrid.nodes)
     _check_tail("radial", values, wdp, rgrid.shell_mask(), tail_tol, tail_floor)
-    at_origin = values @ wdp / weyl_group(rs).order
-    return _patched(rs, grid, *_forward_parts(rs, rgrid, values),
-                    box_scale=rgrid.box_radius, at_origin=at_origin)
+    order, n_pos = weyl_group(rs).order, rs.n_positive
+    wts = rgrid.weights * weyl_denominator(rs, rgrid.nodes)
+    return _patched(rs, grid, values, wts, rgrid.axis,
+                    1.0 / (order * 4.0 ** n_pos), lambda a: a,
+                    at_origin=values @ wdp / order)
 
 
 def inverse_transform_stack(rs: RootSystem, sgrid: SpectralGrid,
@@ -467,9 +435,9 @@ def inverse_transform_stack(rs: RootSystem, sgrid: SpectralGrid,
     wp = sgrid.weights * plancherel_density(rs, sgrid.nodes)
     _check_tail("spectral", values, wp, sgrid.shell_mask(), tail_tol, tail_floor)
     C = plancherel_constant(rs)
-    at_origin = C * (values @ wp)
-    return _patched(rs, grid, *_inverse_parts(rs, sgrid, values, C),
-                    box_scale=sgrid.box_radius, at_origin=at_origin)
+    wts = sgrid.weights * pi_many(rs, sgrid.nodes)
+    return _patched(rs, grid, values, wts, sgrid.axis,
+                    C / 2.0 ** rs.n_positive, np.sinh, at_origin=C * (values @ wp))
 
 
 def forward_transform(rs: RootSystem, f: RadialFunction, grid: SpectralGrid,

@@ -8,13 +8,15 @@ import scipy.integrate as si
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symwave.errors import InconclusiveIntegralError, UnsupportedConfigurationError
+from symwave.errors import (ConfigError, InconclusiveIntegralError,
+                            UnsupportedConfigurationError)
 from symwave.geometry import (RadialFunction, RadialGrid, _tensor_nodes,
                               _trapezoid_weights, density_delta, phi0,
                               w_invariance_defect)
 from symwave.root_system import build_root_system, weyl_group
 from symwave.spherical import (SpectralFunction, SpectralGrid,
                                _near_singular, _phi_direct, _w_fold,
+                               _wall_fold,
                                forward_transform, forward_transform_stack,
                                inverse_transform, inverse_transform_stack,
                                phi_lambda, phi_lambda_many,
@@ -336,6 +338,8 @@ def test_forward_rank2_matches_direct_quadrature(family):
 @pytest.mark.parametrize("tag,R,n,L,m,tol", [
     ("A1", 10.0, 193, 9.0, 193, 1e-6),
     ("A2", 10.0, 121, 10.0, 109, 1e-5),
+    ("B2", 10.0, 121, 12.0, 109, 1e-12),
+    ("C2", 10.0, 121, 12.0, 109, 1e-12),
 ])
 def test_round_trip(tag, R, n, L, m, tol):
     rs = build_root_system(tag[0], int(tag[1]))
@@ -357,7 +361,7 @@ def test_stacked_transforms_match_per_slice(tag, R, n, L, m):
     # The comparison is about stacking, not resolution, so the tail checks
     # are off (tail_tol = 1).  Both grids hold the origin, and at rank 2 the
     # spectral grid has points on root hyperplanes and the radial grid
-    # points on walls, which take the extrapolated path; on B2 these lie on
+    # points on walls, which take the wall limit; on B2 these lie on
     # the axes and on the diagonals.
     rs = build_root_system(tag[0], int(tag[1]))
     rgrid, sgrid = RadialGrid(rs, R, n), SpectralGrid(rs, L, m)
@@ -383,20 +387,123 @@ def test_stacked_transforms_match_per_slice(tag, R, n, L, m):
         assert np.max(np.abs(inv[b] - one)) <= 1e-13 * np.max(np.abs(one))
 
 
+def _point_fold(rs, values, weights, axis, pts):
+    # sum_w det(w) sum_x weights values_b(x) exp(i <p, w x>), with
+    # exp(i <w^T p, x>) = exp(i (w^T p)_0 x_0) exp(i (w^T p)_1 x_1)
+    # exponentiated per point, Weyl element and node coordinate
+    n = axis.size
+    V = (weights * values).reshape(-1, n, n)
+    W = weyl_group(rs)
+    return sum(sign * np.einsum("bij,pi,pj->bp", V,
+                                *np.exp(1j * (pts @ mat).T[:, :, None] * axis),
+                                optimize=True)
+               for mat, sign in zip(W.matrices, W.signs))
+
+
+def _fold_case(tag):
+    rs = build_root_system(tag[0], int(tag[1]))
+    x, y = np.linspace(-5.0, 5.0, 33), np.linspace(-6.0, 6.0, 27)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(2, x.size ** 2)) + 1j * rng.normal(size=(2, x.size ** 2))
+    return rs, x, y, values, _trapezoid_weights(x, 2)
+
+
 @pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
 def test_tensor_fold_matches_point_fold(tag):
     # The grid fold folds only the rows y_a >= 0 and fills the others by the
     # mirror identity S(s p) = det(s) S(p), with s = diag(-1, 1) or -I; that
     # identity holds for any stack, so a random complex stack that is not
     # W-invariant must give the point-by-point fold on every node.
-    rs = build_root_system(tag[0], int(tag[1]))
-    x, y = np.linspace(-5.0, 5.0, 33), np.linspace(-6.0, 6.0, 27)
-    rng = np.random.default_rng(3)
-    values = rng.normal(size=(2, x.size ** 2)) + 1j * rng.normal(size=(2, x.size ** 2))
-    weights = _trapezoid_weights(x, 2)
-    grid = _w_fold(rs, values, weights, x, y, True)
-    points = _w_fold(rs, values, weights, x, _tensor_nodes(y, 2), False)
+    rs, x, y, values, weights = _fold_case(tag)
+    grid = _w_fold(rs, values, weights, x, y)
+    points = _point_fold(rs, values, weights, x, _tensor_nodes(y, 2))
     assert np.max(np.abs(grid - points)) <= 1e-13 * np.max(np.abs(points))
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
+def test_wall_fold_matches_point_derivative(tag):
+    # d_n S(p) from the moment stacks against the point fold of the stacks
+    # i <w^T n, x> values, term by term, at random nodes and unit vectors
+    rs, x, y, values, weights = _fold_case(tag)
+    rng = np.random.default_rng(5)
+    idx = rng.choice(y.size ** 2, 40, replace=False)
+    angle = rng.uniform(0.0, 2.0 * np.pi, idx.size)
+    normals = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    pts, nodes = _tensor_nodes(y, 2)[idx], _tensor_nodes(x, 2)
+    W = weyl_group(rs)
+    oracle = sum(sign * np.einsum(
+        "bx,px,px->bp", weights * values, 1j * normals @ mat @ nodes.T,
+        np.exp(1j * pts @ mat @ nodes.T)) for mat, sign in zip(W.matrices, W.signs))
+    wall = _wall_fold(rs, values, weights, x, y, idx, normals)
+    assert np.max(np.abs(wall - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def _wall_nodes(rs, grid):
+    # indices of the nodes on exactly one wall (or root hyperplane) and the
+    # unit normals of those walls
+    on = np.abs(grid.nodes @ rs.roots_c.T) <= 1e-12 * grid.box_radius
+    j, k = np.nonzero(on & (np.count_nonzero(on, axis=1) == 1)[:, None])
+    return j, rs.roots_c[k] / np.linalg.norm(rs.roots_c[k], axis=1)[:, None]
+
+
+_WALL_SET_GRIDS = [(10.0, 81, 11.0, 89), (10.0, 121, 10.0, 109),
+                   (10.0, 161, 10.0, 131), (10.0, 121, 12.0, 109),
+                   (5.0, 25, 5.0, 21)]
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
+def test_singular_nodes_are_origin_or_on_one_wall(tag):
+    # The transforms take the wall limit on the grid, so on the benchmark,
+    # command-line and stacked-test grids every node near a singular set
+    # must be the origin or lie on exactly one wall, and every such node is
+    # near one.
+    rs = build_root_system(tag[0], int(tag[1]))
+    for R, n, L, m in _WALL_SET_GRIDS:
+        for grid in (RadialGrid(rs, R, n), SpectralGrid(rs, L, m)):
+            expected = np.all(grid.nodes == 0.0, axis=1)
+            expected[_wall_nodes(rs, grid)[0]] = True
+            np.testing.assert_array_equal(_near_singular(rs, grid.nodes), expected)
+
+
+def test_transform_refuses_grid_near_singular_set_off_the_walls(a2):
+    rgrid = RadialGrid(a2, 5.0, 25)
+    f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1)))
+    with pytest.raises(ConfigError, match=r"box radius 1e-05 and 5 points per axis"):
+        forward_transform(a2, f, SpectralGrid(a2, 1e-5, 5), tail_tol=1.0)
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
+def test_wall_values_match_richardson_limit(tag):
+    # Both transforms of W-invariant data are W-invariant, so their value
+    # v(eps) at p + eps n, n the unit normal of the wall through the node
+    # p, is even in eps, and (4 v(eps/2) - v(eps)) / 3 leaves O(eps^4).
+    # Off the grid the same trapezoid sums are written with phi_lambda_many:
+    # Hf(lam) = (1/|W|) sum_H w delta f phi_lam(H) and
+    # f(H) = C sum_lam w pi^2 g phi_lam(H), over the regular nodes only, as
+    # delta and pi^2 vanish on the others.
+    rs = build_root_system(tag[0], int(tag[1]))
+    rgrid, sgrid = RadialGrid(rs, 6.0, 41), SpectralGrid(rs, 6.0, 31)
+    r = np.linalg.norm(rgrid.nodes, axis=1)
+    lam = np.linalg.norm(sgrid.nodes, axis=1)
+    f = np.exp(-r ** 2) * (1.0 + 0.3 * np.cos(3.0 * r))
+    g = np.exp(-lam ** 2 / 4.0) * (1.0 - 0.2j * np.sin(lam))
+    fwd = forward_transform(rs, RadialFunction(rgrid, f), sgrid, tail_tol=1.0).values
+    inv = inverse_transform(rs, SpectralFunction(sgrid, g), rgrid,
+                            tail_tol=1.0).values
+    live_H = ~_near_singular(rs, rgrid.nodes)
+    live_lam = ~_near_singular(rs, sgrid.nodes)
+    H, lams = rgrid.nodes[live_H], sgrid.nodes[live_lam]
+    wdf = (rgrid.weights * density_delta(rs, rgrid.nodes) * f)[live_H] \
+        / weyl_group(rs).order
+    wpg = plancherel_constant(rs) \
+        * (sgrid.weights * plancherel_density(rs, sgrid.nodes) * g)[live_lam]
+    for grid, values, off_grid in (
+            (sgrid, fwd, lambda p: phi_lambda_many(rs, p[:, None], H) @ wdf),
+            (rgrid, inv, lambda p: phi_lambda_many(rs, lams, p[:, None]) @ wpg)):
+        j, normals = _wall_nodes(rs, grid)
+        v1, v2 = (off_grid(grid.nodes[j] + eps * normals) for eps in (3e-3, 1.5e-3))
+        limit = (4.0 * v2 - v1) / 3.0
+        assert np.max(np.abs(values[j] - limit)) <= 1e-10 * np.max(np.abs(values))
 
 
 def test_stacked_tail_check_names_the_slice(a1):
