@@ -50,13 +50,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import (ConfigError, InconclusiveIntegralError,
                      UnsupportedConfigurationError)
 from .geometry import (TAIL_TOL, RadialFunction, RadialGrid, _TensorFunction,
-                       _TensorGrid, _tensor_nodes, density_delta, phi0,
-                       weyl_denominator)
+                       _TensorGrid, _tensor_nodes, density_delta,
+                       integrate_biinvariant, phi0, weyl_denominator)
 from .root_system import RootSystem, pi_many, weyl_group
 
 SINGULAR_EPS = 1e-4
@@ -240,6 +239,20 @@ def _exp_remainder(z: np.ndarray, m: int) -> np.ndarray:
     return z ** m / math.factorial(m) * s
 
 
+def _near_joint_origin(s: np.ndarray, m: int) -> np.ndarray:
+    """Where the remainder-series bound S_m(s) = sum_{j>=m} s^j/j! is below 1.
+
+    S_m(s) = e^s - sum_{j<m} s^j/j!, a finite sum for the integer m, and the
+    test is written as e^{-s} (1 + sum_{j<m} s^j/j!) > 1 so that nothing
+    overflows at large s."""
+    term = np.ones_like(s)
+    head = term.copy()
+    for j in range(1, m):
+        term = term * s / j
+        head += term
+    return np.exp(-s) * (head + 1.0) > 1.0
+
+
 def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Closed-form evaluation on generic pairs; lam (P, r), H (P, r) -> (P,).
 
@@ -247,15 +260,16 @@ def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     in |lam||H|, because the alternating sum kills every polynomial of degree
     below m.  Pairs near the joint origin therefore sum the remainders
     e^z - sum_{j<m} z^j/j! instead, which is exact in exact arithmetic.  The
-    series is used where its bound sum_{j>=m} s^j/j! = e^s P(m, s), s =
-    |lam||H| >= |z|, stays below 1 = |e^z|, so the remainders are no larger
-    than the exponentials they replace; elsewhere e^z is summed directly.
-    The sum runs one Weyl element at a time, so memory stays O(P).
+    series is used where its bound S_m(s) = e^s - sum_{j<m} s^j/j!, s =
+    |lam||H| >= |z|, stays below 1 = |e^z| (``_near_joint_origin``), so the
+    remainders are no larger than the exponentials they replace; elsewhere
+    e^z is summed directly.  The sum runs one Weyl element at a time, so
+    memory stays O(P).
     """
     W = weyl_group(rs)
     n_pos = rs.n_positive
     joint = np.linalg.norm(lam, axis=1) * np.linalg.norm(H, axis=1)
-    near = gammainc(n_pos, joint) < np.exp(-joint)
+    near = _near_joint_origin(joint, n_pos)
     far = ~near
     num = np.zeros(lam.shape[0], dtype=complex)
     for mat, sign in zip(W.matrices, W.signs):
@@ -480,7 +494,6 @@ def plancherel_constant(rs: RootSystem) -> float:
 
 def parseval_pair(rs: RootSystem, f: RadialFunction, grid: SpectralGrid) -> tuple:
     """(int_{a+} delta |f|^2, C int |Hf|^2 pi^2) for consistency checks."""
-    from .geometry import integrate_biinvariant
     lhs = integrate_biinvariant(rs, RadialFunction(f.grid, np.abs(f.values) ** 2))
     Hf = forward_transform(rs, f, grid)
     rhs = plancherel_constant(rs) * float(np.sum(

@@ -33,12 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
-from scipy.special import gamma as _cgamma
-from scipy.special import jv as _scipy_jv
-from scipy.special import spherical_jn as _spherical_jn
 
 from .errors import ConfigError, InconclusiveIntegralError, PoleError
 from .geometry import phi0
@@ -52,29 +50,64 @@ _SEG_NODES = 20
 
 
 # ---------------------------------------------------------------------------
-# smooth cutoff pair
+# kernel-only tables
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _psi_table():
-    """Dense table of the bump-quotient smooth step on [0, 1].
+class _KernelTables(NamedTuple):
+    gamma: Callable                   # scipy.special functions
+    jv: Callable
+    spherical_jn: Callable
+    psi_u: np.ndarray                 # smooth step F(u) tabulated on [0, 1]
+    psi_F: np.ndarray
+    gl_x: np.ndarray                  # Filon panel nodes and moment rows
+    gl_m: np.ndarray
+    ray_x: np.ndarray                 # steepest-descent ray rule
+    ray_w: np.ndarray
+    seg_x: np.ndarray                 # real-axis segment rule
+    seg_w: np.ndarray
 
-    Built on first use rather than at import (about 12 ms), so the spectral
-    workflows, which never evaluate a cutoff, do not pay for it."""
+
+@lru_cache(maxsize=1)
+def _kernel_tables() -> _KernelTables:
+    """Everything only the kernel path needs, built once on its first use.
+
+    That is the ``scipy.special`` import (about 0.3 s on 2 vCPUs and 19 MB
+    of resident memory), the dense table of the bump-quotient smooth step,
+    the Gauss-Legendre rule and moment rows of the Filon panels, and the
+    Gauss-Laguerre ray and Gauss-Legendre segment rules of the tail.  The
+    spectral workflows (spherical functions, transforms, the solvers) never
+    call it and never load ``scipy.special``.  ``smooth_step`` calls it, so
+    the first ``chi_pair`` pays the whole cost."""
+    from scipy.special import gamma, jv, spherical_jn
+
     n = 200_001
     u = np.linspace(0.0, 1.0, n)
     b = np.zeros(n)
     inner = (u > 0) & (u < 1)
     b[inner] = np.exp(-1.0 / (u[inner] * (1.0 - u[inner])))
     cum = np.concatenate([[0.0], np.cumsum((b[1:] + b[:-1]) / 2.0 * (u[1] - u[0]))])
-    return u, 1.0 - cum / cum[-1]          # 1 at s=0, 0 at s=1
+    gl_x, gl_w = _leg.leggauss(_GL_N)
+    # row n maps samples at the Gauss nodes to the n-th Legendre coefficient,
+    # times the nonzero part of the moment factor 2 i^n (real for even n,
+    # imaginary for odd n)
+    gl_m = np.array([(-1.0) ** (n // 2) * (2 * n + 1) * gl_w * _leg.legval(gl_x, np.eye(n + 1)[n])
+                     for n in range(_GL_N)])
+    return _KernelTables(gamma, jv, spherical_jn,
+                         u, 1.0 - cum / cum[-1],          # 1 at s=0, 0 at s=1
+                         gl_x, gl_m,
+                         *np.polynomial.laguerre.laggauss(_RAY_NODES),
+                         *_leg.leggauss(_SEG_NODES))
 
+
+# ---------------------------------------------------------------------------
+# smooth cutoff pair
+# ---------------------------------------------------------------------------
 
 def smooth_step(s: np.ndarray) -> np.ndarray:
     """Smooth decreasing step: 1 for s <= 0, 0 for s >= 1, C-infinity."""
     s = np.asarray(s, dtype=float)
-    u, F = _psi_table()
-    return np.interp(s, u, F, left=1.0, right=0.0)
+    tab = _kernel_tables()
+    return np.interp(s, tab.psi_u, tab.psi_F, left=1.0, right=0.0)
 
 
 def smooth_step_alt(s: np.ndarray) -> np.ndarray:
@@ -124,7 +157,7 @@ def bessel_j(nu: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if nu < 0 or np.any(x < 0):
         raise ConfigError("bessel_j requires nu >= 0 and x >= 0")
-    out = _scipy_jv(nu, x)
+    out = _kernel_tables().jv(nu, x)
     return float(out) if x.ndim == 0 else out
 
 
@@ -161,7 +194,7 @@ def shell_integral(rs: RootSystem, r: np.ndarray, s: float | np.ndarray) -> np.n
     if np.any(big):
         zl = z[big]
         if d % 2:
-            bes = np.sqrt(2.0 * zl / np.pi) * _spherical_jn((d - 3) // 2, zl)
+            bes = np.sqrt(2.0 * zl / np.pi) * _kernel_tables().spherical_jn((d - 3) // 2, zl)
         else:
             bes = bessel_j(nu, zl)
         out[big] = ((2.0 * np.pi) ** (d / 2.0) * r[big] ** (d / 2.0)
@@ -209,12 +242,6 @@ def _gamma_pole_distance(z: complex) -> float:
 # panel quadrature (finite oscillatory pieces)
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = _leg.leggauss(_GL_N)
-# row n maps samples at the Gauss nodes to the n-th Legendre coefficient,
-# times the nonzero part of the moment factor 2 i^n (real for even n,
-# imaginary for odd n)
-_GL_M = np.array([(-1.0) ** (n // 2) * (2 * n + 1) * _GL_W * _leg.legval(_GL_X, np.eye(n + 1)[n])
-                  for n in range(_GL_N)])
 _FILON_BLOCK = 1024          # panels per Filon block
 
 
@@ -288,18 +315,19 @@ def _filon_sums(amp_fn, phase_fn, dphase_fn, edges: np.ndarray,
     Every step is row by row and ``np.add.at`` adds the panels in order, so
     out[k] does not depend on the block boundaries or on other owners.
     """
+    tab = _kernel_tables()
     inner = np.flatnonzero(owner[1:] == owner[:-1])
     for start in range(0, inner.size, _FILON_BLOCK):
         i = inner[start:start + _FILON_BLOCK]
         lo, hi, k = edges[i], edges[i + 1], owner[i]
         mids = (hi + lo) / 2.0
         hws = (hi - lo) / 2.0
-        nodes = mids[:, None] + hws[:, None] * _GL_X
+        nodes = mids[:, None] + hws[:, None] * tab.gl_x
         phi, dphi = phase_fn(mids), dphase_fn(mids)
         A = amp_fn(nodes, k) * np.exp(1j * (phase_fn(nodes) - phi[:, None]
                                             - dphi[:, None] * (nodes - mids[:, None])))
-        jn = _spherical_jn(np.arange(_GL_N), (dphi * hws)[:, None])
-        G = _rowwise(jn[:, 0::2], _GL_M[0::2]) + 1j * _rowwise(jn[:, 1::2], _GL_M[1::2])
+        jn = tab.spherical_jn(np.arange(_GL_N), (dphi * hws)[:, None])
+        G = _rowwise(jn[:, 0::2], tab.gl_m[0::2]) + 1j * _rowwise(jn[:, 1::2], tab.gl_m[1::2])
         np.add.at(out, k, hws * np.exp(1j * phi) * np.sum(A * G, axis=1))
 
 
@@ -349,12 +377,6 @@ def _phase_correction_series(rho_norm: float, t: float) -> np.ndarray:
     return _series_exp(1j * t * g)
 
 
-# Gauss-Laguerre rule of the steepest-descent ray and Gauss-Legendre rule of
-# one real-axis panel
-_RAY_X, _RAY_W = np.polynomial.laguerre.laggauss(_RAY_NODES)
-_SEG_X, _SEG_W = _leg.leggauss(_SEG_NODES)
-
-
 def _power_tail_orders(p0: complex, xi: float, R: float, K: int) -> np.ndarray:
     """M_k = int_R^inf r^{-(p0+k)} e^{i xi r} dr for k = 0..K-1, by numerical
     steepest descent (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).
@@ -383,11 +405,12 @@ def _power_tail_orders(p0: complex, xi: float, R: float, K: int) -> np.ndarray:
                     "power tail divergent at zero asymptotic frequency")
             out[k] = R ** (1.0 - p) / (p - 1.0)
         return out
+    tab = _kernel_tables()
     scale = 1.0 / abs(xi)                     # one radian of phase
     R1 = max(R, max(10.0, 0.6 * abs(p0 + (K - 1))) * scale)
     rot = math.copysign(1.0, xi) * 1j * scale
-    base = R1 + rot * _RAY_X
-    w = rot * np.exp(1j * xi * R1) * _RAY_W
+    base = R1 + rot * tab.ray_x
+    w = rot * np.exp(1j * xi * R1) * tab.ray_w
     if R1 > R:
         J = math.ceil(math.log2(scale / R)) if R < scale else 0
         start = R * 2.0 ** J                  # panels from here are <= 1 rad
@@ -395,9 +418,9 @@ def _power_tail_orders(p0: complex, xi: float, R: float, K: int) -> np.ndarray:
             start, R1, math.ceil((R1 - start) / scale) + 1)])
         mid = (edges[1:] + edges[:-1]) / 2.0
         hw = (edges[1:] - edges[:-1]) / 2.0
-        r = (mid[:, None] + hw[:, None] * _SEG_X).ravel()
+        r = (mid[:, None] + hw[:, None] * tab.seg_x).ravel()
         base = np.concatenate([r, base])
-        w = np.concatenate([(hw[:, None] * _SEG_W).ravel() * np.exp(1j * xi * r), w])
+        w = np.concatenate([(hw[:, None] * tab.seg_w).ravel() * np.exp(1j * xi * r), w])
     powers = np.empty((K, base.size), dtype=complex)
     powers[0] = w * base ** (-p0)
     powers[1:] = 1.0 / base
@@ -577,9 +600,10 @@ def _kernel(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str,
     if piece != "high_reg":
         vals = w * _radial_profile(rs, p, "low", s, chi_variant)
     if piece != "low":
-        high = (w * (np.exp(sigma ** 2) / _cgamma(z))
+        gamma_z = _kernel_tables().gamma(z)
+        high = (w * (np.exp(sigma ** 2) / gamma_z)
                 * _radial_profile(rs, p, "high", s, chi_variant))
-        vals = high if piece == "high_reg" else vals + _cgamma(z) * np.exp(-sigma ** 2) * high
+        vals = high if piece == "high_reg" else vals + gamma_z * np.exp(-sigma ** 2) * high
     return complex(vals[0]) if single else vals
 
 

@@ -15,7 +15,8 @@ from symwave.geometry import (RadialFunction, RadialGrid, _tensor_nodes,
                               w_invariance_defect)
 from symwave.root_system import build_root_system, weyl_group
 from symwave.spherical import (SpectralFunction, SpectralGrid,
-                               _near_singular, _phi_direct, _w_fold,
+                               _near_joint_origin, _near_singular,
+                               _phi_direct, _w_fold,
                                _wall_fold,
                                forward_transform, forward_transform_stack,
                                inverse_transform, inverse_transform_stack,
@@ -148,6 +149,40 @@ def test_phi_lambda_matches_high_precision_closed_form(family, lam, H):
     assert not (_near_singular(rs, lam)[0] or _near_singular(rs, H)[0])
     ref = _phi_closed_form_mp(rs, lam, H)
     assert abs(phi_lambda(rs, lam, H) - ref) <= 1e-11 * abs(ref)
+
+
+# where the switch of _phi_direct lies, to three decimals
+_SWITCH_AT = {1: 0.693, 3: 1.568, 4: 1.976, 12: 5.085}
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_joint_origin_switch_matches_incomplete_gamma(m):
+    # the remainder series is used where sum_{j>=m} s^j/j! < 1, that is
+    # where the regularized incomplete gamma P(m, s) is below e^{-s}
+    from scipy.optimize import brentq
+    from scipy.special import gammainc
+
+    def oracle(s):
+        return gammainc(m, s) < np.exp(-s)
+
+    root = brentq(lambda s: gammainc(m, s) - np.exp(-s), 1e-3, 20.0, xtol=1e-14)
+    if m in _SWITCH_AT:
+        assert round(root, 3) == _SWITCH_AT[m]
+    s = np.concatenate([np.linspace(0.0, 20.0, 200_001), np.logspace(-300, 4, 3001),
+                        [1e-4, 1e-2, 1.0, 10.0],       # the closed-form test joints
+                        root * (1.0 + np.array([-1e-9, 1e-9]))])
+    assert np.array_equal(_near_joint_origin(s, m), oracle(s))
+    assert _near_joint_origin(s[-2:], m).tolist() == [True, False]
+
+
+def test_phi_direct_far_from_joint_origin_is_warning_free(a2):
+    # |lam||H| = 800: e^{|lam||H|} overflows, the switch must not form it
+    lam, H = _joint_case(800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = _phi_direct(a2, lam[None], H[None])[0]
+    assert np.isfinite(val)
+    assert abs(val) <= phi0(a2, H)
 
 
 def _wall(rs, k):

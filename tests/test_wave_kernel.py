@@ -330,6 +330,78 @@ def test_runtime_import_does_not_load_mpmath():
                    env=env, check=True, timeout=120)
 
 
+def _fresh_python(script: str) -> str:
+    """Run ``script`` in a new interpreter that imports symwave from this
+    checkout; returns its standard output."""
+    src = os.path.dirname(os.path.dirname(symwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_NO_SCIPY_SPECIAL = """
+import sys
+import numpy as np
+
+def check(step):
+    assert 'scipy.special' not in sys.modules, step
+
+import symwave
+check("import symwave")
+from symwave import (RadialFunction, RadialGrid, SpectralGrid, forward_transform,
+                     gaussian_state, inverse_transform, phi_lambda_many,
+                     root_system_from_tag, semilinear_solve)
+a1, a2 = root_system_from_tag("A1"), root_system_from_tag("A2")
+rgrid = RadialGrid(a2, 7.0, 71)
+f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1)))
+inverse_transform(a2, forward_transform(a2, f, SpectralGrid(a2, 4.0, 41)), rgrid,
+                  tail_tol=1.0)
+check("rank-2 forward/inverse transform")
+phi_lambda_many(a2, np.array([[0.9, 0.4], [0.0, 0.0], [1.0, 0.0]]), np.array([0.3, 0.2]))
+check("phi_lambda_many")
+semilinear_solve(a1, gaussian_state(a1, RadialGrid(a1, 12.0, 257), amplitude=1e-2),
+                 gamma=3.0, T=0.2, steps=4)
+check("semilinear_solve")
+from symwave.cli import run
+assert run(["admissible", "--d", "4", "--p", "inf", "--q", "2"]) == 0
+check("symwave admissible")
+"""
+
+
+def test_spectral_workflows_do_not_load_scipy_special():
+    # only the kernel path uses special functions; importing scipy.special
+    # costs about 0.3 s and 19 MB, which the spectral side must not pay
+    assert _fresh_python(_NO_SCIPY_SPECIAL).strip() == "true"     # admissible's answer
+
+
+def test_chi_pair_loads_the_kernel_tables():
+    # the kernel path's first call builds every kernel-only table, so that
+    # a caller can pay that cost before timing kernel work
+    _fresh_python("import sys, numpy as np, symwave\n"
+                  "assert 'scipy.special' not in sys.modules\n"
+                  "symwave.chi_pair(np.zeros(1))\n"
+                  "assert 'scipy.special' in sys.modules\n"
+                  "assert symwave.wave_kernel._kernel_tables.cache_info().currsize == 1\n")
+
+
+def test_first_kernel_call_in_a_fresh_process_matches_in_process(a1):
+    # bessel_j, then kernel_piece, as the first library calls of a new
+    # interpreter (so the first builds the kernel tables) give the same bits
+    p = KernelParams(t=1.3, sigma=SIGMA)
+    out = _fresh_python(
+        "import numpy as np, symwave\n"
+        "from symwave.wave_kernel import KernelParams\n"
+        "print(symwave.bessel_j(1.5, 2.7).hex())\n"
+        f"z = symwave.kernel_piece(symwave.root_system_from_tag('A1'), "
+        f"KernelParams(t={p.t!r}, sigma={p.sigma!r}), np.array([0.8]), 'total')\n"
+        "print(z.real.hex(), z.imag.hex())\n").split()
+    z = kernel_piece(a1, p, np.array([0.8]), "total")
+    assert float.fromhex(out[0]) == bessel_j(1.5, 2.7)
+    assert complex(float.fromhex(out[1]), float.fromhex(out[2])) == z
+
+
 def test_tail_seam_consistency(a1):
     # moving the analytic-tail start must not change low-level values:
     # model(R1) - model(R2) equals the panel integral of the integrand
