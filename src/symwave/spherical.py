@@ -13,35 +13,36 @@ origin (small |lam||H|) it is formed from the exponential remainders
 e^z - sum_{j<m} z^j/j!, whose dropped terms would otherwise cancel in
 floating point.  There is one evaluation path: ``phi_lambda_many`` takes
 lam and H broadcast against each other, evaluates every regular pair in
-one ``_phi_direct`` call and every pair within 1e-4 of a singular set (lam
-on a root hyperplane, H on a wall) in one more, by 6-point polynomial
-extrapolation along a fixed generic direction; ``phi_lambda`` is its
-one-point case.
+one ``_phi_direct`` call, every pair with H on exactly one wall (and lam
+regular) in one more by the exact limit along the wall's normal, and every
+other pair within 1e-4 of a singular set (lam on a root hyperplane, H near
+a wall) in one more, by 6-point polynomial extrapolation along a fixed
+generic direction; ``phi_lambda`` is its one-point case.
 
 Transforms are plain trapezoid sums over tensor grids, applied to a stack of
 B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
-``forward_transform`` and ``inverse_transform`` are the B = 1 case.  At rank
-1 the signed Weyl images fold into one phase matrix, applied to the whole
-stack as a single matrix product.  The transform pair is defined for
-rank <= 2.  At rank 2 the output points are the nodes of a tensor grid
-symmetric about 0.  A Weyl element whose entries are within 1e-12 of 0 or
-+-1 is snapped to an integer signed permutation s, which maps that grid onto
-itself, and the alternating sum S of any stack obeys S(s p) = det(s) S(p):
-only the rows y_a >= 0 are folded, and the others are filled through a
-diagonal s with s_00 = -1 (diag(-1, 1) on A2, B2 and C2).  A
-signed-permutation element is contracted with each slice V as A @ V @ B^T
-from one phase table per output coordinate; the other elements (4 of 6 on
-A2) go through per-coordinate phase tables multiplied out on the folded
-rows, a matrix product and a rowwise dot (see ``_w_fold``).  The transform
-is evaluated on the whole output grid and divided by pi(lam) or by the Weyl
-denominator, each a product of one factor per positive root.  On the wall
-(root hyperplane) of one root the alternating sum and that product both
-vanish, and the value there is their limit along the wall's normal: the
-normal derivative of the alternating sum, folded from the two first-moment
-stacks by the same phase tables at the wall nodes only, over the product
-with the vanishing factor replaced by its normal derivative.  The origin
-takes its exact value, and a grid with any other node near a singular set
-is refused.
+``forward_transform`` and ``inverse_transform`` are the B = 1 case.  The
+transform pair is defined for rank <= 2.  The Weyl sum is folded over the
+cosets of the subgroup W0 of signed permutations (Weyl elements within
+1e-12 of an integer matrix), which map the input and output grids onto
+themselves once their 1D axes are made exactly antisymmetric: the weighted
+stack is antisymmetrised over W0 by index flips and transposes, and the
+result U is summed once per coset representative (``_coset_fold``).  At
+rank 1, W0 = W and U is odd, so the fold is one real sine table over the
+positive half-axis and two real matrix products.  At rank 2 the identity
+coset is A @ U @ B^T per slice, the whole sum on B2, C2 and D2; the two
+other cosets of A2 go through per-coordinate phase tables, a matrix
+product and a rowwise dot (see ``_w_fold``).  Only the output rows y_a >= 0
+are folded; the others follow from S(s p) = det(s) S(p) for a diagonal s
+in W0 with s_00 = -1.  The transform is evaluated on the whole output grid
+and divided by pi(lam) or by the Weyl denominator, each a product of one
+factor per positive root.  On the wall (root hyperplane) of one root the
+alternating sum and that product both vanish, and the value there is their
+limit along the wall's normal: the normal derivative of the alternating
+sum, folded from the two first-moment stacks of U over the representatives
+at the wall nodes only, over the product with the vanishing factor
+replaced by its normal derivative.  The origin takes its exact value, and
+a grid with any other node near a singular set is refused.
 Each slice passes its own tail check, and a failure names the slice.
 """
 
@@ -111,6 +112,58 @@ def _phase(mu: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return np.exp(E, out=E)
 
 
+def _coset_fold(rs: RootSystem, values: np.ndarray,
+                weights: np.ndarray) -> tuple:
+    """Split the Weyl group W over its subgroup W0 of signed permutations.
+
+    A Weyl matrix whose entries are within 1e-12 of 0 or +-1 is snapped to
+    exact integers; these s form W0, and each maps a tensor grid symmetric
+    about 0 onto itself.  Substituting x -> s x in the fold gives
+    S_{ws}[V] = S_w[V o s], so for any stack V
+
+        sum_w det(w) S_w[V] = sum_r det(r) S_r[U],
+        U = sum_{s in W0} det(s) V o s,
+
+    one representative r per coset r W0.  Returns U, the weighted stack
+    weights * values (B, n^rank) antisymmetrised over W0 by index flips and
+    transposes, shaped (B, n) or (B, n, n); the representatives as
+    (matrix, sign) pairs, the identity first; and the mirror, an element
+    (s, det s) of W0 that is diagonal with s_00 = -1 (-1 at rank 1,
+    diag(-1, 1) on A2, B2 and C2, -I on D2).
+    """
+    def snap(mat):
+        s = np.round(mat)
+        return s if np.all(np.abs(mat - s) <= 1e-12) else None
+
+    W = weyl_group(rs)
+    W0 = [(s, sign) for mat, sign in zip(W.matrices, W.signs)
+          if (s := snap(mat)) is not None]
+    reps = [(np.eye(rs.rank), 1)]
+    for mat, sign in zip(W.matrices, W.signs):
+        if all(snap(r.T @ mat) is None for r, _ in reps):   # a new coset
+            reps.append((mat, sign))
+    mirror = next((s, sign) for s, sign in W0
+                  if s[0, 0] == -1 and not np.any(s[0, 1:]))
+    n = values.shape[1] if rs.rank == 1 else math.isqrt(values.shape[1])
+    V = (weights * values).reshape((-1,) + (n,) * rs.rank)
+    U = np.zeros_like(V)
+    for s, sign in W0:
+        # (V o s)(x) = V(s x): axis j of x feeds the coordinate that column
+        # j of s maps it to, so s transposes V when it swaps coordinates
+        # and reverses axis j where that column's entry is -1
+        G = V if s[0, 0] != 0 else V.transpose(0, 2, 1)
+        G = G[(slice(None),) + tuple(np.s_[::int(np.sum(col))] for col in s.T)]
+        (np.add if sign > 0 else np.subtract)(U, G, out=U)
+    return U, reps, mirror
+
+
+def _symmetric(axis: np.ndarray) -> np.ndarray:
+    """The 1D grid ``axis`` made exactly antisymmetric under reversal, within
+    an ulp of its nodes: a linspace over [-L, L] is only symmetric to a few
+    ulps, and the coset fold needs x -> -x to map nodes onto nodes."""
+    return (axis - axis[::-1]) / 2.0
+
+
 def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
             axis: np.ndarray, out_axis: np.ndarray) -> np.ndarray:
     """sum_w det(w) sum_x weights(x) values_b(x) exp(i <p, w x>) for each
@@ -119,54 +172,35 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     returns (B, m^rank).
 
     The inner sum runs over the tensor grid with 1D nodes ``axis``.  Both
-    axes must be symmetric about 0, as every grid's is.  At rank 1 the
-    signed Weyl images and the weights fold into one m x n matrix, applied
-    to the whole stack as a single matrix product.
+    axes are taken exactly antisymmetric (``_symmetric``), and the sum is
+    folded over the cosets of the signed permutations W0 (``_coset_fold``):
+    the W0-antisymmetrised stack U is summed once per coset representative.
+    W0 also maps the output grid onto itself, and substituting w -> s^-1 w
+    gives S(s p) = det(s) S(p), so only the rows y_a >= 0 are folded and
+    the others are filled through the mirror.
 
-    At rank 2 two symmetries of the grid cut the work.  A Weyl element s
-    whose entries are within 1e-12 of 0 or +-1 is a signed permutation;
-    snapped to exact integers it maps the output grid onto itself, and
-    substituting w -> s^-1 w in the sum gives S(s p) = det(s) S(p) for any
-    stack.  Every rank-2 Weyl group holds a diagonal s with s_00 = -1
-    (diag(-1, 1) on A2, B2 and C2, -I on D2), so only the rows y_a >= 0 are
-    folded and the others are filled from them.  For a signed permutation w
-    the phase exp(i <p, w x>) is the product of one (rows x n) table in y_a
-    and one (m x n) table in y_b, each in one coordinate of x, so its sum is
-    A @ V @ B^T per slice, with V^T when w swaps the coordinates.  The other
-    elements (4 of 6 on A2) go through the per-axis phase matrices of
-    ``_weyl_phases`` on the folded rows.
+    At rank 1, W0 = W and U is odd, so S(y) = 2i sum_{x>0} U(x) sin(y x):
+    one real sine table over the positive half-axis and two real matrix
+    products.  At rank 2 the identity coset is A @ U @ B^T per slice, from
+    one phase table per output coordinate; that is the whole sum on B2, C2
+    and D2.  On A2 the other two representatives go through the per-axis
+    phase matrices of ``_weyl_phases`` on the folded rows.
     """
-    W = weyl_group(rs)
+    U, reps, (s, sign) = _coset_fold(rs, values, weights)
+    x, y = _symmetric(axis), _symmetric(out_axis)
+    lo = y.shape[0] // 2                     # rows y[lo:] >= 0 are folded
     if rs.rank == 1:
-        P = np.zeros((out_axis.shape[0], axis.shape[0]), dtype=complex)
-        for mat, sign in zip(W.matrices, W.signs):
-            E = _phase(mat[0, 0] * out_axis, axis)
-            E *= sign
-            P += E
-            del E                 # one phase matrix alive at a time
-        P *= weights
-        return values @ P.T
-    n, m = axis.shape[0], out_axis.shape[0]
-    lo = m // 2                          # rows out_axis[lo:] >= 0 are folded
-    rows = out_axis[lo:]
-    V = (weights * values).reshape(-1, n, n)
-    half = np.zeros((values.shape[0], m - lo, m), dtype=complex)
-    mirror = None
-    for mat, sign in zip(W.matrices, W.signs):
-        s = np.round(mat)
-        if np.any(np.abs(mat - s) > 1e-12):
-            E = _weyl_phases(mat, out_axis, axis, np.s_[lo:, None], np.s_[:])
-            half += sign * _axis_fold(E, values, weights).reshape(half.shape)
+        k = x.shape[0] // 2 + 1              # x[k:] > 0; U(0) = 0
+        T = np.sin(np.multiply.outer(x[k:], y[lo:]))
+        half = 2j * (U[:, k:].real @ T) - 2.0 * (U[:, k:].imag @ T)
+    else:
+        half = _phase(y[lo:], x) @ U @ _phase(y, x).T
+        for mat, rsign in reps[1:]:
+            E = _weyl_phases(mat, y, x, np.s_[lo:, None], np.s_[:])
+            half += rsign * _axis_fold(E, U).reshape(half.shape)
             del E
-            continue
-        if s[0, 0] == -1 and s[0, 1] == 0:
-            mirror = s, sign
-        k = int(np.flatnonzero(s[0])[0])     # y_a pairs with x_k, y_b with x_(1-k)
-        A = _phase(s[0, k] * rows, axis)
-        B = _phase(s[1, 1 - k] * out_axis, axis)
-        half += sign * (A @ (V if k == 0 else V.transpose(0, 2, 1)) @ B.T)
-    s, sign = mirror
-    low = half[:, ::-1, ::-1] if s[1, 1] == -1 else half[:, ::-1]
+    low = half[(slice(None), slice(None, None, -1))
+               + tuple(np.s_[::int(d)] for d in np.diag(s)[1:])]
     out = np.concatenate([sign * low[:, :lo], half], axis=1)
     return out.reshape(values.shape[0], -1)
 
@@ -179,21 +213,29 @@ def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     grid over ``out_axis``), each with its own n, a row of ``normals``;
     returns (B, len(idx)).
 
-        d_n S(p) = sum_w det(w) sum_k (n w)_k
-                   sum_x weights(x) values_b(x) i x_k exp(i <w^T p, x>)
+    Over the cosets of ``_coset_fold``, S = sum_r det(r) S_r[U], so
 
-    is the fold of the two moment stacks i x_k values, contracted per point
-    with (n w)_k.  Their phases are the per-coordinate tables of
-    ``_weyl_phases``, indexed by each node's grid indices."""
-    W = weyl_group(rs)
-    moments = np.concatenate([1j * x * values
-                              for x in _tensor_nodes(axis, 2).T])
-    ia, ib = np.divmod(idx, out_axis.shape[0])
-    out = np.zeros((values.shape[0], idx.shape[0]), dtype=complex)
-    for mat, sign in zip(W.matrices, W.signs):
-        E = _weyl_phases(mat, out_axis, axis, ia, ib)
-        F = _axis_fold(E, moments, weights).reshape(2, values.shape[0], -1)
-        c = normals @ mat                  # (n w)_k per point
+        d_n S(p) = sum_r det(r) sum_k (n r)_k
+                   sum_x U_b(x) i x_k exp(i <r^T p, x>)
+
+    is the fold of the two moment stacks i x_k U over the representatives
+    only, contracted per point with (n r)_k.  Their phases are the
+    per-coordinate tables of ``_weyl_phases`` on the exactly antisymmetric
+    axes, indexed by each node's grid indices."""
+    U, reps, _ = _coset_fold(rs, values, weights)
+    x, y = _symmetric(axis), _symmetric(out_axis)
+    B = U.shape[0]
+    moments = np.empty((2, B) + U.shape[1:], dtype=complex)
+    np.multiply(U, 1j * x[:, None], out=moments[0])
+    np.multiply(U, 1j * x, out=moments[1])
+    del U
+    moments = moments.reshape(2 * B, -1)
+    ia, ib = np.divmod(idx, y.shape[0])
+    out = np.zeros((B, idx.shape[0]), dtype=complex)
+    for mat, sign in reps:
+        E = _weyl_phases(mat, y, x, ia, ib)
+        F = _axis_fold(E, moments).reshape(2, B, -1)
+        c = normals @ mat                  # (n r)_k per point
         out += sign * (c[:, 0] * F[0] + c[:, 1] * F[1])
     return out
 
@@ -217,16 +259,17 @@ def _weyl_phases(mat: np.ndarray, out_axis: np.ndarray, axis: np.ndarray,
             for k in range(2)]
 
 
-def _axis_fold(E: list, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_x weights(x) values_b(x) E_0(p, x_0) E_1(p, x_1) for each slice b
-    and output point p of a rank-2 fold: the phase matrices E_k (M, n),
+def _axis_fold(E: list, stack: np.ndarray) -> np.ndarray:
+    """sum_x stack_b(x) E_0(p, x_0) E_1(p, x_1) for each slice b of a stack
+    (B, n, n) or (B, n^2) that already carries the quadrature weights, and
+    each output point p of a rank-2 fold: the phase matrices E_k (M, n),
     shared by all slices, are contracted first with the grid's x_0 axis by
     a matrix product and then with its x_1 axis by a rowwise dot."""
     E0, E1 = E
     M, n = E0.shape
-    out = np.empty((values.shape[0], M), dtype=complex)
-    for b, v in enumerate(values):
-        T = E0 @ (weights * v).reshape(n, n)        # (M, n)
+    out = np.empty((stack.shape[0], M), dtype=complex)
+    for b, v in enumerate(stack):
+        T = E0 @ v.reshape(n, n)                    # (M, n)
         out[b] = np.einsum("ji,ji->j", E1, T)
     return out
 
@@ -253,7 +296,8 @@ def _near_joint_origin(s: np.ndarray, m: int) -> np.ndarray:
     return np.exp(-s) * (head + 1.0) > 1.0
 
 
-def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
+def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray,
+                wall: np.ndarray | None = None) -> np.ndarray:
     """Closed-form evaluation on generic pairs; lam (P, r), H (P, r) -> (P,).
 
     The numerator sum_w det(w) e^{i<w lam, H>} vanishes to order m = |Sigma+|
@@ -265,22 +309,44 @@ def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     remainders are no larger than the exponentials they replace; elsewhere
     e^z is summed directly.  The sum runs one Weyl element at a time, so
     memory stays O(P).
+
+    With ``wall`` (P,), the index of a positive root alpha per pair whose
+    wall H lies on, the value is the limit along the unit normal
+    n = alpha/|alpha|: the numerator becomes its normal derivative
+    sum_w det(w) i<w lam, n> e^{i<w lam, H>} and the Weyl denominator its
+    normal derivative, with 2 sinh<alpha, H> replaced by 2|alpha|.  The
+    remainder of order m differentiates to the remainder of order m - 1,
+    which near the joint origin takes the same switch at m - 1.
     """
     W = weyl_group(rs)
-    n_pos = rs.n_positive
+    order = rs.n_positive if wall is None else rs.n_positive - 1
     joint = np.linalg.norm(lam, axis=1) * np.linalg.norm(H, axis=1)
-    near = _near_joint_origin(joint, n_pos)
+    near = _near_joint_origin(joint, order)
     far = ~near
+    if wall is not None:
+        slope = np.linalg.norm(rs.roots_c[wall], axis=1)
+        normal = rs.roots_c[wall] / slope[:, None]
     num = np.zeros(lam.shape[0], dtype=complex)
+    term = np.empty(lam.shape[0], dtype=complex)
     for mat, sign in zip(W.matrices, W.signs):
         # <w lam, H> elementwise: a matrix product rounds differently for
         # different P, and near a wall the alternating sum magnifies that
-        z = 1j * np.sum(np.sum(lam[:, None, :] * mat, axis=-1) * H, axis=-1)
-        num[far] += sign * np.exp(z[far])
-        num[near] += sign * _exp_remainder(z[near], n_pos)
+        wlam = np.sum(lam[:, None, :] * mat, axis=-1)
+        z = 1j * np.sum(wlam * H, axis=-1)
+        term[far] = np.exp(z[far])
+        term[near] = _exp_remainder(z[near], order)
+        if wall is not None:
+            term *= 1j * np.sum(wlam * normal, axis=-1)
+        num += sign * term
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
-    pi_ilam = (1j ** n_pos) * pi_many(rs, lam)
-    return pi_rho / pi_ilam * num / weyl_denominator(rs, H)
+    pi_ilam = (1j ** rs.n_positive) * pi_many(rs, lam)
+    if wall is None:
+        den = weyl_denominator(rs, H)
+    else:
+        fac = 2.0 * np.sinh(rs.pairings(H))
+        fac[np.arange(H.shape[0]), wall] = 2.0 * slope
+        den = np.prod(fac, axis=-1)
+    return pi_rho / pi_ilam * num / den
 
 
 def _ray_offsets(pts: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -301,11 +367,14 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     for a table.
 
     Regular pairs take ``_phi_direct`` in one call.  A pair with lam near a
-    root hyperplane or H near a wall is a removable singularity: the
-    singular arguments move along the generic ray by k tau, k = 1..6,
+    root hyperplane or H near a wall is a removable singularity.  Where only
+    H is flagged and lies on exactly one wall (pairing at most 1e-12 |H|),
+    ``_phi_direct`` takes the exact limit along the wall's normal, all such
+    pairs in one call.  For every other singular pair the singular
+    arguments move along the generic ray by k tau, k = 1..6,
     tau = 0.05 / max(|lam|, |H|, 1), and the value is extrapolated to k = 0,
-    all singular pairs in one more call.  H = 0 gives exactly 1 and lam = 0
-    gives phi0(H).
+    all of them in one more call.  H = 0 gives exactly 1 and lam = 0 gives
+    phi0(H).
     """
     lam, H = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(H, dtype=float))
@@ -316,7 +385,12 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     out = np.empty(lam.shape[0], dtype=complex)
     regular = ~lam_sing & ~H_sing
     out[regular] = _phi_direct(rs, lam[regular], H[regular])
-    todo = np.nonzero(~regular & (lam_n >= 1e-14) & (H_n >= 1e-14))[0]
+    on = np.abs(rs.pairings(H)) <= 1e-12 * H_n[:, None]
+    wall = (H_sing & ~lam_sing & (H_n >= 1e-14)
+            & (np.count_nonzero(on, axis=1) == 1))
+    out[wall] = _phi_direct(rs, lam[wall], H[wall],
+                            np.argmax(on[wall], axis=1))
+    todo = np.nonzero(~regular & ~wall & (lam_n >= 1e-14) & (H_n >= 1e-14))[0]
     tau = 0.05 / np.maximum(np.maximum(lam_n[todo], H_n[todo]), 1.0)
 
     def path(p, sing):
@@ -350,7 +424,10 @@ def _patched(rs: RootSystem, grid, values: np.ndarray, weights: np.ndarray,
     m = |Sigma+|, S the fold (``_w_fold``) of the stack ``values`` (B, n^rank)
     with ``weights`` over the tensor grid with 1D nodes ``axis``;
     ``root_factor`` is the identity (pi(p)) or sinh (the Weyl denominator
-    over 2^m), each of slope 1 at 0.
+    over 2^m), each of slope 1 at 0.  S is evaluated on the exactly
+    antisymmetric axis (``_symmetric``), and so is the product: near the
+    origin both vanish to order m, and a shift of 1e-15 between their
+    nodes would move the ratio by about m 1e-15 / |p|.
 
     On the wall <alpha, p> = 0 of one root both S and the product vanish,
     and the value is their limit along the unit normal n = alpha/|alpha|,
@@ -374,7 +451,8 @@ def _patched(rs: RootSystem, grid, values: np.ndarray, weights: np.ndarray,
     if j.size:
         out[:, j] = _wall_fold(rs, values, weights, axis, grid.axis, j,
                                rs.roots_c[k] / slope[:, None])
-    fac = root_factor(pts @ rs.roots_c.T)
+    fac = root_factor(_tensor_nodes(_symmetric(grid.axis), rs.rank)
+                      @ rs.roots_c.T)          # at the nodes S was taken at
     fac[j, k] = slope
     fac[origin] = 1.0
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))

@@ -14,7 +14,8 @@ from symwave.geometry import (RadialFunction, RadialGrid, _tensor_nodes,
                               _trapezoid_weights, density_delta, phi0,
                               w_invariance_defect)
 from symwave.root_system import build_root_system, weyl_group
-from symwave.spherical import (SpectralFunction, SpectralGrid,
+from symwave import spherical
+from symwave.spherical import (SpectralFunction, SpectralGrid, _coset_fold,
                                _near_joint_origin, _near_singular,
                                _phi_direct, _w_fold,
                                _wall_fold,
@@ -66,6 +67,7 @@ def test_phi_at_zero_spectral_parameter_matches_phi0(a2, rng):
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-6, 6), st.floats(-6, 6), st.floats(-3, 3), st.floats(-3, 3))
 @example(lx=0.0078125, ly=0.015625, hx=0.015625, hy=0.015625)
+@example(lx=1.0, ly=0.0, hx=0.0, hy=1.1125369292536007e-308)   # H = 0 on a wall
 def test_basic_bound(lx, ly, hx, hy):
     rs = build_root_system("A", 2)
     lam, H = np.array([lx, ly]), np.array([hx, hy])
@@ -195,8 +197,9 @@ def _wall(rs, k):
 @pytest.mark.parametrize("case", ["H-wall", "lam-plane", "both"])
 def test_extrapolated_phi_matches_high_precision_closed_form(family, case):
     # Removable singularities: on every wall, with |lam| and |H| in
-    # {0.3, 1, 3}, the extrapolated value must match the closed form taken
-    # 1e-30 off the singular set, with 60 digits left after cancellation.
+    # {0.3, 1, 3}, the value must match the closed form taken 1e-30 off the
+    # singular set, with 60 digits left after cancellation.  H alone on a
+    # wall takes the exact normal limit; the other cases are extrapolated.
     rs = build_root_system(family, 2)
     n_roots = rs.roots_c.shape[0]
     worst = 0.0
@@ -210,7 +213,7 @@ def test_extrapolated_phi_matches_high_precision_closed_form(family, case):
             assert _near_singular(rs, H)[0] == (case != "lam-plane")
             ref = _phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
             worst = max(worst, abs(phi_lambda(rs, lam, H) - ref) / abs(ref))
-    assert worst <= 1e-6
+    assert worst <= (1e-11 if case == "H-wall" else 1e-6)
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "B2"])
@@ -370,16 +373,23 @@ def test_forward_rank2_matches_direct_quadrature(family):
     assert np.max(np.abs(Hf[picked] - oracle)) <= 1e-10 * np.max(np.abs(Hf))
 
 
-@pytest.mark.parametrize("tag,R,n,L,m,tol", [
-    ("A1", 10.0, 193, 9.0, 193, 1e-6),
-    ("A2", 10.0, 121, 10.0, 109, 1e-5),
-    ("B2", 10.0, 121, 12.0, 109, 1e-12),
-    ("C2", 10.0, 121, 12.0, 109, 1e-12),
-])
-def test_round_trip(tag, R, n, L, m, tol):
+@pytest.mark.parametrize("tag,R,n,L,m,tol,width", [
+    pytest.param(*row, id="-".join(map(str, row[:6]))
+                 + (f"-width{row[6]:g}" if row[6] != 1.0 else ""))
+    for row in [
+        ("A1", 10.0, 193, 9.0, 193, 1e-6, 1.0),
+        ("A2", 10.0, 121, 10.0, 109, 1e-5, 1.0),
+        ("B2", 10.0, 121, 12.0, 109, 1e-12, 1.0),
+        ("C2", 10.0, 121, 12.0, 109, 1e-12, 1.0),
+        # the fold's moments cancel near the origin only if x -> -x maps
+        # the phase axes' nodes exactly onto each other; the raw linspace
+        # axes, 3.6e-15 off, give 2e-12 here
+        ("C2", 10.0, 121, 12.0, 109, 1e-12, 1.15),
+    ]])
+def test_round_trip(tag, R, n, L, m, tol, width):
     rs = build_root_system(tag[0], int(tag[1]))
     rgrid, sgrid = RadialGrid(rs, R, n), SpectralGrid(rs, L, m)
-    f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1)))
+    f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1) / width ** 2))
     frt = inverse_transform(rs, forward_transform(rs, f, sgrid), rgrid)
     err = np.max(np.abs(frt.values - f.values)) / np.max(np.abs(f.values))
     assert err < tol
@@ -453,6 +463,51 @@ def test_tensor_fold_matches_point_fold(tag):
     grid = _w_fold(rs, values, weights, x, y)
     points = _point_fold(rs, values, weights, x, _tensor_nodes(y, 2))
     assert np.max(np.abs(grid - points)) <= 1e-13 * np.max(np.abs(points))
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2", "C2", "D2"])
+def test_cosets_cover_the_weyl_group_once(tag):
+    # The products r s over the representatives and the signed
+    # permutations W0 are the Weyl group, each element once, with
+    # det(r s) = det(r) det(s); the mirror is a diagonal element of W0
+    # with s_00 = -1.
+    rs = build_root_system(tag[0], int(tag[1]))
+    W = weyl_group(rs)
+    W0 = [(np.round(mat), sign) for mat, sign in zip(W.matrices, W.signs)
+          if np.all(np.abs(mat - np.round(mat)) <= 1e-12)]
+    _, reps, (mirror, mirror_sign) = _coset_fold(rs, np.zeros((1, 5 ** rs.rank)),
+                                                 np.ones(5 ** rs.rank))
+    assert len(reps) == (3 if tag == "A2" else 1)
+    assert np.array_equal(reps[0][0], np.eye(rs.rank)) and reps[0][1] == 1
+    hits = np.zeros(W.order, dtype=int)
+    for r, r_sign in reps:
+        for s, s_sign in W0:
+            dist = np.max(np.abs(W.matrices - r @ s), axis=(1, 2))
+            j = int(np.argmin(dist))
+            assert dist[j] <= 1e-12
+            assert W.signs[j] == r_sign * s_sign
+            hits[j] += 1
+    assert np.all(hits == 1)
+    assert any(np.array_equal(mirror, s) and mirror_sign == sign for s, sign in W0)
+    assert mirror[0, 0] == -1 and np.array_equal(mirror, np.diag(np.diag(mirror)))
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2", "C2", "D2"])
+def test_general_representatives_alone_take_the_axis_fold(tag, monkeypatch):
+    # Only the two cosets of A2 without a signed permutation go through the
+    # per-axis phase matrices; every other family is one product per slice.
+    rs = build_root_system(tag[0], int(tag[1]))
+    if rs.rank == 1:
+        x, y = np.linspace(-5.0, 5.0, 33), np.linspace(-6.0, 6.0, 27)
+        values, weights = np.ones((2, 33), dtype=complex), _trapezoid_weights(x, 1)
+    else:
+        rs, x, y, values, weights = _fold_case(tag)
+    calls = []
+    fold = spherical._axis_fold
+    monkeypatch.setattr(spherical, "_axis_fold",
+                        lambda *args: calls.append(1) or fold(*args))
+    _w_fold(rs, values, weights, x, y)
+    assert len(calls) == (2 if tag == "A2" else 0)
 
 
 @pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
