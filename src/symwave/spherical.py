@@ -14,10 +14,12 @@ e^z - sum_{j<m} z^j/j!, whose dropped terms would otherwise cancel in
 floating point.  There is one evaluation path: ``phi_lambda_many`` takes
 lam and H broadcast against each other, evaluates every regular pair in
 one ``_phi_direct`` call, every pair with H on exactly one wall (and lam
-regular) in one more by the exact limit along the wall's normal, and every
-other pair within 1e-4 of a singular set (lam on a root hyperplane, H near
-a wall) in one more, by 6-point polynomial extrapolation along a fixed
-generic direction; ``phi_lambda`` is its one-point case.
+regular) in one more by the exact limit along the wall's normal, every pair
+with lam on exactly one root hyperplane (and H regular) in one more by the
+exact limit along that hyperplane's normal, and every other pair within
+1e-4 of a singular set (both arguments singular, or one near but off its
+singular set) in one more, by 6-point polynomial extrapolation along a
+fixed generic direction; ``phi_lambda`` is its one-point case.
 
 Transforms are plain trapezoid sums over tensor grids, applied to a stack of
 B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
@@ -297,7 +299,8 @@ def _near_joint_origin(s: np.ndarray, m: int) -> np.ndarray:
 
 
 def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray,
-                wall: np.ndarray | None = None) -> np.ndarray:
+                wall: np.ndarray | None = None,
+                plane: np.ndarray | None = None) -> np.ndarray:
     """Closed-form evaluation on generic pairs; lam (P, r), H (P, r) -> (P,).
 
     The numerator sum_w det(w) e^{i<w lam, H>} vanishes to order m = |Sigma+|
@@ -314,18 +317,23 @@ def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray,
     wall H lies on, the value is the limit along the unit normal
     n = alpha/|alpha|: the numerator becomes its normal derivative
     sum_w det(w) i<w lam, n> e^{i<w lam, H>} and the Weyl denominator its
-    normal derivative, with 2 sinh<alpha, H> replaced by 2|alpha|.  The
-    remainder of order m differentiates to the remainder of order m - 1,
-    which near the joint origin takes the same switch at m - 1.
+    normal derivative, with 2 sinh<alpha, H> replaced by 2|alpha|.  With
+    ``plane`` (P,), the index of the root whose hyperplane lam lies on, the
+    limit is taken in lam instead: the numerator becomes
+    sum_w det(w) i<w n, H> e^{i<w lam, H>} and pi(i lam) becomes
+    i^m |alpha| prod_{beta != alpha} <beta, lam>.  Either way the remainder
+    of order m differentiates to the remainder of order m - 1, which near
+    the joint origin takes the same switch at m - 1.
     """
     W = weyl_group(rs)
-    order = rs.n_positive if wall is None else rs.n_positive - 1
+    index = wall if plane is None else plane
+    order = rs.n_positive if index is None else rs.n_positive - 1
     joint = np.linalg.norm(lam, axis=1) * np.linalg.norm(H, axis=1)
     near = _near_joint_origin(joint, order)
     far = ~near
-    if wall is not None:
-        slope = np.linalg.norm(rs.roots_c[wall], axis=1)
-        normal = rs.roots_c[wall] / slope[:, None]
+    if index is not None:
+        slope = np.linalg.norm(rs.roots_c[index], axis=1)
+        normal = rs.roots_c[index] / slope[:, None]
     num = np.zeros(lam.shape[0], dtype=complex)
     term = np.empty(lam.shape[0], dtype=complex)
     for mat, sign in zip(W.matrices, W.signs):
@@ -337,16 +345,18 @@ def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray,
         term[near] = _exp_remainder(z[near], order)
         if wall is not None:
             term *= 1j * np.sum(wlam * normal, axis=-1)
+        elif plane is not None:
+            term *= 1j * np.sum(np.sum(normal[:, None, :] * mat, axis=-1) * H, axis=-1)
         num += sign * term
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
-    pi_ilam = (1j ** rs.n_positive) * pi_many(rs, lam)
-    if wall is None:
-        den = weyl_denominator(rs, H)
-    else:
-        fac = 2.0 * np.sinh(rs.pairings(H))
-        fac[np.arange(H.shape[0]), wall] = 2.0 * slope
-        den = np.prod(fac, axis=-1)
-    return pi_rho / pi_ilam * num / den
+    lam_fac = rs.pairings(lam)
+    den_fac = 2.0 * np.sinh(rs.pairings(H))
+    if wall is not None:
+        den_fac[np.arange(H.shape[0]), wall] = 2.0 * slope
+    elif plane is not None:
+        lam_fac[np.arange(lam.shape[0]), plane] = slope
+    pi_ilam = (1j ** rs.n_positive) * np.prod(lam_fac, axis=-1)
+    return pi_rho / pi_ilam * num / np.prod(den_fac, axis=-1)
 
 
 def _ray_offsets(pts: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -370,7 +380,10 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     root hyperplane or H near a wall is a removable singularity.  Where only
     H is flagged and lies on exactly one wall (pairing at most 1e-12 |H|),
     ``_phi_direct`` takes the exact limit along the wall's normal, all such
-    pairs in one call.  For every other singular pair the singular
+    pairs in one call; where only lam is flagged and lies on exactly one
+    root hyperplane (pairing at most 1e-12 |lam|), it takes the limit along
+    that hyperplane's normal, in one more.  For every other singular pair
+    (both flagged, or near but off a singular set) the singular
     arguments move along the generic ray by k tau, k = 1..6,
     tau = 0.05 / max(|lam|, |H|, 1), and the value is extrapolated to k = 0,
     all of them in one more call.  H = 0 gives exactly 1 and lam = 0 gives
@@ -385,12 +398,17 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     out = np.empty(lam.shape[0], dtype=complex)
     regular = ~lam_sing & ~H_sing
     out[regular] = _phi_direct(rs, lam[regular], H[regular])
-    on = np.abs(rs.pairings(H)) <= 1e-12 * H_n[:, None]
+    on_H = np.abs(rs.pairings(H)) <= 1e-12 * H_n[:, None]
+    on_lam = np.abs(rs.pairings(lam)) <= 1e-12 * lam_n[:, None]
     wall = (H_sing & ~lam_sing & (H_n >= 1e-14)
-            & (np.count_nonzero(on, axis=1) == 1))
+            & (np.count_nonzero(on_H, axis=1) == 1))
+    plane = (lam_sing & ~H_sing & (lam_n >= 1e-14)
+             & (np.count_nonzero(on_lam, axis=1) == 1))
     out[wall] = _phi_direct(rs, lam[wall], H[wall],
-                            np.argmax(on[wall], axis=1))
-    todo = np.nonzero(~regular & ~wall & (lam_n >= 1e-14) & (H_n >= 1e-14))[0]
+                            wall=np.argmax(on_H[wall], axis=1))
+    out[plane] = _phi_direct(rs, lam[plane], H[plane],
+                             plane=np.argmax(on_lam[plane], axis=1))
+    todo = np.nonzero(~regular & ~wall & ~plane & (lam_n >= 1e-14) & (H_n >= 1e-14))[0]
     tau = 0.05 / np.maximum(np.maximum(lam_n[todo], H_n[todo]), 1.0)
 
     def path(p, sing):

@@ -199,7 +199,8 @@ def test_extrapolated_phi_matches_high_precision_closed_form(family, case):
     # Removable singularities: on every wall, with |lam| and |H| in
     # {0.3, 1, 3}, the value must match the closed form taken 1e-30 off the
     # singular set, with 60 digits left after cancellation.  H alone on a
-    # wall takes the exact normal limit; the other cases are extrapolated.
+    # wall and lam alone on a root hyperplane take the exact normal limit;
+    # the mixed case is extrapolated.
     rs = build_root_system(family, 2)
     n_roots = rs.roots_c.shape[0]
     worst = 0.0
@@ -213,7 +214,7 @@ def test_extrapolated_phi_matches_high_precision_closed_form(family, case):
             assert _near_singular(rs, H)[0] == (case != "lam-plane")
             ref = _phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
             worst = max(worst, abs(phi_lambda(rs, lam, H) - ref) / abs(ref))
-    assert worst <= (1e-11 if case == "H-wall" else 1e-6)
+    assert worst <= (1e-6 if case == "both" else 1e-11)
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "B2"])

@@ -23,7 +23,8 @@ from symwave.wave_kernel import (KernelParams, QuadratureControls, bessel_j,
                                  with_doubled_panels)
 from symwave.root_system import root_system_from_tag
 from symwave.wave_kernel import (_FILON_BLOCK, _SERIES_LEN, _build_panels, _filon_sums,
-                                 _power_tail_orders, _tail_series, _tail_value)
+                                 _power_tail_orders, _radial_profile, _tail_series,
+                                 _tail_value)
 
 from kernel_oracle import oracle_high_regularized
 
@@ -271,19 +272,67 @@ def test_filon_sums_do_not_depend_on_the_stack():
         assert alone[k] == stacked[k], k
 
 
-def test_filon_engine_vs_adaptive_quadrature():
-    t = 9.0
+@pytest.mark.parametrize("width_scale", [0.5, 1.0])
+@pytest.mark.parametrize("t", [9.0, 31.7])
+def test_filon_engine_vs_adaptive_quadrature(t, width_scale):
     amp = lambda r: np.cos(3 * r) / (1.0 + r * r)
     phase = lambda r: t * np.sqrt(r * r + 4.0)
     dphase = lambda r: t * r / np.sqrt(r * r + 4.0)
     re = si.quad(lambda r: amp(r) * np.cos(phase(r)), 0, 12, limit=4000)[0]
     im = si.quad(lambda r: amp(r) * np.sin(phase(r)), 0, 12, limit=4000)[0]
     # the kernel's panels for |rho| = 2 and a shell frequency |H| = 3
-    edges, owner = _build_panels(0.0, 12.0, 3.0, t, 2.0, 1.0)
+    edges, owner = _build_panels(0.0, 12.0, 3.0, t, 2.0, width_scale)
+    # the engine rounds each panel's kappa = phase'(mid) * half-width to a
+    # multiple of 1/16 and folds the rest into the amplitude; some panel
+    # here must leave a residual near the largest possible, 1/32
+    kappa = 16.0 * dphase((edges[1:] + edges[:-1]) / 2.0) * (edges[1:] - edges[:-1]) / 2.0
+    assert np.max(np.abs(kappa - np.rint(kappa))) / 16.0 > 0.025
     out = np.zeros(1, dtype=complex)
     _filon_sums(lambda r, k: amp(r), phase, dphase, edges, owner, out)
     val = out[0]
     assert val == pytest.approx(re + 1j * im, abs=1e-11)
+
+
+def test_filon_moment_rows_one_per_distinct_frequency(a1, monkeypatch):
+    # the 16-order moment rows come from spherical_jn once per distinct
+    # quantised kappa of a Filon block, not once per panel
+    real = wave_kernel._kernel_tables()
+    build = wave_kernel._build_panels
+    rows, panels = [], []
+
+    def counting_jn(n, x):
+        if np.size(n) == 16:                  # shell_integral passes one order
+            rows.append(np.ravel(x))
+        return real.spherical_jn(n, x)
+
+    def counting_panels(*args):
+        edges, owner = build(*args)
+        panels.append(np.count_nonzero(owner[1:] == owner[:-1]))
+        return edges, owner
+
+    monkeypatch.setattr(wave_kernel, "_kernel_tables",
+                        lambda: real._replace(spherical_jn=counting_jn))
+    monkeypatch.setattr(wave_kernel, "_build_panels", counting_panels)
+    _radial_profile(a1, KernelParams(t=40.0, sigma=SIGMA), "high",
+                    np.linspace(0.01, 20.0, 40), "bump")
+    assert rows
+    for kappa in rows:
+        assert np.all(np.diff(kappa) > 0)
+        assert np.all(16.0 * kappa == np.rint(16.0 * kappa))
+    assert sum(map(len, rows)) < sum(panels) / 10
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_profiles_do_not_depend_on_the_filon_block(a1, a2, monkeypatch, block):
+    # each block quantises and tabulates its own kappa; a panel's row and
+    # its sum must not depend on which other panels share its block
+    s = np.array([0.0, 0.05, 0.5, 1.7, 3.0])
+    cases = [(rs, KernelParams(t=t, sigma=SIGMA), piece)
+             for rs, t in ((a1, 7.5), (a2, 0.7)) for piece in ("low", "high")]
+    default = [_radial_profile(rs, p, piece, s, "bump") for rs, p, piece in cases]
+    monkeypatch.setattr(wave_kernel, "_FILON_BLOCK", block)
+    for (rs, p, piece), want in zip(cases, default):
+        assert np.all(_radial_profile(rs, p, piece, s, "bump") == want), (rs.tag, piece)
 
 
 @pytest.mark.parametrize("p0", [-1.0, 0.0, 1.5, 2.0, 1 + 0.49j, 0.9965j, 18 + 0.49j])
