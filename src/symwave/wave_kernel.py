@@ -27,9 +27,12 @@ point is the N = 1 case of the same code.  A call evaluates one radial
 integral per distinct |H| in its stack and keeps nothing between calls.
 All the integrals of one (t, piece) are one batched pass: the panel edges
 of every |H| step in lockstep, the panels of all of them go through the
-Filon engine in blocks of at most ``_FILON_BLOCK``, and the |H|-independent
-tail series is built once.  Every per-|H| result is computed row by row and
-summed in panel order, so an |H| gets the same bits alone as in any stack.
+Filon engine in blocks of at most ``_FILON_BLOCK``, the |H|-independent
+tail series is built once, and the tails of all |H| still pending are one
+call per extension round, whose ray nodes and segment panels go through
+one steepest-descent sweep in blocks of at most ``_TAIL_BLOCK`` rows.
+Every per-|H| result is computed row by row and summed in panel order, so
+an |H| gets the same bits alone as in any stack.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import legendre as _leg
 
 from .errors import ConfigError, InconclusiveIntegralError, PoleError
 from .geometry import phi0
@@ -76,12 +78,14 @@ def _kernel_tables() -> _KernelTables:
     """Everything only the kernel path needs, built once on its first use.
 
     That is the ``scipy.special`` import (about 0.3 s on 2 vCPUs and 19 MB
-    of resident memory), the dense table of the bump-quotient smooth step,
-    the Gauss-Legendre rule and moment rows of the Filon panels, and the
-    Gauss-Laguerre ray and Gauss-Legendre segment rules of the tail.  The
-    spectral workflows (spherical functions, transforms, the solvers) never
-    call it and never load ``scipy.special``.  ``smooth_step`` calls it, so
-    the first ``chi_pair`` pays the whole cost."""
+    of resident memory) and the ``numpy.polynomial`` one (0.75 MB), the
+    dense table of the bump-quotient smooth step, the Gauss-Legendre rule
+    and moment rows of the Filon panels, and the Gauss-Laguerre ray and
+    Gauss-Legendre segment rules of the tail.  The spectral workflows
+    (spherical functions, transforms, the solvers) never call it and never
+    load either package.  ``smooth_step`` calls it, so the first
+    ``chi_pair`` pays the whole cost."""
+    from numpy.polynomial import laguerre as _lag, legendre as _leg
     from scipy.special import gamma, jv, spherical_jn
 
     n = 200_001
@@ -99,7 +103,7 @@ def _kernel_tables() -> _KernelTables:
     return _KernelTables(gamma, jv, spherical_jn,
                          u, 1.0 - cum / cum[-1],          # 1 at s=0, 0 at s=1
                          gl_x, gl_m,
-                         *np.polynomial.laguerre.laggauss(_RAY_NODES),
+                         *_lag.laggauss(_RAY_NODES),
                          *_leg.leggauss(_SEG_NODES))
 
 
@@ -247,6 +251,7 @@ def _gamma_pole_distance(z: complex) -> float:
 # ---------------------------------------------------------------------------
 
 _FILON_BLOCK = 1024          # panels per Filon block
+_TAIL_BLOCK = 64             # rows per steepest-descent block of the tail
 
 
 def _build_panels(a, b, s, t: float, rho_norm: float,
@@ -259,10 +264,11 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
     Each step is the scalar recurrence r -> min(r + max(w(r) scale, 1e-9), b)
     run in lockstep over the keys still short of their b.  The width w is
     bounded by the local scale, 20 rad of phase plus shell oscillation, the
-    phase curvature and the shell period.  The curvature goes through
-    Python's float power, the C library's pow, because numpy's vectorised
-    power differs from it in the last bit on some inputs; so the edges
-    equal those of the scalar recurrence bit for bit."""
+    phase curvature and the shell period.  The curvature's q^{3/2} is
+    q sqrt(q), not a power: numpy's vectorised power differs from the C
+    library's pow in the last bit on some inputs, while sqrt and the
+    product are rounded correctly by both, so the edges equal those of the
+    scalar recurrence bit for bit."""
     a, b, s = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                     for v in (a, b, s)))
     rho2 = rho_norm ** 2
@@ -273,8 +279,9 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
     parts, owners = [a], [np.arange(a.size)]
     while live.size:
         q = r * r + rho2
-        rate = t * r / np.sqrt(q) + sl
-        curv = t * rho2 / np.array([x ** 1.5 for x in q.tolist()])
+        sq = np.sqrt(q)
+        rate = t * r / sq + sl
+        curv = t * rho2 / (q * sq)
         w = np.where(r < 2.5 * rho_norm,
                      np.minimum(0.5 * np.maximum(r, 0.3 * rho_norm), rho_norm / 3.0), 0.5 * r)
         w = np.minimum(np.minimum(w, cap),
@@ -299,6 +306,22 @@ def _rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     for j in range(1, len(m)):
         out += x[:, j, None] * m[j]
     return out
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b in real arithmetic.  numpy's complex product gives other last
+    bits when it reuses a temporary operand of 256 KiB or more for the
+    result, so a row's bits could depend on the size of the stack around
+    it.  Real products and sums are rounded once each whatever the loop."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """|z| through the real hypot, for the same reason as ``_cmul``."""
+    return np.hypot(z.real, z.imag)
 
 
 def _filon_sums(amp_fn, phase_fn, dphase_fn, edges: np.ndarray,
@@ -397,8 +420,9 @@ def _phase_correction_series(rho_norm: float, t: float) -> np.ndarray:
     return _series_exp(1j * t * g)
 
 
-def _power_tail_orders(p0: complex, xi: float, R: float, K: int) -> np.ndarray:
-    """M_k = int_R^inf r^{-(p0+k)} e^{i xi r} dr for k = 0..K-1, by numerical
+def _power_tail_orders(p0, xi, R) -> np.ndarray:
+    """M[j, k] = int_{R_j}^inf r^{-(p0_j+k)} e^{i xi_j r} dr for k < _SERIES_LEN,
+    one row per (p0_j, xi_j, R_j) of the broadcast inputs, by numerical
     steepest descent (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).
 
     From a start R1 >= R the path turns onto the ray
@@ -410,42 +434,96 @@ def _power_tail_orders(p0: complex, xi: float, R: float, K: int) -> np.ndarray:
     at |xi| R1 = 10 once |p| exceeds about 20.  Where |xi| R is below that,
     a Gauss-Legendre segment on the real axis covers [R, R1] first, on
     geometric panels of ratio <= 2 that each span at most 1 rad of phase.
-    Every order shares the nodes: the powers are base^{-p0} times running
-    products of 1/base.  For Re p0 < 1 and |xi| R << 1 segment and ray
-    cancel, and the relative error grows from ~1e-13 to ~1e-10 at
-    p0 = -5 + i.  Below |xi| = 1e-13 the zero-frequency continuation
-    R^{1-p}/(p-1) is returned.
+    For Re p0 < 1 and |xi| R << 1 segment and ray cancel, and the relative
+    error grows from ~1e-13 to ~1e-10 at p0 = -5 + i.  Below |xi| = 1e-13
+    the zero-frequency continuation R^{1-p}/(p-1) is returned.
+
+    The rows go through ``_descent_orders`` in blocks of at most
+    ``_TAIL_BLOCK``, so that its work arrays stay near 0.5 MB however many
+    keys a profile has.
     """
-    if abs(xi) < 1e-13:
-        out = np.empty(K, dtype=complex)
-        for k in range(K):
-            p = p0 + k
-            if abs(p - 1.0) < 1e-9:
-                raise InconclusiveIntegralError(
-                    "power tail divergent at zero asymptotic frequency")
-            out[k] = R ** (1.0 - p) / (p - 1.0)
-        return out
+    p0, xi, R = np.broadcast_arrays(np.atleast_1d(np.asarray(p0, dtype=complex)),
+                                    np.atleast_1d(np.asarray(xi, dtype=float)),
+                                    np.atleast_1d(np.asarray(R, dtype=float)))
+    M = np.empty((xi.size, _SERIES_LEN), dtype=complex)
+    zero = np.abs(xi) < 1e-13
+    if zero.any():
+        p = p0[zero, None] + np.arange(_SERIES_LEN)
+        if np.any(np.abs(p - 1.0) < 1e-9):
+            raise InconclusiveIntegralError(
+                "power tail divergent at zero asymptotic frequency")
+        M[zero] = R[zero, None] ** (1.0 - p) / (p - 1.0)
+    rows = np.flatnonzero(~zero)
+    for b in range(0, rows.size, _TAIL_BLOCK):
+        at = rows[b:b + _TAIL_BLOCK]
+        M[at] = _descent_orders(p0[at], xi[at], R[at])
+    return M
+
+
+def _descent_orders(p0: np.ndarray, xi: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The rows of ``_power_tail_orders`` at xi != 0, in one sweep.
+
+    The ray nodes of all rows are one (rows, 60) array; the segment panels
+    of the rows that need them are concatenated, 20 nodes each.  The
+    orders share the nodes: each order's node values are the previous
+    order's times 1/node, and each order is summed before the next (an
+    (orders, nodes) table would take 18 times the memory).  A row is
+    reduced on its own, by a fixed-length sum per ray row or panel and
+    ``np.add.reduceat`` over its own panels, and the complex products are
+    written in real arithmetic (``_cmul``), so a row gets the same bits
+    alone as in any stack."""
     tab = _kernel_tables()
-    scale = 1.0 / abs(xi)                     # one radian of phase
-    R1 = max(R, max(10.0, 0.6 * abs(p0 + (K - 1))) * scale)
-    rot = math.copysign(1.0, xi) * 1j * scale
-    base = R1 + rot * tab.ray_x
-    w = rot * np.exp(1j * xi * R1) * tab.ray_w
-    if R1 > R:
-        J = math.ceil(math.log2(scale / R)) if R < scale else 0
-        start = R * 2.0 ** J                  # panels from here are <= 1 rad
-        edges = np.concatenate([R * 2.0 ** np.arange(J), np.linspace(
-            start, R1, math.ceil((R1 - start) / scale) + 1)])
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        hw = (edges[1:] - edges[:-1]) / 2.0
-        r = (mid[:, None] + hw[:, None] * tab.seg_x).ravel()
-        base = np.concatenate([r, base])
-        w = np.concatenate([(hw[:, None] * tab.seg_w).ravel() * np.exp(1j * xi * r), w])
-    powers = np.empty((K, base.size), dtype=complex)
-    powers[0] = w * base ** (-p0)
-    powers[1:] = 1.0 / base
-    np.cumprod(powers, axis=0, out=powers)
-    return powers.sum(axis=1)
+    orders = np.arange(_SERIES_LEN)
+
+    def sweep(nodes, w, p, inv):
+        # sum over each row of nodes (weights w) of r^-(p+k) for every order
+        # k, as a (rows, orders) array; inv is 1/nodes.  The node values are
+        # a (2, rows, nodes) array of real and imaginary parts, and
+        # c *= inv is written in real arithmetic
+        c = _cmul(w, nodes ** (-p))
+        c = np.stack([c.real, c.imag])
+        del nodes, w
+        cross = np.stack([-inv.imag, inv.imag])
+        inv = inv.real
+        sums = np.empty((_SERIES_LEN, 2, c.shape[1]))
+        for k in orders:
+            c.sum(axis=2, out=sums[k])
+            swap = c[::-1] * cross
+            c *= inv
+            c += swap
+        return sums[:, 0].T + 1j * sums[:, 1].T
+
+    scale = 1.0 / np.abs(xi)                  # one radian of phase
+    R1 = np.maximum(R, np.maximum(10.0, 0.6 * np.abs(p0 + orders[-1])) * scale)
+    step = np.copysign(scale, xi)
+    y = step[:, None] * tab.ray_x             # the ray nodes are R1 + i y
+    den = R1[:, None] ** 2 + y * y
+    M = sweep(R1[:, None] + 1j * y, 1j * (step * np.exp(1j * (xi * R1)))[:, None] * tab.ray_w,
+              p0[:, None], R1[:, None] / den - 1j * (y / den))
+    seg = np.flatnonzero(R1 > R)
+    if seg.size:
+        R, scale, R1 = R[seg], scale[seg], R1[seg]
+        J = np.array([math.ceil(math.log2(x)) if x > 1.0 else 0 for x in (scale / R).tolist()])
+        start = np.ldexp(R, J)                # panels from here are <= 1 rad
+        lin = np.ceil((R1 - start) / scale).astype(int)
+        size = J + lin + 1                    # edges per row
+        first = np.cumsum(size) - size
+        owner = np.repeat(np.arange(seg.size), size)
+        i = np.arange(size.sum()) - first[owner] - J[owner]
+        # edges R 2^j for j < J, then those of linspace(start, R1, lin + 1)
+        edges = i * ((R1 - start) / lin)[owner] + start[owner]
+        geo = i < 0
+        edges[geo] = np.ldexp(R[owner[geo]], i[geo] + J[owner[geo]])
+        edges[first + size - 1] = R1
+        inner = np.flatnonzero(owner[1:] == owner[:-1])
+        row = owner[inner]
+        mid = (edges[inner + 1] + edges[inner]) / 2.0
+        hw = (edges[inner + 1] - edges[inner]) / 2.0
+        r = mid[:, None] + hw[:, None] * tab.seg_x
+        panels = sweep(r, hw[:, None] * tab.seg_w * np.exp(1j * (xi[seg][row, None] * r)),
+                       p0[seg][row, None], 1.0 / r + 0j)
+        M[seg] += np.add.reduceat(panels, first - np.arange(seg.size), axis=0)
+    return M
 
 
 def _tail_series(rs: RootSystem, sigma: complex, rho_tilde: float, t: float) -> tuple:
@@ -457,33 +535,48 @@ def _tail_series(rs: RootSystem, sigma: complex, rho_tilde: float, t: float) -> 
     return common, _bessel_a((rs.dim_X - 2) / 2.0, _SERIES_LEN)
 
 
-def _tail_value(rs: RootSystem, sigma: complex, t: float, s: float, R: float,
-                series: tuple) -> tuple:
-    """Analytic value of the high-frequency integrand tail on [R, inf), from
-    the ``_tail_series`` of (sigma, rho_tilde, t)."""
+def _tail_values(rs: RootSystem, sigma: complex, t: float, s: np.ndarray, R: np.ndarray,
+                 series: tuple) -> tuple:
+    """Analytic values of the high-frequency integrand tail on [R_k, inf) at
+    the radii s_k (K,), and their error estimates, from the ``_tail_series``
+    of (sigma, rho_tilde, t); returns (tail (K,), err (K,)).
+
+    A key with s_k = 0 has one power series against e^{itr}; any other has
+    the two Hankel branches e^{+-i s_k r} of its Bessel factor.  The orders
+    of every branch of every key come from one ``_power_tail_orders`` call.
+    A branch's series is the truncated product of the common series with
+    a_n (+-i)^n s^-n, that is sum_n s^-n T[n] with an (18, 18) matrix T per
+    branch, summed term by term (``_rowwise``).  Everything else is
+    elementwise in real arithmetic or a fixed-length row sum, so a key gets
+    the same bits alone as in any stack."""
     d = rs.dim_X
-    nu = (d - 2) / 2.0
     common, a = series
-    if s == 0.0:
-        coeffs = sphere_area(d) * common
-        p0 = sigma - (d - 1.0)
-        M = _power_tail_orders(p0, t, R, _SERIES_LEN)
-        return complex(np.sum(coeffs * M)), abs(coeffs[-1] * M[-1])
-    total = 0.0 + 0.0j
-    err = 0.0
-    theta = nu * np.pi / 2.0 + np.pi / 4.0
-    p0 = sigma - (d - 1.0) / 2.0
-    for pm in (+1.0, -1.0):
-        br = a * (pm * 1j) ** np.arange(_SERIES_LEN) * s ** (-np.arange(_SERIES_LEN, dtype=float))
-        coeffs = _series_mul(common, br)
-        pref = ((2.0 * np.pi) ** ((d - 1) / 2.0)
-                * np.exp(-1j * pm * theta) * s ** ((1.0 - d) / 2.0))
-        M = _power_tail_orders(p0, t + pm * s, R, _SERIES_LEN)
-        total += pref * complex(np.sum(coeffs * M))
-        err += abs(pref) * (abs(coeffs[-1] * M[-1])
-                            + abs(a[-1]) * (R * s) ** (-_SERIES_LEN + 0.5)
-                            * abs(M[0]) * s ** (-0.5))
-    return total, err
+    zero, shell = np.flatnonzero(s == 0.0), np.flatnonzero(s != 0.0)
+    n0, n1 = zero.size, shell.size
+    sk, Rk = s[shell], R[shell]
+    M = _power_tail_orders(
+        np.repeat([sigma - (d - 1.0), sigma - (d - 1.0) / 2.0], [n0, 2 * n1]),
+        np.concatenate([np.full(n0, t), t + sk, t - sk]),
+        np.concatenate([R[zero], Rk, Rk]))
+    tail = np.zeros(s.size, dtype=complex)
+    err = np.zeros(s.size)
+    coeffs = sphere_area(d) * common
+    tail[zero] = _cmul(coeffs, M[:n0]).sum(axis=1)
+    err[zero] = _cabs(_cmul(coeffs[-1], M[:n0, -1]))
+    orders = np.arange(_SERIES_LEN)
+    lag = orders[None, :] - orders[:, None]
+    theta = (d - 2) / 2.0 * np.pi / 2.0 + np.pi / 4.0
+    spow = sk[:, None] ** (-orders.astype(float))
+    for pm, Mb in ((+1.0, M[n0:n0 + n1]), (-1.0, M[n0 + n1:])):
+        T = (a * (pm * 1j) ** orders)[:, None] * np.where(lag >= 0, common[lag % _SERIES_LEN], 0.0)
+        coeffs = _rowwise(spow, T)
+        pref = ((2.0 * np.pi) ** ((d - 1) / 2.0) * np.exp(-1j * pm * theta)
+                * sk ** ((1.0 - d) / 2.0))
+        tail[shell] += _cmul(pref, _cmul(coeffs, Mb).sum(axis=1))
+        err[shell] += _cabs(pref) * (_cabs(_cmul(coeffs[:, -1], Mb[:, -1]))
+                                     + abs(a[-1]) * (Rk * sk) ** (-_SERIES_LEN + 0.5)
+                                     * _cabs(Mb[:, 0]) * sk ** (-0.5))
+    return tail, err
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +599,8 @@ def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray,
     All keys go through one batched pass (``_profile_pass``): lockstep panel
     edges, one Filon engine over the panels of every key in blocks of at
     most ``_FILON_BLOCK`` (a profile can hold 10^5 panels, and unblocked work
-    arrays reach hundreds of MB), and the tail series built once.
+    arrays reach hundreds of MB), the tail series built once, and one
+    batched tail call per extension round.
     """
     keys, inverse = np.unique([round(x, 12) for x in s.tolist()], return_inverse=True)
     t, sigma = float(p.t), complex(p.sigma)
@@ -530,9 +624,11 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
     """The integrals of ``_radial_profile`` at the distinct radii s (K,), t > 0.
 
     The low piece is one set of panels on [0, 2|rho|].  The high piece has
-    panels on [|rho|, R_k] and the analytic tail beyond R_k; each key whose
-    tail error estimate is not below ``TAIL_REL_TOL`` of its mass moves R_k
-    out by 1.7, and only those keys get panels on the new stretch.
+    panels on [|rho|, R_k] and the analytic tail beyond R_k.  Each round
+    evaluates the tails of all pending keys in one ``_tail_values`` call and
+    checks them against ``TAIL_REL_TOL`` as arrays; each key whose tail
+    error estimate is not below that share of its mass moves R_k out by
+    1.7, and only those keys get panels on the new stretch.
 
     The panels see the real amplitude chi (r^2+rt^2)^{-Re sigma/2} S_d(r, s)
     and the phase t sqrt(r^2+|rho|^2) - (Im sigma/2) ln(r^2+rt^2), which
@@ -575,18 +671,15 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
             f"analytic-tail start R = {R[far[0]]:.2e} out of reach ({context(far[0])})")
     add_panels(pending, rho_norm, R)
     series = _tail_series(rs, sigma, rho_tilde, t)
-    last, stopped = {}, []
+    last_err, last_mass = np.zeros(s.size), np.zeros(s.size)
+    stopped = []
     for _ in range(12):
-        short = []
-        for k in pending.tolist():
-            tail, tail_err = _tail_value(rs, sigma, t, s_eff[k], R[k], series)
-            mass = abs(out[k]) + abs(tail)
-            if tail_err <= TAIL_REL_TOL * max(mass, 1e-300):
-                out[k] += tail
-            else:
-                last[k] = (tail_err, mass)
-                short.append(k)
-        pending = np.array(short, dtype=int)
+        tail, tail_err = _tail_values(rs, sigma, t, s_eff[pending], R[pending], series)
+        mass = _cabs(out[pending]) + _cabs(tail)
+        done = tail_err <= TAIL_REL_TOL * np.maximum(mass, 1e-300)
+        out[pending[done]] += tail[done]
+        pending, tail_err, mass = pending[~done], tail_err[~done], mass[~done]
+        last_err[pending], last_mass[pending] = tail_err, mass
         reach = 1.7 * R[pending] <= 5e6
         stopped += pending[~reach].tolist()
         pending = pending[reach]
@@ -597,11 +690,10 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
     failing = stopped + pending.tolist()
     if failing:
         k = min(failing)
-        tail_err, mass = last[k]
         raise InconclusiveIntegralError(
-            f"tail estimate {tail_err:.2e} above {TAIL_REL_TOL:.0e} of mass {mass:.2e}; "
+            f"tail estimate {last_err[k]:.2e} above {TAIL_REL_TOL:.0e} of mass {last_mass[k]:.2e}; "
             f"panels reached R = {R[k]:.2e} ({context(k)})",
-            tail_bound=tail_err, accumulated=mass)
+            tail_bound=last_err[k], accumulated=last_mass[k])
     return out
 
 

@@ -24,7 +24,7 @@ from symwave.wave_kernel import (KernelParams, QuadratureControls, bessel_j,
 from symwave.root_system import root_system_from_tag
 from symwave.wave_kernel import (_FILON_BLOCK, _SERIES_LEN, _build_panels, _filon_sums,
                                  _power_tail_orders, _radial_profile, _tail_series,
-                                 _tail_value)
+                                 _tail_values)
 
 from kernel_oracle import oracle_high_regularized
 
@@ -204,7 +204,8 @@ def _sequential_panels(a, b, t, s, rho_norm, width_scale):
         return t * r / np.sqrt(r * r + rho_norm ** 2)
 
     def d2phase(r):
-        return t * rho_norm ** 2 / (r * r + rho_norm ** 2) ** 1.5
+        q = r * r + rho_norm ** 2
+        return t * rho_norm ** 2 / (q * math.sqrt(q))
 
     def width(r):
         rate = abs(dphase(r)) + s
@@ -338,18 +339,70 @@ def test_profiles_do_not_depend_on_the_filon_block(a1, a2, monkeypatch, block):
 @pytest.mark.parametrize("p0", [-1.0, 0.0, 1.5, 2.0, 1 + 0.49j, 0.9965j, 18 + 0.49j])
 def test_power_tail_orders_match_mpmath(p0):
     # M_k = int_R^inf r^{-p} e^{i xi r} dr = R^{1-p} E_p(-i xi R), p = p0 + k,
-    # across the segment/ray switch at |xi| R = 10 and both signs of xi
+    # across the segment/ray switch at |xi| R = 10 and both signs of xi, all
+    # cases as one stack
     R = 2.5
-    for xi_R in (1e-12, 1e-6, 1e-3, 0.5, 9.99, 10.0, 30.0, 1e3, 1e4):
-        for sign in (1.0, -1.0):
-            xi = sign * xi_R / R
-            got = _power_tail_orders(complex(p0), xi, R, _SERIES_LEN)
-            with mpmath.workdps(30):
-                for k in range(_SERIES_LEN):
-                    p = mpmath.mpc(p0) + k
-                    exact = complex(mpmath.power(R, 1 - p)
-                                    * mpmath.expint(p, mpmath.mpc(0, -xi * R)))
-                    assert got[k] == pytest.approx(exact, rel=1e-12), (xi_R, sign, k)
+    xi = np.array([sign * xi_R / R for xi_R in (1e-12, 1e-6, 1e-3, 0.5, 9.99, 10.0, 30.0, 1e3, 1e4)
+                   for sign in (1.0, -1.0)])
+    got = _power_tail_orders(complex(p0), xi, R)
+    assert got.shape == (xi.size, _SERIES_LEN)
+    with mpmath.workdps(30):
+        for row, x in zip(got, xi.tolist()):
+            for k in range(_SERIES_LEN):
+                p = mpmath.mpc(p0) + k
+                exact = complex(mpmath.power(R, 1 - p) * mpmath.expint(p, mpmath.mpc(0, -x * R)))
+                assert row[k] == pytest.approx(exact, rel=1e-12), (x * R, k)
+
+
+@pytest.mark.parametrize("block", [2, 64])
+def test_tail_values_do_not_depend_on_the_stack(a1, a2, monkeypatch, block):
+    # one stack covers every branch of the tail engine: s = 0, the ray alone,
+    # a real-axis segment before the ray, xi = t - s of both signs, and
+    # xi = 0 below the 1e-13 switch (s = t); each row has the bits of the
+    # call with its key alone, also when the stack's rows are split into
+    # steepest-descent blocks of 2
+    monkeypatch.setattr(wave_kernel, "_TAIL_BLOCK", block)
+    t = 0.7
+    s = np.array([0.0, 5.0, 0.05, 1.3, t, 0.0, 0.4])
+    R = np.array([30.0, 100.0, 12.0, 12.0, 40.0, 2.0, 300.0])
+    for rs in (a1, a2):
+        p_max = abs(SIGMA - (rs.dim_X - 1) / 2.0 + _SERIES_LEN - 1)
+        xiR = np.abs(np.concatenate([t + s[s > 0], t - s[s > 0]]) * np.tile(R[s > 0], 2))
+        reach = max(10.0, 0.6 * p_max)        # the ray alone from here on
+        assert np.any(xiR == 0.0) and np.any((0.0 < xiR) & (xiR < reach))
+        assert np.any(np.all(xiR.reshape(2, -1) >= reach, axis=0))
+        assert np.any(t - s < 0) and np.any(t * R[s == 0] < reach)
+        series = _tail_series(rs, SIGMA, rs.rho_norm, t)
+        for order in (np.arange(s.size), np.arange(s.size)[::-1], np.array([3, 1, 3, 6, 0, 2, 4, 5])):
+            tail, err = _tail_values(rs, SIGMA, t, s[order], R[order], series)
+            for i, k in enumerate(order):
+                one, one_err = _tail_values(rs, SIGMA, t, s[k:k + 1], R[k:k + 1], series)
+                assert tail[i] == one[0] and err[i] == one_err[0], (rs.tag, k)
+
+
+def test_one_tail_call_per_extension_round(a1, monkeypatch):
+    # the analytic tail of every pending key of a round is one batched call:
+    # the calls follow the panel extensions, not the keys
+    calls = {"tail": [], "panels": 0}
+    tail, build = wave_kernel._tail_values, wave_kernel._build_panels
+
+    def counting_tail(rs, sigma, t, s, R, series):
+        calls["tail"].append(s.size)
+        return tail(rs, sigma, t, s, R, series)
+
+    def counting_panels(*args):
+        calls["panels"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(wave_kernel, "_tail_values", counting_tail)
+    monkeypatch.setattr(wave_kernel, "_build_panels", counting_panels)
+    _radial_profile(a1, KernelParams(t=0.7, sigma=SIGMA), "high",
+                    np.linspace(0.01, 20.0, 40), "bump")
+    # the first round covers all 40 keys; each later round follows one
+    # extension of the panels
+    assert calls["tail"][0] == 40 and len(calls["tail"]) >= 2
+    assert len(calls["tail"]) == calls["panels"]
+    assert sum(calls["tail"]) > 40 > len(calls["tail"])
 
 
 def test_radial_integral_errors_name_the_inputs(a1, monkeypatch):
@@ -396,6 +449,7 @@ import numpy as np
 
 def check(step):
     assert 'scipy.special' not in sys.modules, step
+    assert 'numpy.polynomial' not in sys.modules, step
 
 import symwave
 check("import symwave")
@@ -420,8 +474,9 @@ check("symwave admissible")
 
 
 def test_spectral_workflows_do_not_load_scipy_special():
-    # only the kernel path uses special functions; importing scipy.special
-    # costs about 0.3 s and 19 MB, which the spectral side must not pay
+    # only the kernel path uses special functions and quadrature rules;
+    # importing scipy.special costs about 0.3 s and 19 MB, numpy.polynomial
+    # 0.75 MB, which the spectral side must not pay
     assert _fresh_python(_NO_SCIPY_SPECIAL).strip() == "true"     # admissible's answer
 
 
@@ -432,6 +487,7 @@ def test_chi_pair_loads_the_kernel_tables():
                   "assert 'scipy.special' not in sys.modules\n"
                   "symwave.chi_pair(np.zeros(1))\n"
                   "assert 'scipy.special' in sys.modules\n"
+                  "assert 'numpy.polynomial' in sys.modules\n"
                   "assert symwave.wave_kernel._kernel_tables.cache_info().currsize == 1\n")
 
 
@@ -458,8 +514,7 @@ def test_tail_seam_consistency(a1):
     t, s, rho_t = 1.3, 0.8, a1.rho_norm
     R1, R2 = 20.0, 55.0
     series = _tail_series(a1, SIGMA, rho_t, t)
-    tail1, _ = _tail_value(a1, SIGMA, t, s, R1, series)
-    tail2, _ = _tail_value(a1, SIGMA, t, s, R2, series)
+    (tail1, tail2), _ = _tail_values(a1, SIGMA, t, np.full(2, s), np.array([R1, R2]), series)
     amp = lambda r, k: (r * r + rho_t ** 2) ** (-SIGMA / 2.0) * shell_integral(a1, r, s)
     phase = lambda r: t * np.sqrt(r * r + a1.rho_norm ** 2)
     dphase = lambda r: t * r / np.sqrt(r * r + a1.rho_norm ** 2)
