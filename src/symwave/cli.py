@@ -53,21 +53,44 @@ def _float_list(x: str) -> list:
     return [float(v) for v in x.split(",") if v.strip()]
 
 
-# known option names per section, for config validation
-_SECTIONS = {
-    "common": {"root_system", "output_dir"},
-    "phi": {"lam", "box_radius", "points"},
-    "transform": {"box_radius", "points", "spectral_radius", "spectral_points",
-                  "width", "amplitude", "roundtrip"},
-    "kernel": {"t", "sigma_re", "sigma_im", "rho_tilde", "piece", "h_max",
-               "h_points", "envelope_power", "panels"},
-    "decay": {"regime", "sigma_re", "sigma_im", "per_axis", "envelope_power"},
-    "dispersive": {"q", "times", "per_axis_ks"},
-    "solve": {"gamma", "T", "steps", "box_radius", "points", "smallness",
-              "mu", "snapshots"},
-    "admissible": {"d", "p", "q"},
-    "gwp": {"d", "gamma"},
+# each subcommand's flags besides the [common] ones; a flag's dest (argparse
+# derives it from the flag's name) is also its key in the config section
+_COMMON = ("--root-system", "--output-dir")
+_OPTIONS = {
+    "phi": (("--lam", dict(type=_float_list)), ("--box-radius", dict(type=float)),
+            ("--points", dict(type=int))),
+    "transform": (("--box-radius", dict(type=float)), ("--points", dict(type=int)),
+                  ("--spectral-radius", dict(type=float)),
+                  ("--spectral-points", dict(type=int)),
+                  ("--width", dict(type=float)), ("--amplitude", dict(type=float)),
+                  ("--roundtrip", dict(type=int))),
+    "kernel": (("--t", dict(type=_float_list)), ("--sigma-re", dict(type=float)),
+               ("--sigma-im", dict(type=float)), ("--rho-tilde", dict(type=float)),
+               ("--piece", dict(choices=["low", "high_reg", "total"])),
+               ("--h-max", dict(type=float)), ("--h-points", dict(type=int)),
+               ("--envelope-power", dict(type=float)), ("--panels", dict(type=int))),
+    "decay": (("--regime", dict(choices=["small", "large", "small_time", "large_time"])),
+              ("--sigma-re", dict(type=float)), ("--sigma-im", dict(type=float)),
+              ("--per-axis", dict(type=int)), ("--envelope-power", dict(type=float))),
+    "dispersive": (("--q", dict(type=float)), ("--times", dict(type=_float_list)),
+                   ("--per-axis-ks", dict(type=int))),
+    "solve": (("--gamma", dict(type=float)), ("--T", dict(type=float)),
+              ("--steps", dict(type=int)), ("--box-radius", dict(type=float)),
+              ("--points", dict(type=int)), ("--smallness", dict(type=float)),
+              ("--mu", dict(type=float)), ("--snapshots", dict(type=int))),
+    "admissible": (("--d", dict(type=int)), ("--p", dict(type=_parse_float)),
+                   ("--q", dict(type=_parse_float))),
+    "gwp": (("--d", dict(type=int)), ("--gamma", dict(type=float))),
 }
+
+
+def _key(flag: str) -> str:
+    """The dest argparse gives the flag ``flag``: its config key."""
+    return flag[2:].replace("-", "_")
+
+
+_SECTIONS = {"common": {_key(f) for f in _COMMON},
+             **{name: {_key(f) for f, _ in specs} for name, specs in _OPTIONS.items()}}
 
 
 def _load_config(path: str | None) -> dict:
@@ -307,51 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "on complex-group symmetric spaces")
     ap.add_argument("--config", help="INI config file; flags override it")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, *specs):
+    for name, specs in _OPTIONS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--root-system", dest="root_system")
-        sp.add_argument("--output-dir", dest="output_dir")
+        for flag in _COMMON:
+            sp.add_argument(flag)
         for flag, kw in specs:
             sp.add_argument(flag, **kw)
-        return sp
-
-    add("phi", ("--lam", dict(type=_float_list)),
-        ("--box-radius", dict(dest="box_radius", type=float)),
-        ("--points", dict(type=int)))
-    add("transform", ("--box-radius", dict(dest="box_radius", type=float)),
-        ("--points", dict(type=int)),
-        ("--spectral-radius", dict(dest="spectral_radius", type=float)),
-        ("--spectral-points", dict(dest="spectral_points", type=int)),
-        ("--width", dict(type=float)), ("--amplitude", dict(type=float)),
-        ("--roundtrip", dict(type=int)))
-    add("kernel", ("--t", dict(type=_float_list)),
-        ("--sigma-re", dict(dest="sigma_re", type=float)),
-        ("--sigma-im", dict(dest="sigma_im", type=float)),
-        ("--rho-tilde", dict(dest="rho_tilde", type=float)),
-        ("--piece", dict(choices=["low", "high_reg", "total"])),
-        ("--h-max", dict(dest="h_max", type=float)),
-        ("--h-points", dict(dest="h_points", type=int)),
-        ("--envelope-power", dict(dest="envelope_power", type=float)),
-        ("--panels", dict(type=int)))
-    add("decay", ("--regime", dict(choices=["small", "large", "small_time",
-                                            "large_time"])),
-        ("--sigma-re", dict(dest="sigma_re", type=float)),
-        ("--sigma-im", dict(dest="sigma_im", type=float)),
-        ("--per-axis", dict(dest="per_axis", type=int)),
-        ("--envelope-power", dict(dest="envelope_power", type=float)))
-    add("dispersive", ("--q", dict(type=float)),
-        ("--times", dict(type=_float_list)),
-        ("--per-axis-ks", dict(dest="per_axis_ks", type=int)))
-    add("solve", ("--gamma", dict(type=float)), ("--T", dict(type=float)),
-        ("--steps", dict(type=int)),
-        ("--box-radius", dict(dest="box_radius", type=float)),
-        ("--points", dict(type=int)),
-        ("--smallness", dict(type=float)), ("--mu", dict(type=float)),
-        ("--snapshots", dict(type=int)))
-    add("admissible", ("--d", dict(type=int)),
-        ("--p", dict(type=_parse_float)), ("--q", dict(type=_parse_float)))
-    add("gwp", ("--d", dict(type=int)), ("--gamma", dict(type=float)))
     return ap
 
 

@@ -7,19 +7,19 @@ Spherical functions are evaluated through the complex-case closed form
                                           / sum_w det(w) e^{<w rho, H>},
 
 an alternating sum over the Weyl group divided by the Weyl denominator
-prod 2 sinh<alpha,H>, normalized so phi_lam(0) = 1.  The alternating sum
-annihilates every polynomial of degree below m = |Sigma+|, so near the joint
-origin (small |lam||H|) it is formed from the exponential remainders
-e^z - sum_{j<m} z^j/j!, whose dropped terms would otherwise cancel in
-floating point.  There is one evaluation path: ``phi_lambda_many`` takes
-lam and H broadcast against each other, evaluates every regular pair in
-one ``_phi_direct`` call, every pair with H on exactly one wall (and lam
-regular) in one more by the exact limit along the wall's normal, every pair
-with lam on exactly one root hyperplane (and H regular) in one more by the
-exact limit along that hyperplane's normal, and every other pair within
-1e-4 of a singular set (both arguments singular, or one near but off its
-singular set) in one more, by 6-point polynomial extrapolation along a
-fixed generic direction; ``phi_lambda`` is its one-point case.
+prod 2 sinh<alpha,H>, normalized so phi_lam(0) = 1.  ``phi_lambda_many``
+takes lam and H broadcast against each other and evaluates every pair with
+lam != 0 and H != 0 in one ``_phi_direct`` call; ``phi_lambda`` is its
+one-point case.  The Weyl sum is paired on both sides: with alpha the root
+of smallest pairing with lam and beta the one with H, it is grouped into
+the sets {w, s_beta w, w s_alpha, s_beta w s_alpha}, and each set's term
+carries the factors <alpha, lam> and 2 sinh<beta, H> that the denominators
+divide out, so a pair on a wall or root hyperplane, near one or far from
+all takes the same formula.  Near the joint origin (small |lam||H|) the
+exponentials are replaced by their remainders e^z - sum_{j<m} z^j/j!,
+m = |Sigma+|, which the alternating sum leaves unchanged.  At rank >= 3 an
+argument can lie near two walls at once; only there the value is
+extrapolated along a ray from paired values.
 
 Transforms are plain trapezoid sums over tensor grids, applied to a stack of
 B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
@@ -92,15 +92,13 @@ _EXTRAP_WEIGHTS = _lagrange_to_zero(np.arange(1, _EXTRAP_K + 1, dtype=float))
 
 
 def _near_singular(rs: RootSystem, pts: np.ndarray) -> np.ndarray:
-    """Points near a wall (H) or a root hyperplane (lam), where the
-    alternating-sum evaluation cancels too hard.
+    """Grid nodes near a wall (H) or a root hyperplane (lam), where the
+    transform's fold S(p) and its denominator both nearly vanish; the
+    transforms accept only the origin and nodes on exactly one wall there.
 
-    Cancellation severity scales with the product of all root pairings
-    relative to |p|^m, m = |Sigma+|, so both a single tiny pairing and a
-    compound of small ones are flagged.  The single-pairing test is
-    absolute, which keeps the origin flagged.  Each argument is judged on
-    its own; the cancellation when lam and H are both small is handled
-    inside ``_phi_direct``."""
+    The test is a single pairing below SINGULAR_EPS (absolute, which keeps
+    the origin flagged) or a product of all pairings below 1e-6 |p|^m,
+    m = |Sigma+|, which also flags a compound of small pairings."""
     pts = np.atleast_2d(pts)
     pair = np.abs(pts @ rs.roots_c.T)
     norm = np.linalg.norm(pts, axis=1) ** rs.n_positive
@@ -276,12 +274,20 @@ def _axis_fold(E: list, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_remainder(z: np.ndarray, m: int) -> np.ndarray:
-    """e^z - sum_{j<m} z^j/j! summed from its power series (Horner form)."""
-    s = np.ones_like(z)
-    for j in range(m + _REMAINDER_TERMS - 1, m, -1):
-        s = 1.0 + z * s / j
-    return z ** m / math.factorial(m) * s
+def _remainders(x1: np.ndarray, x2: np.ndarray, k: int) -> tuple:
+    """(D, R) at y1 = i x1, y2 = i x2 for real x1, x2: the divided difference
+    D = [R_k(y1) - R_k(y2)]/(y1 - y2) = sum_{j>=k} h_{j-1}(y1, y2)/j! and
+    R = R_k(y2) = sum_{j>=k} y2^j/j!, where R_k(y) = e^y - sum_{j<k} y^j/j!
+    and h_j = y1 h_{j-1} + y2^j (h_{-1} = 0).  The recurrences run on x1
+    and x2 in real arithmetic; each term's power i^n is applied in the sum."""
+    h, p = np.zeros_like(x1), np.ones_like(x2)    # h_{j-1}(x1, x2)/j!, x2^j/j!
+    D, R = np.zeros(x1.shape, dtype=complex), np.zeros(x2.shape, dtype=complex)
+    for j in range(k + _REMAINDER_TERMS):
+        if j >= k:
+            D += 1j ** (j - 1) * h
+            R += 1j ** j * p
+        h, p = (h * x1 + p) / (j + 1), p * x2 / (j + 1)
+    return D, R
 
 
 def _near_joint_origin(s: np.ndarray, m: int) -> np.ndarray:
@@ -298,65 +304,71 @@ def _near_joint_origin(s: np.ndarray, m: int) -> np.ndarray:
     return np.exp(-s) * (head + 1.0) > 1.0
 
 
-def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray,
-                wall: np.ndarray | None = None,
-                plane: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form evaluation on generic pairs; lam (P, r), H (P, r) -> (P,).
+def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The closed form at pairs with lam != 0 and H != 0; lam (P, r),
+    H (P, r) -> (P,).
 
-    The numerator sum_w det(w) e^{i<w lam, H>} vanishes to order m = |Sigma+|
-    in |lam||H|, because the alternating sum kills every polynomial of degree
-    below m.  Pairs near the joint origin therefore sum the remainders
-    e^z - sum_{j<m} z^j/j! instead, which is exact in exact arithmetic.  The
-    series is used where its bound S_m(s) = e^s - sum_{j<m} s^j/j!, s =
-    |lam||H| >= |z|, stays below 1 = |e^z| (``_near_joint_origin``), so the
-    remainders are no larger than the exponentials they replace; elsewhere
-    e^z is summed directly.  The sum runs one Weyl element at a time, so
-    memory stays O(P).
+    Both arguments are first moved into the closed positive chamber (the
+    value is W-invariant in each), where the roots alpha and beta of
+    smallest pairing with lam and with H are simple.  With
+    a = 2<alpha,lam>/|alpha|^2, b = 2<beta,H>/|beta|^2 and z = i<w lam, H>,
+    the elements w, s_beta w, w s_alpha and s_beta w s_alpha give
+    det(w) e^z [expm1(p) expm1(q) + e^{p+q} expm1(r)], p = -i a <w alpha, H>,
+    q = -i b <w lam, beta>, r = i a b <w alpha, beta>.  That is the same for
+    w and s_beta w, so the w with <beta, w rho> > 0 give twice the sum.  Its
+    factor ab cancels <alpha, lam> in pi(i lam) and 2 sinh<beta, H> in the
+    Weyl denominator through expm1(i x)/x = i e^{i x/2} sin(x/2)/(x/2) and
+    u/sinh u, u = <beta, H>: on, near or far from a wall or root hyperplane
+    the formula is the same.
 
-    With ``wall`` (P,), the index of a positive root alpha per pair whose
-    wall H lies on, the value is the limit along the unit normal
-    n = alpha/|alpha|: the numerator becomes its normal derivative
-    sum_w det(w) i<w lam, n> e^{i<w lam, H>} and the Weyl denominator its
-    normal derivative, with 2 sinh<alpha, H> replaced by 2|alpha|.  With
-    ``plane`` (P,), the index of the root whose hyperplane lam lies on, the
-    limit is taken in lam instead: the numerator becomes
-    sum_w det(w) i<w n, H> e^{i<w lam, H>} and pi(i lam) becomes
-    i^m |alpha| prod_{beta != alpha} <beta, lam>.  Either way the remainder
-    of order m differentiates to the remainder of order m - 1, which near
-    the joint origin takes the same switch at m - 1.
-    """
+    Near the joint origin, where S_{m-1}(|lam||H|) < 1 (m = |Sigma+|,
+    ``_near_joint_origin``), e^z becomes its remainder of order m, which
+    leaves the alternating sum unchanged, and the four terms are
+    int_0^1 [q (p + t r) D(y1, y2) + r R(y2)] dt, y1 = z + t q,
+    y2 = z + p + t (q + r), with D and R of order m - 1 (``_remainders``),
+    by an 8-point Gauss-Legendre rule: the integrand is entire in t."""
+    m = rs.n_positive
+    near = _near_joint_origin(np.linalg.norm(lam, axis=1) * np.linalg.norm(H, axis=1), m - 1)
     W = weyl_group(rs)
-    index = wall if plane is None else plane
-    order = rs.n_positive if index is None else rs.n_positive - 1
-    joint = np.linalg.norm(lam, axis=1) * np.linalg.norm(H, axis=1)
-    near = _near_joint_origin(joint, order)
-    far = ~near
-    if index is not None:
-        slope = np.linalg.norm(rs.roots_c[index], axis=1)
-        normal = rs.roots_c[index] / slope[:, None]
-    num = np.zeros(lam.shape[0], dtype=complex)
-    term = np.empty(lam.shape[0], dtype=complex)
-    for mat, sign in zip(W.matrices, W.signs):
-        # <w lam, H> elementwise: a matrix product rounds differently for
-        # different P, and near a wall the alternating sum magnifies that
-        wlam = np.sum(lam[:, None, :] * mat, axis=-1)
-        z = 1j * np.sum(wlam * H, axis=-1)
-        term[far] = np.exp(z[far])
-        term[near] = _exp_remainder(z[near], order)
-        if wall is not None:
-            term *= 1j * np.sum(wlam * normal, axis=-1)
-        elif plane is not None:
-            term *= 1j * np.sum(np.sum(normal[:, None, :] * mat, axis=-1) * H, axis=-1)
-        num += sign * term
+    folded = []
+    for p in (lam, H):
+        w = W.matrices[np.argmax(p @ (rs.rho_c @ W.matrices).T, axis=1)]
+        p = np.einsum("pij,pj->pi", w, p)
+        folded += [p, np.argmin(np.abs(rs.pairings(p)), axis=1)]
+    lam, ia, H, ib = folded
+    n = np.arange(1.0, 8.0)
+    off = n / np.sqrt(4.0 * n * n - 1.0)
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))   # Golub-Welsch
+    t, gw = (t + 1.0) / 2.0, v[0] ** 2
+    total = np.zeros(lam.shape[0], dtype=complex)
+    for i, j, nr in set(zip(ia.tolist(), ib.tolist(), near.tolist())):
+        sel = np.flatnonzero((ia == i) & (ib == j) & (near == nr))
+        alpha, beta = rs.roots_c[i], rs.roots_c[j]
+        L, X = lam[sel], H[sel]
+        a, b = 2.0 * (L @ alpha) / (alpha @ alpha), 2.0 * (X @ beta) / (beta @ beta)
+        half = (W.matrices @ rs.rho_c) @ beta > 0
+        for mat, sign in zip(W.matrices[half], W.signs[half]):
+            wlam, walpha = L @ mat.T, mat @ alpha
+            zeta, P, Q, C = np.einsum("ij,ij->i", wlam, X), X @ walpha, wlam @ beta, walpha @ beta
+            tp, tq, tr = -a * P, -b * Q, a * b * C
+            if nr:
+                D, R = _remainders(zeta[:, None] + t * tq[:, None],
+                                   (zeta + tp)[:, None] + t * (tq + tr)[:, None], m - 1)
+                term = (((-P * Q)[:, None] - t * (C * tq)[:, None]) * D + 1j * C * R) @ gw
+            else:
+                sp, sq, sr = (np.sinc(x / (2.0 * np.pi)) for x in (tp, tq, tr))
+                term = (-P * Q * np.exp(1j * (zeta + (tp + tq) / 2)) * sp * sq
+                        + 1j * C * np.exp(1j * (zeta + tp + tq + tr / 2)) * sr)
+            total[sel] += sign / 2.0 * term
+    rows = np.arange(lam.shape[0])
+    lam_fac, u = rs.pairings(lam), rs.pairings(H)
+    den_fac = 2.0 * np.sinh(u)
+    lam_fac[rows, ia] = np.sum(rs.roots_c[ia] ** 2, axis=1) / 2.0
+    u = u[rows, ib]
+    den_fac[rows, ib] = np.sum(rs.roots_c[ib] ** 2, axis=1) * np.divide(
+        np.sinh(u), u, out=np.ones_like(u), where=u != 0)
     pi_rho = float(np.prod(rs.pairings(rs.rho_c)))
-    lam_fac = rs.pairings(lam)
-    den_fac = 2.0 * np.sinh(rs.pairings(H))
-    if wall is not None:
-        den_fac[np.arange(H.shape[0]), wall] = 2.0 * slope
-    elif plane is not None:
-        lam_fac[np.arange(lam.shape[0]), plane] = slope
-    pi_ilam = (1j ** rs.n_positive) * np.prod(lam_fac, axis=-1)
-    return pi_rho / pi_ilam * num / np.prod(den_fac, axis=-1)
+    return pi_rho / (1j ** m * np.prod(lam_fac, axis=1) * np.prod(den_fac, axis=1)) * total
 
 
 def _ray_offsets(pts: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -376,46 +388,33 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     against many H, many lam against one H, or lam[:, None] against H[None]
     for a table.
 
-    Regular pairs take ``_phi_direct`` in one call.  A pair with lam near a
-    root hyperplane or H near a wall is a removable singularity.  Where only
-    H is flagged and lies on exactly one wall (pairing at most 1e-12 |H|),
-    ``_phi_direct`` takes the exact limit along the wall's normal, all such
-    pairs in one call; where only lam is flagged and lies on exactly one
-    root hyperplane (pairing at most 1e-12 |lam|), it takes the limit along
-    that hyperplane's normal, in one more.  For every other singular pair
-    (both flagged, or near but off a singular set) the singular
-    arguments move along the generic ray by k tau, k = 1..6,
-    tau = 0.05 / max(|lam|, |H|, 1), and the value is extrapolated to k = 0,
-    all of them in one more call.  H = 0 gives exactly 1 and lam = 0 gives
-    phi0(H).
+    Every pair with lam != 0 and H != 0 takes the paired closed form in one
+    ``_phi_direct`` call; H = 0 gives exactly 1 and lam = 0 gives phi0(H).
+    The pairing lifts the cancellation of one wall (root hyperplane) per
+    argument.  At rank >= 3 an argument p can have two pairings below
+    SINGULAR_EPS |p|; it moves along a generic ray by k tau, k = 1..6,
+    tau = 0.05 / max(|lam|, |H|, 1), and the paired values there are
+    extrapolated to k = 0 in one more call.
     """
     lam, H = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(H, dtype=float))
     shape = lam.shape[:-1]
     lam, H = lam.reshape(-1, rs.rank), H.reshape(-1, rs.rank)
     lam_n, H_n = np.linalg.norm(lam, axis=1), np.linalg.norm(H, axis=1)
-    lam_sing, H_sing = _near_singular(rs, lam), _near_singular(rs, H)
+    live = (lam_n >= 1e-14) & (H_n >= 1e-14)
+    lam_two, H_two = (live & (np.count_nonzero(np.abs(rs.pairings(p)) < SINGULAR_EPS * n[:, None],
+                                               axis=1) >= 2)
+                      for p, n in ((lam, lam_n), (H, H_n)))
     out = np.empty(lam.shape[0], dtype=complex)
-    regular = ~lam_sing & ~H_sing
-    out[regular] = _phi_direct(rs, lam[regular], H[regular])
-    on_H = np.abs(rs.pairings(H)) <= 1e-12 * H_n[:, None]
-    on_lam = np.abs(rs.pairings(lam)) <= 1e-12 * lam_n[:, None]
-    wall = (H_sing & ~lam_sing & (H_n >= 1e-14)
-            & (np.count_nonzero(on_H, axis=1) == 1))
-    plane = (lam_sing & ~H_sing & (lam_n >= 1e-14)
-             & (np.count_nonzero(on_lam, axis=1) == 1))
-    out[wall] = _phi_direct(rs, lam[wall], H[wall],
-                            wall=np.argmax(on_H[wall], axis=1))
-    out[plane] = _phi_direct(rs, lam[plane], H[plane],
-                             plane=np.argmax(on_lam[plane], axis=1))
-    todo = np.nonzero(~regular & ~wall & ~plane & (lam_n >= 1e-14) & (H_n >= 1e-14))[0]
-    tau = 0.05 / np.maximum(np.maximum(lam_n[todo], H_n[todo]), 1.0)
-
-    def path(p, sing):
-        return np.where(sing[todo, None, None], _ray_offsets(p[todo], tau),
-                        p[todo, None, :]).reshape(-1, rs.rank)
-    vals = _phi_direct(rs, path(lam, lam_sing), path(H, H_sing))
-    out[todo] = vals.reshape(-1, _EXTRAP_K) @ _EXTRAP_WEIGHTS
+    one = live & ~lam_two & ~H_two
+    out[one] = _phi_direct(rs, lam[one], H[one])
+    todo = np.flatnonzero(lam_two | H_two)           # empty at rank <= 2
+    if todo.size:
+        tau = 0.05 / np.maximum(np.maximum(lam_n[todo], H_n[todo]), 1.0)
+        paths = [np.where(two[todo, None, None], _ray_offsets(p[todo], tau),
+                          p[todo, None, :]).reshape(-1, rs.rank)
+                 for p, two in ((lam, lam_two), (H, H_two))]
+        out[todo] = _phi_direct(rs, *paths).reshape(-1, _EXTRAP_K) @ _EXTRAP_WEIGHTS
     out[lam_n < 1e-14] = phi0(rs, H[lam_n < 1e-14])
     out[H_n < 1e-14] = 1.0
     return out.reshape(shape)

@@ -674,7 +674,11 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
     last_err, last_mass = np.zeros(s.size), np.zeros(s.size)
     stopped = []
     for _ in range(12):
-        tail, tail_err = _tail_values(rs, sigma, t, s_eff[pending], R[pending], series)
+        try:
+            tail, tail_err = _tail_values(rs, sigma, t, s_eff[pending], R[pending], series)
+        except InconclusiveIntegralError as exc:    # a zero-frequency key: |H| = t
+            k = pending[np.argmin(np.abs(t - s_eff[pending]))]
+            raise InconclusiveIntegralError(f"{exc}; R = {R[k]:.2e} ({context(k)})") from None
         mass = _cabs(out[pending]) + _cabs(tail)
         done = tail_err <= TAIL_REL_TOL * np.maximum(mass, 1e-300)
         out[pending[done]] += tail[done]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symwave.cli import run
+from symwave.cli import _build_parser, _load_config, run
 from symwave.root_system import root_system_from_tag
 from symwave.spherical import plancherel_constant
 from symwave.wave_kernel import KernelParams, kernel_piece
@@ -144,6 +145,28 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text("[gwp]\nbogus = 1\n")
     assert run(["--config", str(cfg), "gwp"]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_every_flag_is_a_key_of_its_config_section(tmp_path, capsys):
+    # flags and config keys are declared once: every dest of every
+    # subcommand is accepted in its section ([common] for the shared ones),
+    # and a misspelt key is refused with exit 2
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        dests = [a.dest for a in sp._actions if a.dest != "help"]
+        common = [d for d in dests if d in ("root_system", "output_dir")]
+        assert len(common) == 2
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text("[common]\n" + "".join(f"{d} = 1\n" for d in common)
+                       + f"[{name}]\n" + "".join(f"{d} = 1\n" for d in dests
+                                                  if d not in common))
+        assert len(_load_config(str(ini))) == len(dests)
+        for d in dests:
+            wrong = d.replace("_", "-") if "_" in d else d + d[-1]
+            ini.write_text(f"[{'common' if d in common else name}]\n{wrong} = 1\n")
+            assert run(["--config", str(ini), name]) == 2
+            assert f"unknown key {wrong!r}" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

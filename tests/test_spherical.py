@@ -71,27 +71,34 @@ def test_phi_at_zero_spectral_parameter_matches_phi0(a2, rng):
 def test_basic_bound(lx, ly, hx, hy):
     rs = build_root_system("A", 2)
     lam, H = np.array([lx, ly]), np.array([hx, hy])
-    direct = not (_near_singular(rs, lam)[0] or _near_singular(rs, H)[0])
-    # on singular sets values come from polynomial extrapolation, whose
-    # noise floor exceeds the razor-thin 1e-10 margin
-    slack = 1e-10 if direct else 5e-6
-    assert abs(phi_lambda(rs, lam, H)) <= phi0(rs, H) * (1 + slack) + (0 if direct else 5e-6)
+    # one formula for every pair, on the singular sets too
+    assert abs(phi_lambda(rs, lam, H)) <= phi0(rs, H) * (1 + 1e-10)
 
 
 def _phi_closed_form_mp(rs, lam, H, shift=0):
-    """The closed form of phi_lam(exp H) to 60 digits.
+    """The closed form of phi_lam(exp H) to 40 or more significant digits.
 
-    The Weyl group acts exactly on ambient coordinates (permutations for A,
-    signed permutations for B), so the alternating sum cancels its
-    low-order Taylor terms without rounding.  A nonzero ``shift`` (rank 2)
-    first moves lam and H by shift * (1, sqrt 2)/sqrt 3, off every wall and
-    root hyperplane of A2 and B2, in mpmath; the cancellation then costs up
-    to -2 log10(shift) digits, which are added to the working precision."""
+    The Weyl group acts exactly on ambient coordinates (permutations for A;
+    signed permutations for B and C, with an even number of sign changes
+    for D), so the alternating sum cancels its low-order Taylor terms
+    without rounding.  A nonzero ``shift`` first moves lam and H by
+    shift * d, d a fixed unit vector off every wall and root hyperplane, in
+    mpmath; callers pick it so that no pairing vanishes.  The working
+    precision adds the digits that the cancellation costs: -log10 of each
+    pairing relative to |p| (at least the shift) and m log10 |lam||H| below
+    1, m = |Sigma+|."""
     n = rs.ambient_dim
-    signs = [(1,) * n] if rs.family == "A" \
-        else list(itertools.product((1, -1), repeat=n))
-    with mp.workdps(60 if shift == 0 else 60 - 2 * int(mp.log10(shift))):
-        d = [mp.sqrt(mp.mpf(k + 1) / 3) for k in range(rs.rank)]
+    signs = [eps for eps in itertools.product((1, -1), repeat=n)
+             if (rs.family != "A" or -1 not in eps)
+             and (rs.family != "D" or eps.count(-1) % 2 == 0)]
+    pts = np.array([lam, H], dtype=float)
+    norms = np.linalg.norm(pts, axis=1)
+    rel = np.abs(pts @ rs.roots_c.T) / norms[:, None]
+    lost = -np.sum(np.log10(np.clip(rel, max(float(shift), 1e-300), 1.0))) \
+        - rs.n_positive * np.log10(min(1.0, norms[0] * norms[1]))
+    with mp.workdps(40 + int(lost)):
+        d = [mp.sqrt(mp.mpf(2 * (k + 1)) / (rs.rank * (rs.rank + 1)))
+             for k in range(rs.rank)]
         lam_s = [mp.mpf(lam[k]) + shift * d[k] for k in range(rs.rank)]
         H_s = [mp.mpf(H[k]) + shift * d[k] for k in range(rs.rank)]
         lam_a = [mp.fsum(lam_s[k] * mp.mpf(rs.a_basis[k, i])
@@ -193,14 +200,18 @@ def _wall(rs, k):
     return np.array([-a[1], a[0]]) / np.linalg.norm(a)
 
 
+def _normal(rs, k):
+    # unit normal of that wall
+    return rs.roots_c[k] / np.linalg.norm(rs.roots_c[k])
+
+
 @pytest.mark.parametrize("family", ["A", "B"])
 @pytest.mark.parametrize("case", ["H-wall", "lam-plane", "both"])
 def test_extrapolated_phi_matches_high_precision_closed_form(family, case):
     # Removable singularities: on every wall, with |lam| and |H| in
     # {0.3, 1, 3}, the value must match the closed form taken 1e-30 off the
-    # singular set, with 60 digits left after cancellation.  H alone on a
-    # wall and lam alone on a root hyperplane take the exact normal limit;
-    # the mixed case is extrapolated.
+    # singular set.  H on a wall, lam on a root hyperplane and both take
+    # the same paired formula.
     rs = build_root_system(family, 2)
     n_roots = rs.roots_c.shape[0]
     worst = 0.0
@@ -214,7 +225,115 @@ def test_extrapolated_phi_matches_high_precision_closed_form(family, case):
             assert _near_singular(rs, H)[0] == (case != "lam-plane")
             ref = _phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
             worst = max(worst, abs(phi_lambda(rs, lam, H) - ref) / abs(ref))
-    assert worst <= (1e-6 if case == "both" else 1e-11)
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("case", ["H-wall", "lam-plane", "both"])
+def test_phi_near_walls_matches_high_precision_closed_form(family, case):
+    # H at distance delta |H| from a wall, lam at delta |lam| from a root
+    # hyperplane, or both, down to the joint origin: on, near and off the
+    # singular sets the error stays at rounding level
+    rs = build_root_system(family, 2)
+    n_roots = rs.roots_c.shape[0]
+    lams, Hs = [], []
+    for k in range(n_roots):
+        for delta in (0.0, 1e-12, 1e-9, 1e-6, 5e-5, 1e-3, 0.1):
+            for r_lam, r_H in itertools.product((0.01, 0.03, 0.3, 1.0, 3.0), repeat=2):
+                near_plane = _wall(rs, k) + delta * _normal(rs, k)
+                near_wall = _wall(rs, (k + 1) % n_roots) + delta * _normal(rs, (k + 1) % n_roots)
+                lams.append(r_lam * (near_plane if case != "H-wall"
+                                     else np.array([np.cos(0.4), np.sin(0.4)])))
+                Hs.append(r_H * (near_wall if case != "lam-plane"
+                                 else np.array([np.cos(1.3), np.sin(1.3)])))
+    vals = phi_lambda_many(rs, np.array(lams), np.array(Hs))
+    ref = np.array([_phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
+                    for lam, H in zip(lams, Hs)])
+    assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-11
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _on_walls(rs, ks, g):
+    # unit projection of g onto the intersection of the walls of roots ks
+    Q, _ = np.linalg.qr(rs.roots_c[list(ks)].T)
+    g = np.asarray(g, dtype=float)
+    return _unit(g - Q @ (Q.T @ g))
+
+
+# per rank >= 3 system: a vector whose projection onto any one wall keeps
+# every other pairing above 0.1 |p|, and a regular vector
+_GENERIC = {"A3": ([0.8, -1.4, 0.0], [0.4, 0.0, -0.5]),
+            "B3": ([-1.8, 0.3, 1.4], [-1.7, 0.7, -2.7]),
+            "C3": ([-1.8, 0.3, 1.4], [-1.7, 0.7, -2.7]),
+            "D4": ([-0.5, 0.1, 0.0, 0.4], [0.0, 0.6, -0.2, -0.4])}
+
+
+@pytest.mark.parametrize("tag", ["A3", "B3", "C3", "D4"])
+def test_phi_near_one_wall_matches_closed_form_at_rank_3_and_4(tag):
+    # one wall per argument, on it or near it: the pairing lifts the
+    # cancellation as at rank 2
+    rs = build_root_system(tag[0], int(tag[1:]))
+    g_wall, g_reg = _GENERIC[tag]
+    n_roots = rs.roots_c.shape[0]
+    lams, Hs = [], []
+    for k in range(n_roots):
+        kk = (k + 1) % n_roots
+        for case in ("H-wall", "lam-plane", "both"):
+            for delta, (r_lam, r_H) in itertools.product(
+                    (0.0, 1e-9, 1e-3), ((0.03, 1.0), (1.0, 0.3), (3.0, 3.0))):
+                lam = (_on_walls(rs, [k], g_wall) + delta * _unit(rs.roots_c[k])
+                       if case != "H-wall" else _unit(g_reg))
+                H = (_on_walls(rs, [kk], g_wall) + delta * _unit(rs.roots_c[kk])
+                     if case != "lam-plane" else _unit(g_reg))
+                for p in (lam, H):
+                    assert np.sort(np.abs(rs.roots_c @ p))[1] > 0.1
+                lams.append(r_lam * lam)
+                Hs.append(r_H * H)
+    vals = phi_lambda_many(rs, np.array(lams), np.array(Hs))
+    ref = np.array([_phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
+                    for lam, H in zip(lams, Hs)])
+    assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-11
+
+
+def test_phi_on_two_walls_matches_closed_form_at_rank_3():
+    # an argument orthogonal to two roots (on a third wall too when their
+    # sum is a root) is the one input the pairing leaves to extrapolation
+    rs = build_root_system("A", 3)
+    g_reg = _unit(_GENERIC["A3"][1])
+    worst = 0.0
+    for ks in itertools.combinations(range(rs.roots_c.shape[0]), 2):
+        line = _on_walls(rs, ks, [1.0, 0.3, -0.7])
+        for r_lam, r_H in ((0.3, 1.0), (1.0, 1.0), (1.0, 3.0), (3.0, 0.3)):
+            for lam, H in ((r_lam * g_reg, r_H * line), (r_lam * line, r_H * g_reg)):
+                ref = _phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
+                worst = max(worst, abs(phi_lambda(rs, lam, H) - ref) / abs(ref))
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2"])
+def test_rank_two_takes_no_extrapolation(tag, monkeypatch):
+    # walls, root hyperplanes, both and the joint origin all take the
+    # paired closed form: the ray extrapolation is never reached
+    rs = build_root_system(tag[0], int(tag[1]))
+
+    def refuse(*args):
+        raise AssertionError("extrapolation reached at rank <= 2")
+    monkeypatch.setattr(spherical, "_ray_offsets", refuse)
+    if rs.rank == 1:
+        lams = np.array([[1.7], [-0.4], [1e-5], [0.01]])
+        Hs = np.array([[0.9], [-2.1], [3e-5], [0.01]])
+    else:
+        walls = [r * _wall(rs, k) for k in range(rs.roots_c.shape[0])
+                 for r in (1e-3, 0.05, 1.3)]
+        lams = np.array(walls + [[1.1, 0.6], [0.01, 0.02], [-2.0, 0.5]])
+        Hs = np.array(walls + [[0.7, 0.4], [0.02, -0.01], [-0.3, 1.9]])
+    table = phi_lambda_many(rs, lams[:, None, :], Hs[None, :, :])
+    assert np.all(np.isfinite(table))
+    assert np.all(np.abs(table) <= phi0(rs, Hs)[None, :] * (1 + 1e-10))
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "B2"])

@@ -421,6 +421,11 @@ def test_radial_integral_errors_name_the_inputs(a1, monkeypatch):
         kernel_high_regularized(a1, KernelParams(t=1.35, sigma=SIGMA), H)
     assert all(n in str(exc.value) for n in names + ("t = 1.35",))
     assert 0.0 < exc.value.tail_bound and 0.0 < exc.value.accumulated
+    # on the light cone with p0 + k = 1 the tail integral has no value
+    with pytest.raises(InconclusiveIntegralError, match="zero asymptotic frequency") as exc:
+        kernel_high_regularized(a1, KernelParams(t=1.5, sigma=1.0), [1.5])
+    assert all(n in str(exc.value) for n in ("high piece", "t = 1.5", "|H| = 1.5",
+                                             "sigma = 1+0j", "R = "))
 
 
 def test_runtime_import_does_not_load_mpmath():
