@@ -33,18 +33,19 @@ result U is summed once per coset representative (``_coset_fold``).  At
 rank 1, W0 = W and U is odd, so the fold is one real sine table over the
 positive half-axis and two real matrix products.  At rank 2 the identity
 coset is A @ U @ B^T per slice, the whole sum on B2, C2 and D2; the two
-other cosets of A2 go through per-coordinate phase tables, a matrix
-product and a rowwise dot (see ``_w_fold``).  Only the output rows y_a >= 0
-are folded; the others follow from S(s p) = det(s) S(p) for a diagonal s
-in W0 with s_00 = -1.  The transform is evaluated on the whole output grid
-and divided by pi(lam) or by the Weyl denominator, each a product of one
-factor per positive root.  On the wall (root hyperplane) of one root the
-alternating sum and that product both vanish, and the value there is their
-limit along the wall's normal: the normal derivative of the alternating
-sum, folded from the two first-moment stacks of U over the representatives
-at the wall nodes only, over the product with the vanishing factor
-replaced by its normal derivative.  The origin takes its exact value, and
-a grid with any other node near a singular set is refused.
+other cosets of A2 go through per-coordinate phase tables, then a matrix
+product and a rowwise dot per block of output rows (see ``_w_fold``).
+Only the output rows y_a >= 0 are folded; the others follow from
+S(s p) = det(s) S(p) for a diagonal s in W0 with s_00 = -1.  The
+transform is evaluated on the whole output grid and divided by pi(lam) or
+by the Weyl denominator, each a product of one factor per positive root.
+On the wall (root hyperplane) of one root the alternating sum and that
+product both vanish, and the value there is their limit along the wall's
+normal: the normal derivative of the alternating sum, folded from the two
+first-moment stacks of U over the representatives at the wall nodes only,
+over the product with the vanishing factor replaced by its normal
+derivative.  The origin takes its exact value, and a grid with any other
+node near a singular set is refused.
 Each slice passes its own tail check, and a failure names the slice.
 """
 
@@ -62,7 +63,8 @@ from .geometry import (TAIL_TOL, RadialFunction, RadialGrid, _TensorFunction,
 from .root_system import RootSystem, pi_many, weyl_group
 
 SINGULAR_EPS = 1e-4
-_EXTRAP_K = 6
+_EXTRAP_NODES = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])   # ray steps k, in tau
+_FOLD_BLOCK = 8              # output rows per block of the A2 coset fold
 # Below the switch of _phi_direct successive remainder-series terms shrink by
 # a factor under 0.4, so 40 terms leave a tail far below double precision.
 _REMAINDER_TERMS = 40
@@ -88,7 +90,7 @@ def _lagrange_to_zero(k: np.ndarray) -> np.ndarray:
     return w
 
 
-_EXTRAP_WEIGHTS = _lagrange_to_zero(np.arange(1, _EXTRAP_K + 1, dtype=float))
+_EXTRAP_WEIGHTS = _lagrange_to_zero(_EXTRAP_NODES)
 
 
 def _near_singular(rs: RootSystem, pts: np.ndarray) -> np.ndarray:
@@ -183,12 +185,13 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     one real sine table over the positive half-axis and two real matrix
     products.  At rank 2 the identity coset is A @ U @ B^T per slice, from
     one phase table per output coordinate; that is the whole sum on B2, C2
-    and D2.  On A2 the other two representatives go through the per-axis
-    phase matrices of ``_weyl_phases`` on the folded rows.
+    and D2.  On A2 the other two representatives fold the rows y_a >= 0
+    in blocks of output rows (``_axis_fold``) from per-coordinate tables
+    built once per representative (``_weyl_phases``).
     """
     U, reps, (s, sign) = _coset_fold(rs, values, weights)
     x, y = _symmetric(axis), _symmetric(out_axis)
-    lo = y.shape[0] // 2                     # rows y[lo:] >= 0 are folded
+    m, lo = y.shape[0], y.shape[0] // 2      # rows y[lo:] >= 0 are folded
     if rs.rank == 1:
         k = x.shape[0] // 2 + 1              # x[k:] > 0; U(0) = 0
         T = np.sin(np.multiply.outer(x[k:], y[lo:]))
@@ -196,9 +199,8 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     else:
         half = _phase(y[lo:], x) @ U @ _phase(y, x).T
         for mat, rsign in reps[1:]:
-            E = _weyl_phases(mat, y, x, np.s_[lo:, None], np.s_[:])
-            half += rsign * _axis_fold(E, U).reshape(half.shape)
-            del E
+            half += rsign * _axis_fold(_weyl_phases(mat, y, x), np.arange(lo, m)[:, None],
+                                       np.arange(m)[None, :], U).reshape(half.shape)
     low = half[(slice(None), slice(None, None, -1))
                + tuple(np.s_[::int(d)] for d in np.diag(s)[1:])]
     out = np.concatenate([sign * low[:, :lo], half], axis=1)
@@ -219,9 +221,9 @@ def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
                    sum_x U_b(x) i x_k exp(i <r^T p, x>)
 
     is the fold of the two moment stacks i x_k U over the representatives
-    only, contracted per point with (n r)_k.  Their phases are the
-    per-coordinate tables of ``_weyl_phases`` on the exactly antisymmetric
-    axes, indexed by each node's grid indices."""
+    only, contracted per point with (n r)_k.  Their phases come from each
+    representative's tables (``_weyl_phases``) on the exactly antisymmetric
+    axes, at the nodes' grid indices, passed as one row: one block."""
     U, reps, _ = _coset_fold(rs, values, weights)
     x, y = _symmetric(axis), _symmetric(out_axis)
     B = U.shape[0]
@@ -233,45 +235,43 @@ def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     ia, ib = np.divmod(idx, y.shape[0])
     out = np.zeros((B, idx.shape[0]), dtype=complex)
     for mat, sign in reps:
-        E = _weyl_phases(mat, y, x, ia, ib)
-        F = _axis_fold(E, moments).reshape(2, B, -1)
+        F = _axis_fold(_weyl_phases(mat, y, x), ia[None], ib[None], moments).reshape(2, B, -1)
         c = normals @ mat                  # (n r)_k per point
         out += sign * (c[:, 0] * F[0] + c[:, 1] * F[1])
     return out
 
 
-def _weyl_phases(mat: np.ndarray, out_axis: np.ndarray, axis: np.ndarray,
-                 ia: np.ndarray, ib: np.ndarray) -> list:
-    """The per-axis phase matrices exp(i (w^T p)_k x), k < 2, of the Weyl
-    matrix ``mat`` at the output points p = (out_axis[ia], out_axis[ib]),
-    with the indices ``ia`` and ``ib`` (integer arrays, or slices that keep
-    the tables' rows as views) broadcast against each other; each is
-    (points, n), in row-major order of the broadcast shape.
-
-    (w^T p)_k = w_0k y_a + w_1k y_b, so each is the product of rows of the
-    tables exp(i w_0k y x) and exp(i w_1k y x) over y in ``out_axis``
-    (m x n): points * n complex multiplies in place of as many
-    exponentials.
-    """
-    n = axis.shape[0]
-    return [(_phase(mat[0, k] * out_axis, axis)[ia]
-             * _phase(mat[1, k] * out_axis, axis)[ib]).reshape(-1, n)
+def _weyl_phases(mat: np.ndarray, out_axis: np.ndarray, axis: np.ndarray) -> list:
+    """The per-coordinate tables (exp(i w_0k y x), exp(i w_1k y x)), k < 2,
+    of the Weyl matrix ``mat``, over y in ``out_axis`` and x in ``axis``, each
+    (m, n).  At p = (y_a, y_b), (w^T p)_k = w_0k y_a + w_1k y_b, so the phase
+    exp(i (w^T p)_k x) is row a of the first table times row b of the second."""
+    return [(_phase(mat[0, k] * out_axis, axis), _phase(mat[1, k] * out_axis, axis))
             for k in range(2)]
 
 
-def _axis_fold(E: list, stack: np.ndarray) -> np.ndarray:
+def _axis_fold(tables: list, ia: np.ndarray, ib: np.ndarray,
+               stack: np.ndarray) -> np.ndarray:
     """sum_x stack_b(x) E_0(p, x_0) E_1(p, x_1) for each slice b of a stack
     (B, n, n) or (B, n^2) that already carries the quadrature weights, and
-    each output point p of a rank-2 fold: the phase matrices E_k (M, n),
-    shared by all slices, are contracted first with the grid's x_0 axis by
-    a matrix product and then with its x_1 axis by a rowwise dot."""
-    E0, E1 = E
-    M, n = E0.shape
-    out = np.empty((stack.shape[0], M), dtype=complex)
-    for b, v in enumerate(stack):
-        T = E0 @ v.reshape(n, n)                    # (M, n)
-        out[b] = np.einsum("ji,ji->j", E1, T)
-    return out
+    each point p = (y[ia], y[ib]) of the index arrays broadcast against each
+    other (rank 2); returns (B, points), row-major over the broadcast shape.
+
+    The phase matrices E_k, shared by all slices, are products of rows of
+    the ``_weyl_phases`` tables, formed for at most ``_FOLD_BLOCK`` rows of
+    the broadcast shape at a time and contracted first with the grid's x_0
+    axis by a matrix product, then with its x_1 axis by a rowwise dot."""
+    shape = np.broadcast_shapes(ia.shape, ib.shape)
+    n = tables[0][0].shape[1]
+    V = stack.reshape(-1, n, n)
+    out = np.empty((V.shape[0],) + shape, dtype=complex)
+    for lo in range(0, shape[0], _FOLD_BLOCK):
+        rows = np.s_[lo:lo + _FOLD_BLOCK]
+        ja, jb = (i[rows] if i.shape[0] > 1 else i for i in (ia, ib))
+        E0, E1 = ((t0[ja] * t1[jb]).reshape(-1, n) for t0, t1 in tables)
+        for b, v in enumerate(V):
+            out[b, rows] = np.einsum("ji,ji->j", E1, E0 @ v).reshape(-1, shape[1])
+    return out.reshape(V.shape[0], -1)
 
 
 def _remainders(x1: np.ndarray, x2: np.ndarray, k: int) -> tuple:
@@ -371,14 +371,13 @@ def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     return pi_rho / (1j ** m * np.prod(lam_fac, axis=1) * np.prod(den_fac, axis=1)) * total
 
 
-def _ray_offsets(pts: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The extrapolation nodes p + k tau u, k = 1.._EXTRAP_K, of the points
-    p (P, rank) along a fixed generic direction u, with one step per point
-    ``tau`` (P,); returns (P, _EXTRAP_K, rank)."""
+def _ray_offsets(pts: np.ndarray, tau: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """The extrapolation nodes p + k tau u, k in ``ks``, of the points p
+    (P, rank) along a fixed generic direction u, with one step per point
+    ``tau`` (P,); returns (P, len(ks), rank)."""
     golden = (1 + 5 ** 0.5) / 2
     u = np.array([golden ** (-k) for k in range(pts.shape[1])])
     u = u / np.linalg.norm(u)
-    ks = np.arange(1, _EXTRAP_K + 1)
     return pts[:, None, :] + (tau[:, None] * ks)[:, :, None] * u
 
 
@@ -392,9 +391,9 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     ``_phi_direct`` call; H = 0 gives exactly 1 and lam = 0 gives phi0(H).
     The pairing lifts the cancellation of one wall (root hyperplane) per
     argument.  At rank >= 3 an argument p can have two pairings below
-    SINGULAR_EPS |p|; it moves along a generic ray by k tau, k = 1..6,
-    tau = 0.05 / max(|lam|, |H|, 1), and the paired values there are
-    extrapolated to k = 0 in one more call.
+    SINGULAR_EPS |p|; it moves both ways along a generic ray by k tau,
+    k = +-1, +-2, +-3, tau = 0.05 / max(|lam|, |H|, 1), and the paired
+    values there are extrapolated to k = 0 in one more call.
     """
     lam, H = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(H, dtype=float))
@@ -411,10 +410,10 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     todo = np.flatnonzero(lam_two | H_two)           # empty at rank <= 2
     if todo.size:
         tau = 0.05 / np.maximum(np.maximum(lam_n[todo], H_n[todo]), 1.0)
-        paths = [np.where(two[todo, None, None], _ray_offsets(p[todo], tau),
+        paths = [np.where(two[todo, None, None], _ray_offsets(p[todo], tau, _EXTRAP_NODES),
                           p[todo, None, :]).reshape(-1, rs.rank)
                  for p, two in ((lam, lam_two), (H, H_two))]
-        out[todo] = _phi_direct(rs, *paths).reshape(-1, _EXTRAP_K) @ _EXTRAP_WEIGHTS
+        out[todo] = _phi_direct(rs, *paths).reshape(-1, _EXTRAP_NODES.size) @ _EXTRAP_WEIGHTS
     out[lam_n < 1e-14] = phi0(rs, H[lam_n < 1e-14])
     out[H_n < 1e-14] = 1.0
     return out.reshape(shape)
