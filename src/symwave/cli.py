@@ -1,12 +1,16 @@
 """Command-line front end: every workflow as a reproducible batch job.
 
 Configuration comes from an INI file (section per subcommand plus
-``[common]``) overridden by flags; every run writes machine-readable CSV
-artifacts plus a JSON manifest echoing the fully resolved configuration.
-Outputs carry no timestamps, so identical configs give identical bytes.
+``[common]``) overridden by flags.  Each option is declared once, in
+``_OPTIONS``: a config value becomes its subcommand's string default, which
+argparse parses with the flag's own type, so a malformed value exits 2 as
+the same flag would.  Every run writes machine-readable CSV artifacts plus
+a JSON manifest echoing the fully resolved configuration.  Outputs carry no
+timestamps, so identical configs give identical bytes.
 
-Exit codes: 0 success, 2 configuration/domain errors, 3 inconclusive
-integrals or unresolved spectral tails.
+Run as ``symwave`` or ``python -m symwave.cli``.  Exit codes: 0 success,
+2 configuration/domain errors, 3 inconclusive integrals or unresolved
+spectral tails.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .geometry import RadialFunction, RadialGrid, phi0_envelope, write_radial_cs
 from .root_system import root_system_from_tag
 from .spherical import (SpectralGrid, forward_transform, inverse_transform,
                         phi_lambda_many, plancherel_constant)
-from .wave_kernel import KernelParams, QuadratureControls, kernel_piece
+from .wave_kernel import KernelParams, kernel_piece
 
 
 def _fmt(x) -> str:
@@ -53,47 +57,49 @@ def _float_list(x: str) -> list:
     return [float(v) for v in x.split(",") if v.strip()]
 
 
-# each subcommand's flags besides the [common] ones; a flag's dest (argparse
-# derives it from the flag's name) is also its key in the config section
-_COMMON = ("--root-system", "--output-dir")
+# each subcommand's flags besides the [common] ones, with argparse's type,
+# choices and default; a flag's dest (argparse derives it from the flag's
+# name) is also its key in the config section.  A default that depends on
+# the root system is None here, and the subcommand fills it in.
+_COMMON = (("--root-system", dict(default="A1")), ("--output-dir", dict(default="out")))
 _OPTIONS = {
-    "phi": (("--lam", dict(type=_float_list)), ("--box-radius", dict(type=float)),
-            ("--points", dict(type=int))),
-    "transform": (("--box-radius", dict(type=float)), ("--points", dict(type=int)),
+    "phi": (("--lam", dict(type=_float_list)), ("--box-radius", dict(type=float, default=4.0)),
+            ("--points", dict(type=int, default=65))),
+    "transform": (("--box-radius", dict(type=float, default=10.0)), ("--points", dict(type=int)),
                   ("--spectral-radius", dict(type=float)),
                   ("--spectral-points", dict(type=int)),
-                  ("--width", dict(type=float)), ("--amplitude", dict(type=float)),
-                  ("--roundtrip", dict(type=int))),
-    "kernel": (("--t", dict(type=_float_list)), ("--sigma-re", dict(type=float)),
-               ("--sigma-im", dict(type=float)), ("--rho-tilde", dict(type=float)),
-               ("--piece", dict(choices=["low", "high_reg", "total"])),
-               ("--h-max", dict(type=float)), ("--h-points", dict(type=int)),
-               ("--envelope-power", dict(type=float)), ("--panels", dict(type=int))),
-    "decay": (("--regime", dict(choices=["small", "large", "small_time", "large_time"])),
-              ("--sigma-re", dict(type=float)), ("--sigma-im", dict(type=float)),
+                  ("--width", dict(type=float, default=1.0)),
+                  ("--amplitude", dict(type=float, default=1.0)),
+                  ("--roundtrip", dict(type=int, default=1))),
+    "kernel": (("--t", dict(type=_float_list, default=[1.0])), ("--sigma-re", dict(type=float)),
+               ("--sigma-im", dict(type=float, default=1.0)), ("--rho-tilde", dict(type=float)),
+               ("--piece", dict(choices=["low", "high_reg", "total"], default="total")),
+               ("--h-max", dict(type=float, default=4.0)),
+               ("--h-points", dict(type=int, default=33)),
+               ("--envelope-power", dict(type=float)), ("--panels", dict(type=int, default=128))),
+    "decay": (("--regime", dict(choices=["small", "large", "small_time", "large_time"],
+                                default="small")),
+              ("--sigma-re", dict(type=float)), ("--sigma-im", dict(type=float, default=1.0)),
               ("--per-axis", dict(type=int)), ("--envelope-power", dict(type=float))),
-    "dispersive": (("--q", dict(type=float)), ("--times", dict(type=_float_list)),
-                   ("--per-axis-ks", dict(type=int))),
-    "solve": (("--gamma", dict(type=float)), ("--T", dict(type=float)),
-              ("--steps", dict(type=int)), ("--box-radius", dict(type=float)),
-              ("--points", dict(type=int)), ("--smallness", dict(type=float)),
-              ("--mu", dict(type=float)), ("--snapshots", dict(type=int))),
-    "admissible": (("--d", dict(type=int)), ("--p", dict(type=_parse_float)),
-                   ("--q", dict(type=_parse_float))),
-    "gwp": (("--d", dict(type=int)), ("--gamma", dict(type=float))),
+    "dispersive": (("--q", dict(type=float, default=4.0)),
+                   ("--times", dict(type=_float_list, default=[float(t) for t in LARGE_TIMES])),
+                   ("--per-axis-ks", dict(type=int, default=129))),
+    "solve": (("--gamma", dict(type=float, default=3.0)), ("--T", dict(type=float, default=10.0)),
+              ("--steps", dict(type=int)), ("--box-radius", dict(type=float, default=12.0)),
+              ("--points", dict(type=int)), ("--smallness", dict(type=float, default=1e-2)),
+              ("--mu", dict(type=float, default=1.0)), ("--snapshots", dict(type=int, default=11))),
+    "admissible": (("--d", dict(type=int, default=4)),
+                   ("--p", dict(type=_parse_float, default=math.inf)),
+                   ("--q", dict(type=_parse_float, default=2.0))),
+    "gwp": (("--d", dict(type=int, default=3)), ("--gamma", dict(type=float, default=3.0))),
 }
-
-
-def _key(flag: str) -> str:
-    """The dest argparse gives the flag ``flag``: its config key."""
-    return flag[2:].replace("-", "_")
-
-
-_SECTIONS = {"common": {_key(f) for f in _COMMON},
-             **{name: {_key(f) for f, _ in specs} for name, specs in _OPTIONS.items()}}
+# the keys of each config section: the dests of its flags
+_SECTIONS = {name: {flag[2:].replace("-", "_") for flag, _ in specs}
+             for name, specs in {"common": _COMMON, **_OPTIONS}.items()}
 
 
 def _load_config(path: str | None) -> dict:
+    """The values of the INI file ``path`` as {"section.key": string}."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
@@ -111,58 +117,44 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
-def _resolve(args, cfg: dict, section: str, name: str, cast, default):
-    """Flag > config-file value > default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    raw = cfg.get(f"{section}.{name}", cfg.get(f"common.{name}"))
-    if raw is not None:
-        return cast(raw)
-    return default
+def _or(value, default):
+    """``value``, or ``default`` where it is None."""
+    return default if value is None else value
 
 
-def _out_dir(args, cfg) -> Path:
-    out = Path(_resolve(args, cfg, "common", "output_dir", str, "out"))
+def _out_dir(args) -> Path:
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _cmd_phi(args, cfg) -> int:
-    rs = root_system_from_tag(_resolve(args, cfg, "common", "root_system", str, "A1"))
-    lam = np.asarray(_resolve(args, cfg, "phi", "lam", _float_list, [1.0] * rs.rank))
+def _cmd_phi(args) -> int:
+    rs = root_system_from_tag(args.root_system)
+    lam = np.asarray(_or(args.lam, [1.0] * rs.rank))
     if lam.size != rs.rank:
         raise ConfigError(f"lam needs {rs.rank} components")
-    R = _resolve(args, cfg, "phi", "box_radius", float, 4.0)
-    n = int(_resolve(args, cfg, "phi", "points", int, 65))
-    grid = RadialGrid(rs, R, n)
+    grid = RadialGrid(rs, args.box_radius, args.points)
     vals = phi_lambda_many(rs, lam, grid.nodes)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     write_radial_csv(out / "phi.csv", RadialFunction(grid, vals))
     _write_manifest(out / "phi_manifest.json", {
         "command": "phi", "root_system": rs.tag, "lam": list(lam),
-        "box_radius": R, "points": n})
+        "box_radius": args.box_radius, "points": args.points})
     print(f"wrote {out / 'phi.csv'}")
     return 0
 
 
-def _cmd_transform(args, cfg) -> int:
-    rs = root_system_from_tag(_resolve(args, cfg, "common", "root_system", str, "A1"))
-    R = _resolve(args, cfg, "transform", "box_radius", float, 10.0)
-    n = int(_resolve(args, cfg, "transform", "points", int,
-                     193 if rs.rank == 1 else 121))
-    L = _resolve(args, cfg, "transform", "spectral_radius", float,
-                 9.0 if rs.rank == 1 else 12.0)
-    m = int(_resolve(args, cfg, "transform", "spectral_points", int,
-                     193 if rs.rank == 1 else 109))
-    width = _resolve(args, cfg, "transform", "width", float, 1.0)
-    amp = _resolve(args, cfg, "transform", "amplitude", float, 1.0)
-    roundtrip = bool(int(_resolve(args, cfg, "transform", "roundtrip", int, 1)))
+def _cmd_transform(args) -> int:
+    rs = root_system_from_tag(args.root_system)
+    R, width, amp = args.box_radius, args.width, args.amplitude
+    n = _or(args.points, 193 if rs.rank == 1 else 121)
+    L = _or(args.spectral_radius, 9.0 if rs.rank == 1 else 12.0)
+    m = _or(args.spectral_points, 193 if rs.rank == 1 else 109)
     rgrid = RadialGrid(rs, R, n)
     sgrid = SpectralGrid(rs, L, m)
     f = RadialFunction(rgrid, amp * np.exp(-np.sum(rgrid.nodes ** 2, axis=1) / width ** 2))
     Hf = forward_transform(rs, f, sgrid)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     with open(out / "transform.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"lam_{k + 1}" for k in range(rs.rank)] + ["re", "im"])
@@ -172,7 +164,7 @@ def _cmd_transform(args, cfg) -> int:
             "box_radius": R, "points": n, "spectral_radius": L,
             "spectral_points": m, "width": width, "amplitude": amp,
             "plancherel_constant": plancherel_constant(rs)}
-    if roundtrip:
+    if args.roundtrip:
         frt = inverse_transform(rs, Hf, rgrid)
         write_radial_csv(out / "roundtrip.csv", frt)
         err = float(np.max(np.abs(frt.values - f.values)) / np.max(np.abs(f.values)))
@@ -182,58 +174,46 @@ def _cmd_transform(args, cfg) -> int:
     return 0
 
 
-def _cmd_kernel(args, cfg) -> int:
-    rs = root_system_from_tag(_resolve(args, cfg, "common", "root_system", str, "A1"))
+def _cmd_kernel(args) -> int:
+    rs = root_system_from_tag(args.root_system)
     d = rs.dim_X
-    ts = _resolve(args, cfg, "kernel", "t", _float_list, [1.0])
-    sig = complex(_resolve(args, cfg, "kernel", "sigma_re", float, (d + 1) / 2.0),
-                  _resolve(args, cfg, "kernel", "sigma_im", float, 1.0))
-    rho_tilde = _resolve(args, cfg, "kernel", "rho_tilde", float, None)
-    piece = _resolve(args, cfg, "kernel", "piece", str, "total")
-    h_max = _resolve(args, cfg, "kernel", "h_max", float, 4.0)
-    h_points = int(_resolve(args, cfg, "kernel", "h_points", int, 33))
-    N = _resolve(args, cfg, "kernel", "envelope_power", float, float(d - rs.rank))
-    panels = int(_resolve(args, cfg, "kernel", "panels", int, 128))
-    quad = QuadratureControls(panels=panels)
+    sig = complex(_or(args.sigma_re, (d + 1) / 2.0), args.sigma_im)
+    N = _or(args.envelope_power, float(d - rs.rank))
+    params = [KernelParams(t=t, sigma=sig, rho_tilde=args.rho_tilde, panels=args.panels)
+              for t in args.t]
     direction = rs.rho_c / np.linalg.norm(rs.rho_c)
-    radii = np.linspace(0.0, h_max, h_points)
-    out = _out_dir(args, cfg)
+    radii = np.linspace(0.0, args.h_max, args.h_points)
+    out = _out_dir(args)
     with open(out / "kernel.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "abs_H"] + [f"H_{k + 1}" for k in range(rs.rank)]
                    + ["re", "im", "abs", "weighted_abs"])
         H = radii[:, None] * direction[None, :]
         env = phi0_envelope(rs, H, N)
-        for t in ts:
-            p = KernelParams(t=t, sigma=sig, rho_tilde=rho_tilde, quad=quad)
-            vals = kernel_piece(rs, p, H, piece)
+        for p in params:
+            vals = kernel_piece(rs, p, H, args.piece)
             for s, h, v, e in zip(radii, H, vals, env):
-                w.writerow([_fmt(t), _fmt(s)] + [_fmt(x) for x in h]
+                w.writerow([_fmt(p.t), _fmt(s)] + [_fmt(x) for x in h]
                            + [_fmt(v.real), _fmt(v.imag), _fmt(abs(v)),
                               _fmt(abs(v) / e)])
     _write_manifest(out / "kernel_manifest.json", {
-        "command": "kernel", "root_system": rs.tag, "t": list(ts),
+        "command": "kernel", "root_system": rs.tag, "t": list(args.t),
         "sigma": [sig.real, sig.imag],
-        "rho_tilde": rs.rho_norm if rho_tilde is None else rho_tilde,
-        "piece": piece, "h_max": h_max, "h_points": h_points,
+        "rho_tilde": _or(args.rho_tilde, rs.rho_norm),
+        "piece": args.piece, "h_max": args.h_max, "h_points": args.h_points,
         "envelope_power": N,
-        "quadrature": {"panels": panels}})
+        "quadrature": {"panels": args.panels}})
     print(f"wrote {out / 'kernel.csv'}")
     return 0
 
 
-def _cmd_decay(args, cfg) -> int:
-    rs = root_system_from_tag(_resolve(args, cfg, "common", "root_system", str, "A1"))
-    regime = _resolve(args, cfg, "decay", "regime", str, "small")
-    regime = {"small": "small_time", "large": "large_time"}.get(regime, regime)
-    sig_re = _resolve(args, cfg, "decay", "sigma_re", float, None)
-    sig_im = _resolve(args, cfg, "decay", "sigma_im", float, 1.0)
-    sigma = None if sig_re is None else complex(sig_re, sig_im)
-    per_axis = _resolve(args, cfg, "decay", "per_axis", int, None)
-    N = _resolve(args, cfg, "decay", "envelope_power", float, None)
-    report = decay_sweep(rs, regime, sigma=sigma, per_axis=per_axis,
-                         envelope_power=N)
-    out = _out_dir(args, cfg)
+def _cmd_decay(args) -> int:
+    rs = root_system_from_tag(args.root_system)
+    regime = {"small": "small_time", "large": "large_time"}.get(args.regime, args.regime)
+    sigma = None if args.sigma_re is None else complex(args.sigma_re, args.sigma_im)
+    report = decay_sweep(rs, regime, sigma=sigma, per_axis=args.per_axis,
+                         envelope_power=args.envelope_power)
+    out = _out_dir(args)
     with open(out / "decay.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "sup_ratio"])
@@ -246,14 +226,10 @@ def _cmd_decay(args, cfg) -> int:
     return 0
 
 
-def _cmd_dispersive(args, cfg) -> int:
-    rs = root_system_from_tag(_resolve(args, cfg, "common", "root_system", str, "A1"))
-    q = _resolve(args, cfg, "dispersive", "q", float, 4.0)
-    times = _resolve(args, cfg, "dispersive", "times", _float_list,
-                     [float(t) for t in LARGE_TIMES])
-    per_axis_ks = int(_resolve(args, cfg, "dispersive", "per_axis_ks", int, 129))
-    report = dispersive_report(rs, q, times, per_axis_ks=per_axis_ks)
-    out = _out_dir(args, cfg)
+def _cmd_dispersive(args) -> int:
+    rs = root_system_from_tag(args.root_system)
+    report = dispersive_report(rs, args.q, args.times, per_axis_ks=args.per_axis_ks)
+    out = _out_dir(args)
     with open(out / "dispersive.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "ks_low", "sup_high_reg"])
@@ -267,33 +243,26 @@ def _cmd_dispersive(args, cfg) -> int:
     return 0
 
 
-def _cmd_solve(args, cfg) -> int:
-    rs = root_system_from_tag(_resolve(args, cfg, "common", "root_system", str, "A1"))
-    gamma = _resolve(args, cfg, "solve", "gamma", float, 3.0)
-    T = _resolve(args, cfg, "solve", "T", float, 10.0)
-    R = _resolve(args, cfg, "solve", "box_radius", float, 12.0)
-    n = int(_resolve(args, cfg, "solve", "points", int,
-                     257 if rs.rank == 1 else 97))
-    smallness = _resolve(args, cfg, "solve", "smallness", float, 1e-2)
-    mu = _resolve(args, cfg, "solve", "mu", float, 1.0)
-    snapshots = int(_resolve(args, cfg, "solve", "snapshots", int, 11))
-    rgrid = RadialGrid(rs, R, n)
+def _cmd_solve(args) -> int:
+    rs = root_system_from_tag(args.root_system)
+    gamma, T = args.gamma, args.T
+    n = _or(args.points, 257 if rs.rank == 1 else 97)
+    rgrid = RadialGrid(rs, args.box_radius, n)
     sigma = gwp_sigma(rs.dim_X, gamma)
-    state0 = gaussian_state(rs, rgrid, sobolev_order=sigma, target_norm=smallness)
+    state0 = gaussian_state(rs, rgrid, sobolev_order=sigma, target_norm=args.smallness)
     prop = KleinGordonPropagator(rs, rgrid)
-    steps = _resolve(args, cfg, "solve", "steps", int, None)
-    steps = int(steps) if steps is not None else suggested_steps(rs, prop.sgrid, T)
-    result = semilinear_solve(rs, state0, gamma, T, steps, mu=mu,
+    steps = args.steps if args.steps is not None else suggested_steps(rs, prop.sgrid, T)
+    result = semilinear_solve(rs, state0, gamma, T, steps, mu=args.mu,
                               sgrid=prop.sgrid)
-    out = _out_dir(args, cfg)
-    keep = np.unique(np.linspace(0, len(result.times) - 1, snapshots).astype(int))
+    out = _out_dir(args)
+    keep = np.unique(np.linspace(0, len(result.times) - 1, args.snapshots).astype(int))
     for idx in keep:
         write_radial_csv(out / f"solution_step{idx:05d}.csv",
                          result.trajectory[idx].u)
     _write_manifest(out / "solve_manifest.json", {
         "command": "solve", "root_system": rs.tag, "gamma": gamma, "T": T,
-        "steps": steps, "mu": mu, "smallness": smallness,
-        "gwp_sigma": sigma, "box_radius": R, "points": n,
+        "steps": steps, "mu": args.mu, "smallness": args.smallness,
+        "gwp_sigma": sigma, "box_radius": args.box_radius, "points": n,
         "iterations": result.iterations,
         "residual_history": [float(r) for r in result.residuals],
         "energy_series": [float(e) for e in result.energies],
@@ -303,18 +272,13 @@ def _cmd_solve(args, cfg) -> int:
     return 0
 
 
-def _cmd_admissible(args, cfg) -> int:
-    d = int(_resolve(args, cfg, "admissible", "d", int, 4))
-    p = _resolve(args, cfg, "admissible", "p", _parse_float, math.inf)
-    q = _resolve(args, cfg, "admissible", "q", _parse_float, 2.0)
-    print("true" if admissible(d, p, q) else "false")
+def _cmd_admissible(args) -> int:
+    print("true" if admissible(args.d, args.p, args.q) else "false")
     return 0
 
 
-def _cmd_gwp(args, cfg) -> int:
-    d = int(_resolve(args, cfg, "gwp", "d", int, 3))
-    gamma = _resolve(args, cfg, "gwp", "gamma", float, 3.0)
-    print(_fmt(gwp_sigma(d, gamma)))
+def _cmd_gwp(args) -> int:
+    print(_fmt(gwp_sigma(args.d, args.gamma)))
     return 0
 
 
@@ -324,7 +288,12 @@ _COMMANDS = {"phi": _cmd_phi, "transform": _cmd_transform, "kernel": _cmd_kernel
              "gwp": _cmd_gwp}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
+    """The parser, with the values of ``cfg`` (as ``_load_config`` returns
+    them) as its subcommands' defaults, a section's over [common]'s.  They
+    stay strings, so argparse converts them with the flag's own type, a
+    malformed one exits 2 as a flag does, and a flag still overrides them."""
+    cfg = cfg or {}
     ap = argparse.ArgumentParser(prog="symwave",
                                  description="spherical analysis and wave kernels "
                                              "on complex-group symmetric spaces")
@@ -332,18 +301,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, specs in _OPTIONS.items():
         sp = sub.add_parser(name)
-        for flag in _COMMON:
-            sp.add_argument(flag)
-        for flag, kw in specs:
+        for flag, kw in _COMMON + specs:
             sp.add_argument(flag, **kw)
+        sp.set_defaults(**{key: cfg[f"{sec}.{key}"] for sec in ("common", name)
+                           for key in _SECTIONS[sec] if f"{sec}.{key}" in cfg})
     return ap
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Parse ``argv`` once to find --config, then again with the file loaded."""
+    config = _build_parser().parse_args(argv).config
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        args = _build_parser(_load_config(config)).parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (InconclusiveIntegralError, ResolutionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -354,3 +324,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

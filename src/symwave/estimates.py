@@ -114,6 +114,31 @@ SMALL_TIMES = np.geomspace(0.05, 0.8, 12)
 LARGE_TIMES = np.geomspace(2.0, 40.0, 10)
 
 
+def _regime(rs: RootSystem, regime: str) -> tuple:
+    """(default times, kernel piece, envelope power N, theoretical slope,
+    inside-the-cone only) of a decay regime."""
+    d = rs.dim_X
+    if regime == "small_time":
+        return SMALL_TIMES, "high_reg", rs.n_positive, -(d - 1) / 2.0, False
+    if regime == "large_time":
+        return LARGE_TIMES, "total", d - rs.rank, -d / 2.0, True
+    raise DomainError(f"unknown regime {regime!r}")
+
+
+def _sup_at(rs: RootSystem, regime: str, t: float, sigma: complex | None = None,
+            per_axis: int | None = None, envelope_power: float | None = None) -> float:
+    """``sup_weighted`` of the regime's piece at time t with the standard
+    settings: sigma on the critical line (d+1)/2 + i, the regime's envelope
+    power, a box of radius max(4, 2t) and 65 (rank 1) or 49 points per axis,
+    each unless given."""
+    _, piece, N, _, interior = _regime(rs, regime)
+    sigma = (rs.dim_X + 1) / 2.0 + 1.0j if sigma is None else sigma
+    N = N if envelope_power is None else envelope_power
+    grid = chamber_sup_grid(rs, max(4.0, 2.0 * t), per_axis or (65 if rs.rank == 1 else 49))
+    return sup_weighted(rs, KernelParams(t=float(t), sigma=sigma), piece, N, grid,
+                        interior_only=interior)
+
+
 def decay_sweep(rs: RootSystem, regime: str, sigma: complex | None = None,
                 times=None, per_axis: int | None = None,
                 envelope_power: float | None = None) -> DecayReport:
@@ -123,31 +148,11 @@ def decay_sweep(rs: RootSystem, regime: str, sigma: complex | None = None,
     -(d-1)/2; large time fits the full kernel in the interior regime
     against -d/2.
     """
-    d, ell = rs.dim_X, rs.rank
-    if regime == "small_time":
-        times = SMALL_TIMES if times is None else np.asarray(times, float)
-        piece = "high_reg"
-        sigma = sigma if sigma is not None else (d + 1) / 2.0 + 1.0j
-        N = envelope_power if envelope_power is not None else rs.n_positive
-        theo = -(d - 1) / 2.0
-        interior = False
-    elif regime == "large_time":
-        times = LARGE_TIMES if times is None else np.asarray(times, float)
-        piece = "total"
-        sigma = sigma if sigma is not None else (d + 1) / 2.0 + 1.0j
-        N = envelope_power if envelope_power is not None else d - ell
-        theo = -d / 2.0
-        interior = True
-    else:
-        raise DomainError(f"unknown regime {regime!r}")
-    per_axis = per_axis or (65 if ell == 1 else 49)
-    sups = []
-    for t in times:
-        grid = chamber_sup_grid(rs, max(4.0, 2.0 * t), per_axis)
-        p = KernelParams(t=float(t), sigma=sigma)
-        sups.append(sup_weighted(rs, p, piece, N, grid, interior_only=interior))
+    default_times, _, N, theo, _ = _regime(rs, regime)
+    times = default_times if times is None else np.asarray(times, float)
+    sups = [_sup_at(rs, regime, t, sigma, per_axis, envelope_power) for t in times]
     return fit_decay(times, sups, regime=regime, theoretical_slope=theo,
-                     envelope_power=N)
+                     envelope_power=N if envelope_power is None else envelope_power)
 
 
 def kunze_stein_bound(rs: RootSystem, kernel_samples: RadialFunction,
@@ -230,20 +235,16 @@ def dispersive_report(rs: RootSystem, q: float, t_list,
     """
     if not (2.0 < q < math.inf):
         raise DomainError("requires 2 < q < infinity")
-    d, ell = rs.dim_X, rs.rank
+    d = rs.dim_X
     sigma_q = (d + 1) * (0.5 - 1.0 / q)
-    sigma_endpoint = (d + 1) / 2.0 + 1.0j
     times = np.sort(np.asarray(t_list, dtype=float))
-    per_axis_sup = 65 if ell == 1 else 49
     rows = []
     for t in times:
         grid = RadialGrid(rs, ks_box_radius(rs, t), per_axis_ks)
         p_low = KernelParams(t=float(t), sigma=complex(sigma_q))
         ks_low = kunze_stein_bound(rs, kernel_on_grid(rs, p_low, grid, "low"), q)
-        p_high = KernelParams(t=float(t), sigma=sigma_endpoint)
-        sup_high = sup_weighted(rs, p_high, "high_reg", rs.n_positive,
-                                chamber_sup_grid(rs, max(4.0, 2.0 * t), per_axis_sup))
-        rows.append({"t": float(t), "ks_low": ks_low, "sup_high_reg": sup_high})
+        rows.append({"t": float(t), "ks_low": ks_low,
+                     "sup_high_reg": _sup_at(rs, "small_time", t)})
     report = DispersiveReport(q=q, sigma_q=sigma_q, rows=rows)
     small = times[times < 1.0]
     large = times[times >= 1.0]

@@ -29,6 +29,16 @@ from .spherical import (SpectralFunction, SpectralGrid, forward_transform,
                         plancherel_density)
 
 
+def _check_grid(grid: RadialGrid, want: RadialGrid, what: str) -> None:
+    """Raise ConfigError, naming both grids, unless ``grid`` has the root
+    system, box radius and points per axis of ``want``."""
+    a, b = ((g.rs.tag, g.box_radius, g.points_per_axis) for g in (grid, want))
+    if a != b:
+        raise ConfigError("{} is on the {} grid of box radius {:.17g} with {} points per "
+                          "axis, not the {} grid of box radius {:.17g} with {} points per "
+                          "axis".format(what, *a, *b))
+
+
 @dataclass(frozen=True)
 class WaveState:
     u: RadialFunction
@@ -36,10 +46,7 @@ class WaveState:
     time: float
 
     def __post_init__(self):
-        if self.u.grid is not self.ut.grid:
-            if (self.u.grid.box_radius != self.ut.grid.box_radius
-                    or self.u.grid.points_per_axis != self.ut.grid.points_per_axis):
-                raise ConfigError("u and ut must share one grid")
+        _check_grid(self.ut.grid, self.u.grid, "ut")
 
 
 def admissible(d: int, p: float, q: float) -> bool:
@@ -219,6 +226,7 @@ class KleinGordonPropagator:
                   forcing=None) -> WaveState:
         """Evolve ``state`` by time t; ``forcing`` is (times, [RadialFunction])
         sampled uniformly over [state.time, state.time + t]."""
+        _check_grid(state.u.grid, self.rgrid, "state")
         fh, gh = self.to_spectral(np.stack([state.u.values, state.ut.values]))
         u, ut = self.free_flow_spectral(fh, gh, t)
         if forcing is not None:
@@ -230,6 +238,8 @@ class KleinGordonPropagator:
                     or not np.allclose(np.diff(f_times), f_times[1] - f_times[0])):
                 raise ConfigError("forcing must be sampled on a uniform mesh "
                                   "from state.time to state.time + t")
+            for F in f_vals:
+                _check_grid(F.grid, self.rgrid, "forcing slice")
             Fh = self.to_spectral(np.stack([F.values for F in f_vals]))
             du, dut = _duhamel(f_times, self.omega, Fh)
             u, ut = u + du[-1], ut + dut[-1]
@@ -245,6 +255,7 @@ class KleinGordonPropagator:
 
     def energy(self, state: WaveState) -> float:
         """Free energy ||ut||_2^2 + ||sqrt(-Lap) u||_2^2 via the transform."""
+        _check_grid(state.u.grid, self.rgrid, "state")
         fh, gh = self.to_spectral(np.stack([state.u.values, state.ut.values]))
         return float(self._energies(fh, gh))
 

@@ -38,7 +38,7 @@ an |H| gets the same bits alone as in any stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -215,24 +215,18 @@ def shell_integral(rs: RootSystem, r: np.ndarray, s: float | np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadratureControls:
-    panels: int = 128                 # width divisor: 2x panels = half widths
-
-    def __post_init__(self):
-        if self.panels < 64:
-            raise ConfigError("panels must be >= 64")
-
-
-@dataclass(frozen=True)
 class KernelParams:
     t: float
     sigma: complex
     rho_tilde: float | None = None    # defaults to |rho| at use time
-    quad: QuadratureControls = field(default_factory=QuadratureControls)
+    panels: int = 128                 # width divisor: 2x panels = half widths
+    cutoff: str = "bump"              # the step of ``chi_pair``: "bump" or "alt"
 
     def __post_init__(self):
         if self.t == 0.0:
             raise ConfigError("t must be nonzero")
+        if self.panels < 64:
+            raise ConfigError("panels must be >= 64")
 
     def resolved_rho_tilde(self, rs: RootSystem) -> float:
         rt = rs.rho_norm if self.rho_tilde is None else self.rho_tilde
@@ -583,18 +577,17 @@ def _tail_values(rs: RootSystem, sigma: complex, t: float, s: np.ndarray, R: np.
 # the spectral-radius integrals
 # ---------------------------------------------------------------------------
 
-def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray,
-                    chi_variant: str) -> np.ndarray:
+def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray) -> np.ndarray:
     """Spectral integral of one piece at the radii s (N,),
 
         int_0^inf chi(r/|rho|) (r^2+rt^2)^{-sigma/2} e^{i t phi(r)} S_d(r,s) dr
 
-    with chi = chi0 (piece 'low') or chiinf (piece 'high'), once per distinct
-    ``round(|H|, 12)`` (Python's round; ``np.round`` is one ulp off on some
-    radii).  The key matters on the light cone |H| = t, where the high piece
-    moves by up to 1.5 relative under a 1e-13 shift of |H| and every sweep
-    has a node.  For t < 0 the conjugate problem at (-t, conj sigma) is
-    solved and conjugated back.
+    with chi = chi0 (piece 'low') or chiinf (piece 'high') on the step
+    ``p.cutoff``, once per distinct ``round(|H|, 12)`` (Python's round;
+    ``np.round`` is one ulp off on some radii).  The key matters on the
+    light cone |H| = t, where the high piece moves by up to 1.5 relative
+    under a 1e-13 shift of |H| and every sweep has a node.  For t < 0 the
+    conjugate problem at (-t, conj sigma) is solved and conjugated back.
 
     All keys go through one batched pass (``_profile_pass``): lockstep panel
     edges, one Filon engine over the panels of every key in blocks of at
@@ -608,7 +601,7 @@ def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray,
         t, sigma = -t, sigma.conjugate()
     try:
         vals = _profile_pass(rs, sigma, p.resolved_rho_tilde(rs), t, keys,
-                             128.0 / p.quad.panels, piece, chi_variant)
+                             128.0 / p.panels, piece, p.cutoff)
     except InconclusiveIntegralError as exc:
         if p.t > 0:
             raise
@@ -620,7 +613,7 @@ def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray,
 
 def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
                   s: np.ndarray, width_scale: float, piece: str,
-                  chi_variant: str) -> np.ndarray:
+                  cutoff: str) -> np.ndarray:
     """The integrals of ``_radial_profile`` at the distinct radii s (K,), t > 0.
 
     The low piece is one set of panels on [0, 2|rho|].  The high piece has
@@ -641,7 +634,7 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
     out = np.zeros(s.size, dtype=complex)
 
     def amp(r, k):
-        c0, cinf = chi_pair(r / rho_norm, chi_variant)
+        c0, cinf = chi_pair(r / rho_norm, cutoff)
         return ((c0 if piece == "low" else cinf) * (r * r + rho_tilde ** 2) ** (-sigma.real / 2.0)
                 * shell_integral(rs, r, s[k][:, None]))
 
@@ -701,8 +694,7 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
     return out
 
 
-def _kernel(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str,
-            chi_variant: str):
+def _kernel(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
     """Kernel piece at one point (rank,) or a stack (N, rank) of chamber
     points.  Each row's phi0 and |H| come from a (1, rank) product of its
     own, and all arithmetic is on (N,) arrays (numpy's scalar complex
@@ -724,44 +716,36 @@ def _kernel(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str,
     w = phi0(rs, rows)[:, 0]
     s = np.sqrt(rows @ rows.transpose(0, 2, 1))[:, 0, 0]
     if piece != "high_reg":
-        vals = w * _radial_profile(rs, p, "low", s, chi_variant)
+        vals = w * _radial_profile(rs, p, "low", s)
     if piece != "low":
         gamma_z = _kernel_tables().gamma(z)
         high = (w * (np.exp(sigma ** 2) / gamma_z)
-                * _radial_profile(rs, p, "high", s, chi_variant))
+                * _radial_profile(rs, p, "high", s))
         vals = high if piece == "high_reg" else vals + gamma_z * np.exp(-sigma ** 2) * high
     return complex(vals[0]) if single else vals
 
 
-def kernel_low(rs: RootSystem, p: KernelParams, H: np.ndarray,
-               chi_variant: str = "bump"):
+def kernel_low(rs: RootSystem, p: KernelParams, H: np.ndarray):
     """Low-frequency kernel piece; compactly supported cutoff, no
     regularization factor."""
-    return _kernel(rs, p, H, "low", chi_variant)
+    return _kernel(rs, p, H, "low")
 
 
-def kernel_high_regularized(rs: RootSystem, p: KernelParams, H: np.ndarray,
-                            chi_variant: str = "bump"):
+def kernel_high_regularized(rs: RootSystem, p: KernelParams, H: np.ndarray):
     """Regularized high-frequency kernel
     phi0(H) e^{sigma^2}/Gamma((d+1)/2 - sigma) * (spectral integral)."""
-    return _kernel(rs, p, H, "high_reg", chi_variant)
+    return _kernel(rs, p, H, "high_reg")
 
 
-def kernel_total(rs: RootSystem, p: KernelParams, H: np.ndarray,
-                 chi_variant: str = "bump"):
+def kernel_total(rs: RootSystem, p: KernelParams, H: np.ndarray):
     """Full kernel: low piece plus the unregularized high piece
     Gamma((d+1)/2 - sigma) e^{-sigma^2} * (regularized high piece)."""
-    return _kernel(rs, p, H, "total", chi_variant)
+    return _kernel(rs, p, H, "total")
 
 
-def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str,
-                 chi_variant: str = "bump"):
+def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
     """Kernel piece "low", "high_reg" or "total" at one point H (rank,), as a
     complex number, or at a stack H (N, rank), as an (N,) array."""
     if piece not in ("low", "high_reg", "total"):
         raise ConfigError(f"unknown kernel piece {piece!r}")
-    return _kernel(rs, p, H, piece, chi_variant)
-
-
-def with_doubled_panels(p: KernelParams) -> KernelParams:
-    return replace(p, quad=replace(p.quad, panels=p.quad.panels * 2))
+    return _kernel(rs, p, H, piece)

@@ -1,12 +1,16 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symwave.cli import _build_parser, _load_config, run
+import symwave
+from symwave.cli import _build_parser, _float_list, _load_config, _parse_float, run
 from symwave.root_system import root_system_from_tag
 from symwave.spherical import plancherel_constant
 from symwave.wave_kernel import KernelParams, kernel_piece
@@ -167,6 +171,63 @@ def test_every_flag_is_a_key_of_its_config_section(tmp_path, capsys):
             ini.write_text(f"[{'common' if d in common else name}]\n{wrong} = 1\n")
             assert run(["--config", str(ini), name]) == 2
             assert f"unknown key {wrong!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [("phi", "points", "abc"),
+                                                 ("solve", "T", "x")])
+def test_malformed_config_value_exits_like_the_flag(tmp_path, capsys, section, key, value):
+    # a config value is parsed by its flag's own type: argparse's exit 2
+    # and message, not a ValueError traceback
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(ini), section])
+    assert exc.value.code == 2
+    from_file = capsys.readouterr().err.splitlines()[-1]
+    with pytest.raises(SystemExit) as exc:
+        run([section, f"--{key}", value])
+    assert exc.value.code == 2
+    assert from_file == capsys.readouterr().err.splitlines()[-1]
+    assert f"argument --{key}: invalid" in from_file
+
+
+# two valid literals of each option type: the config file's and the flag's
+_LITERALS = {_float_list: ("0.5,1.5", "2"), _parse_float: ("inf", "3"),
+             int: ("7", "9"), float: ("2.5", "0.125"), None: ("A2", "B2")}
+
+
+def test_flags_and_config_keys_parse_alike(tmp_path):
+    # each literal is tried as the file's value, with the other as the
+    # overriding flag, so a file value left unread would show in one order
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    ini = tmp_path / "run.ini"
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            flag, dest = action.option_strings[0], action.dest
+            section = "common" if dest in ("root_system", "output_dir") else name
+            pair = action.choices[:2] if action.choices else _LITERALS[action.type]
+            for v, w in (pair, pair[::-1]):
+                ini.write_text(f"[{section}]\n{dest} = {v}\n")
+                parser = _build_parser(_load_config(str(ini)))
+                from_file = getattr(parser.parse_args([name]), dest)
+                assert from_file == getattr(_build_parser().parse_args([name, flag, v]), dest), \
+                    (name, dest, v)
+                # a flag still overrides the file
+                assert getattr(parser.parse_args([name, flag, w]), dest) == \
+                    getattr(_build_parser().parse_args([name, flag, w]), dest) != from_file, \
+                    (name, dest, w)
+
+
+def test_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(symwave.__file__))
+    done = subprocess.run([sys.executable, "-m", "symwave.cli", "gwp", "--d", "3",
+                           "--gamma", "3"], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0.5"
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -92,6 +92,28 @@ def test_forcing_mesh_must_span_the_step(setup_a1):
             prop.propagate(state, 1.0, forcing=(times, [F] * times.size))
 
 
+def test_data_on_another_grid_is_refused(setup_a1):
+    # the transforms check only the node count, so a state or forcing slice
+    # on another grid of that size would come back relabelled onto rgrid
+    rs, grid, prop, state = setup_a1
+    other = RadialGrid(rs, 8.0, grid.points_per_axis)
+    moved = gaussian_state(rs, other)
+    for call in (lambda: prop.propagate(moved, 0.0), lambda: prop.energy(moved)):
+        with pytest.raises(ConfigError, match="state is on the A1 grid of box radius 8 "
+                                              "with 257 points per axis, not the A1 grid "
+                                              "of box radius 12 with 257"):
+            call()
+    times = np.linspace(0.0, 1.0, 11)
+    F = RadialFunction(other, np.exp(-other.nodes[:, 0] ** 2))
+    with pytest.raises(ConfigError, match="forcing slice is on the A1 grid of box radius 8"):
+        prop.propagate(state, 1.0, forcing=(times, [F] * times.size))
+    # u and ut must share the root system too, not only the box
+    a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
+    u, ut = (RadialFunction(RadialGrid(r, 4.0, 9), np.zeros(81)) for r in (a2, b2))
+    with pytest.raises(ConfigError, match="ut is on the B2 grid"):
+        WaveState(u=u, ut=ut, time=0.0)
+
+
 @pytest.mark.parametrize("T", [2.5, -1.7])
 def test_duhamel_cumulative_sums_match_direct_trapezoid(T):
     # reference: the O(K^2) trapezoid sum of Duhamel's formula at each t_k

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -16,11 +17,10 @@ import symwave
 from symwave import wave_kernel
 from symwave.errors import ConfigError, InconclusiveIntegralError, PoleError
 from symwave.geometry import phi0
-from symwave.wave_kernel import (KernelParams, QuadratureControls, bessel_j,
-                                 chi_pair, kernel_high_regularized,
-                                 kernel_low, kernel_piece, kernel_total,
-                                 shell_integral, sphere_area, smooth_step,
-                                 with_doubled_panels)
+from symwave.wave_kernel import (KernelParams, bessel_j, chi_pair,
+                                 kernel_high_regularized, kernel_low,
+                                 kernel_piece, kernel_total, shell_integral,
+                                 sphere_area, smooth_step)
 from symwave.root_system import root_system_from_tag
 from symwave.wave_kernel import (_FILON_BLOCK, _SERIES_LEN, _build_panels, _filon_sums,
                                  _power_tail_orders, _radial_profile, _tail_series,
@@ -172,7 +172,7 @@ def test_params_validation(a1):
     with pytest.raises(ConfigError):
         KernelParams(t=1.0, sigma=SIGMA, rho_tilde=0.5).resolved_rho_tilde(a1)
     with pytest.raises(ConfigError):
-        QuadratureControls(panels=32)
+        KernelParams(t=1.0, sigma=SIGMA, panels=32)
 
 
 def test_gamma_pole_guard(a1):
@@ -315,7 +315,7 @@ def test_filon_moment_rows_one_per_distinct_frequency(a1, monkeypatch):
                         lambda: real._replace(spherical_jn=counting_jn))
     monkeypatch.setattr(wave_kernel, "_build_panels", counting_panels)
     _radial_profile(a1, KernelParams(t=40.0, sigma=SIGMA), "high",
-                    np.linspace(0.01, 20.0, 40), "bump")
+                    np.linspace(0.01, 20.0, 40))
     assert rows
     for kappa in rows:
         assert np.all(np.diff(kappa) > 0)
@@ -330,10 +330,10 @@ def test_profiles_do_not_depend_on_the_filon_block(a1, a2, monkeypatch, block):
     s = np.array([0.0, 0.05, 0.5, 1.7, 3.0])
     cases = [(rs, KernelParams(t=t, sigma=SIGMA), piece)
              for rs, t in ((a1, 7.5), (a2, 0.7)) for piece in ("low", "high")]
-    default = [_radial_profile(rs, p, piece, s, "bump") for rs, p, piece in cases]
+    default = [_radial_profile(rs, p, piece, s) for rs, p, piece in cases]
     monkeypatch.setattr(wave_kernel, "_FILON_BLOCK", block)
     for (rs, p, piece), want in zip(cases, default):
-        assert np.all(_radial_profile(rs, p, piece, s, "bump") == want), (rs.tag, piece)
+        assert np.all(_radial_profile(rs, p, piece, s) == want), (rs.tag, piece)
 
 
 @pytest.mark.parametrize("p0", [-1.0, 0.0, 1.5, 2.0, 1 + 0.49j, 0.9965j, 18 + 0.49j])
@@ -397,7 +397,7 @@ def test_one_tail_call_per_extension_round(a1, monkeypatch):
     monkeypatch.setattr(wave_kernel, "_tail_values", counting_tail)
     monkeypatch.setattr(wave_kernel, "_build_panels", counting_panels)
     _radial_profile(a1, KernelParams(t=0.7, sigma=SIGMA), "high",
-                    np.linspace(0.01, 20.0, 40), "bump")
+                    np.linspace(0.01, 20.0, 40))
     # the first round covers all 40 keys; each later round follows one
     # extension of the panels
     assert calls["tail"][0] == 40 and len(calls["tail"]) >= 2
@@ -450,6 +450,7 @@ def _fresh_python(script: str) -> str:
 
 _NO_SCIPY_SPECIAL = """
 import sys
+from dataclasses import replace
 import numpy as np
 
 def check(step):
@@ -566,8 +567,8 @@ def test_total_additivity(a1):
 def test_cutoff_independence(a1):
     p = KernelParams(t=1.0, sigma=SIGMA)
     for H in (np.zeros(1), np.array([0.8])):
-        va = kernel_total(a1, p, H, "bump")
-        vb = kernel_total(a1, p, H, "alt")
+        va = kernel_total(a1, p, H)
+        vb = kernel_total(a1, replace(p, cutoff="alt"), H)
         assert abs(va - vb) / abs(va) < 1e-6
 
 
@@ -575,7 +576,7 @@ def test_panel_doubling_stability(a1):
     p = KernelParams(t=2.0, sigma=SIGMA)
     for H in (np.zeros(1), np.array([1.0])):
         v1 = kernel_high_regularized(a1, p, H)
-        v2 = kernel_high_regularized(a1, with_doubled_panels(p), H)
+        v2 = kernel_high_regularized(a1, replace(p, panels=2 * p.panels), H)
         assert abs(v1 - v2) / abs(v2) < 1e-7
 
 
