@@ -292,7 +292,10 @@ def _build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     """The parser, with the values of ``cfg`` (as ``_load_config`` returns
     them) as its subcommands' defaults, a section's over [common]'s.  They
     stay strings, so argparse converts them with the flag's own type, a
-    malformed one exits 2 as a flag does, and a flag still overrides them."""
+    malformed one exits 2 as a flag does, and a flag still overrides them.
+    argparse checks ``choices`` only on the command line, so a config value
+    of an option with choices is parsed here as that flag, which exits 2
+    with the flag's message before any command runs."""
     cfg = cfg or {}
     ap = argparse.ArgumentParser(prog="symwave",
                                  description="spherical analysis and wave kernels "
@@ -301,10 +304,13 @@ def _build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, specs in _OPTIONS.items():
         sp = sub.add_parser(name)
-        for flag, kw in _COMMON + specs:
-            sp.add_argument(flag, **kw)
-        sp.set_defaults(**{key: cfg[f"{sec}.{key}"] for sec in ("common", name)
-                           for key in _SECTIONS[sec] if f"{sec}.{key}" in cfg})
+        defaults = {key: cfg[f"{sec}.{key}"] for sec in ("common", name)
+                    for key in _SECTIONS[sec] if f"{sec}.{key}" in cfg}
+        for action in [sp.add_argument(flag, **kw) for flag, kw in _COMMON + specs]:
+            if action.choices is not None and action.dest in defaults:
+                # parsed as the flag, it exits 2 with the flag's message
+                sp.parse_known_args([f"{action.option_strings[0]}={defaults[action.dest]}"])
+        sp.set_defaults(**defaults)
     return ap
 
 

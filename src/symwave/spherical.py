@@ -29,24 +29,29 @@ cosets of the subgroup W0 of signed permutations (Weyl elements within
 1e-12 of an integer matrix), which map the input and output grids onto
 themselves once their 1D axes are made exactly antisymmetric: the weighted
 stack is antisymmetrised over W0 by index flips and transposes, and the
-result U is summed once per coset representative (``_coset_fold``).  At
-rank 1, W0 = W and U is odd, so the fold is one real sine table over the
-positive half-axis and two real matrix products.  At rank 2 the identity
-coset is A @ U @ B^T per slice, the whole sum on B2, C2 and D2; the two
-other cosets of A2 go through per-coordinate phase tables, then a matrix
-product and a rowwise dot per block of output rows (see ``_w_fold``).
+result U is summed once per coset representative (``_coset_fold``); its
+image under a mirror of W0 is added by an index flip, so U has an exact
+parity.  At rank 1, W0 = W and U is odd, so the fold is one real sine
+table over the positive half-axis and two real matrix products.  At rank 2
+the identity coset is A @ U @ B^T per slice, the whole sum on B2, C2 and
+D2.  The two other cosets of A2 fold U over the half axis x_0 > 0 only, a
+half-range sine transform: the mirror diag(-1, 1) makes U odd in x_0, so
+x_0 is contracted against 2i sin by one real matrix product per output
+row, and x_1 by a rowwise dot against complex phases (``_axis_fold``); the
+phase tables of each representative are built once per transform.
 Only the output rows y_a >= 0 are folded; the others follow from
 S(s p) = det(s) S(p) for a diagonal s in W0 with s_00 = -1.  The
 transform is evaluated on the whole output grid and divided by pi(lam) or
 by the Weyl denominator, each a product of one factor per positive root.
 On the wall (root hyperplane) of one root the alternating sum and that
 product both vanish, and the value there is their limit along the wall's
-normal: the normal derivative of the alternating sum, folded from the two
-first-moment stacks of U over the representatives at the wall nodes only,
-over the product with the vanishing factor replaced by its normal
-derivative.  The origin takes its exact value, and a grid with any other
-node near a singular set is refused.
-Each slice passes its own tail check, and a failure names the slice.
+normal: the normal derivative of the alternating sum, folded at the wall
+nodes only from the two first-moment stacks of U over the representatives,
+each stack by its parity in x_0 (a cosine table for an even one), over the
+product with the vanishing factor replaced by its normal derivative.  The
+origin takes its exact value, and a grid with any other node near a
+singular set is refused.  Each slice passes its own tail check, and a
+failure names the slice.
 """
 
 from __future__ import annotations
@@ -114,25 +119,16 @@ def _phase(mu: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return np.exp(E, out=E)
 
 
-def _coset_fold(rs: RootSystem, values: np.ndarray,
-                weights: np.ndarray) -> tuple:
-    """Split the Weyl group W over its subgroup W0 of signed permutations.
+def _cosets(rs: RootSystem) -> tuple:
+    """The bookkeeping of ``_coset_fold``: (half, reps, mirror).
 
     A Weyl matrix whose entries are within 1e-12 of 0 or +-1 is snapped to
-    exact integers; these s form W0, and each maps a tensor grid symmetric
-    about 0 onto itself.  Substituting x -> s x in the fold gives
-    S_{ws}[V] = S_w[V o s], so for any stack V
-
-        sum_w det(w) S_w[V] = sum_r det(r) S_r[U],
-        U = sum_{s in W0} det(s) V o s,
-
-    one representative r per coset r W0.  Returns U, the weighted stack
-    weights * values (B, n^rank) antisymmetrised over W0 by index flips and
-    transposes, shaped (B, n) or (B, n, n); the representatives as
-    (matrix, sign) pairs, the identity first; and the mirror, an element
-    (s, det s) of W0 that is diagonal with s_00 = -1 (-1 at rank 1,
-    diag(-1, 1) on A2, B2 and C2, -I on D2).
-    """
+    exact integers; these s form the subgroup W0 of signed permutations.
+    ``reps`` holds one representative per coset r W0 as a (matrix, sign)
+    pair, the identity first; ``mirror`` is an element (s, det s) of W0
+    that is diagonal with s_00 = -1 (-1 at rank 1, diag(-1, 1) on A2, B2
+    and C2, -I on D2); ``half`` holds one element of W0 from each pair
+    {s, s mirror}."""
     def snap(mat):
         s = np.round(mat)
         return s if np.all(np.abs(mat - s) <= 1e-12) else None
@@ -146,17 +142,45 @@ def _coset_fold(rs: RootSystem, values: np.ndarray,
             reps.append((mat, sign))
     mirror = next((s, sign) for s, sign in W0
                   if s[0, 0] == -1 and not np.any(s[0, 1:]))
+    # s mirror is s with its first column negated
+    half = [(s, sign) for s, sign in W0 if np.sum(s[:, 0]) > 0]
+    return half, reps, mirror
+
+
+def _coset_fold(rs: RootSystem, values: np.ndarray,
+                weights: np.ndarray) -> tuple:
+    """Split the Weyl group W over its subgroup W0 of signed permutations
+    (``_cosets``), each of which maps a tensor grid symmetric about 0 onto
+    itself.  Substituting x -> s x in the fold gives S_{ws}[V] = S_w[V o s],
+    so for any stack V
+
+        sum_w det(w) S_w[V] = sum_r det(r) S_r[U],
+        U = sum_{s in W0} det(s) V o s,
+
+    one representative r per coset r W0.  Returns U, the weighted stack
+    weights * values (B, n^rank) antisymmetrised over W0 by index flips and
+    transposes, shaped (B, n) or (B, n, n); the representatives as
+    (matrix, sign) pairs, the identity first; and the mirror (s, det s).
+    U is summed over one element of each pair {s, s mirror}, and its image
+    under the mirror is then added by an index flip, so U o s = det(s) U
+    holds bit for bit: U is odd in x_0 on A2, B2 and C2 and even under -I
+    on D2.
+    """
+    def compose(G, s):
+        # (G o s)(x) = G(s x): axis j of x feeds the coordinate that column
+        # j of s maps it to, so s transposes G when it swaps coordinates
+        # and reverses axis j where that column's entry is -1
+        G = G if s[0, 0] != 0 else G.transpose(0, 2, 1)
+        return G[(slice(None),) + tuple(np.s_[::int(np.sum(col))] for col in s.T)]
+
+    half, reps, (s, sign) = _cosets(rs)
     n = values.shape[1] if rs.rank == 1 else math.isqrt(values.shape[1])
     V = (weights * values).reshape((-1,) + (n,) * rs.rank)
     U = np.zeros_like(V)
-    for s, sign in W0:
-        # (V o s)(x) = V(s x): axis j of x feeds the coordinate that column
-        # j of s maps it to, so s transposes V when it swaps coordinates
-        # and reverses axis j where that column's entry is -1
-        G = V if s[0, 0] != 0 else V.transpose(0, 2, 1)
-        G = G[(slice(None),) + tuple(np.s_[::int(np.sum(col))] for col in s.T)]
-        (np.add if sign > 0 else np.subtract)(U, G, out=U)
-    return U, reps, mirror
+    for h, h_sign in half:
+        (np.add if h_sign > 0 else np.subtract)(U, compose(V, h), out=U)
+    U = (np.add if sign > 0 else np.subtract)(U, compose(U, s))
+    return U, reps, (s, sign)
 
 
 def _symmetric(axis: np.ndarray) -> np.ndarray:
@@ -166,8 +190,16 @@ def _symmetric(axis: np.ndarray) -> np.ndarray:
     return (axis - axis[::-1]) / 2.0
 
 
+def _fold_tables(rs: RootSystem, axis: np.ndarray, out_axis: np.ndarray) -> list:
+    """The ``_weyl_phases`` tables of each coset representative of
+    ``_cosets``, in order, on the exactly antisymmetric axes."""
+    x, y = _symmetric(axis), _symmetric(out_axis)
+    return [_weyl_phases(mat, y, x) for mat, _ in _cosets(rs)[1]]
+
+
 def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
-            axis: np.ndarray, out_axis: np.ndarray) -> np.ndarray:
+            axis: np.ndarray, out_axis: np.ndarray,
+            tables: list | None = None) -> np.ndarray:
     """sum_w det(w) sum_x weights(x) values_b(x) exp(i <p, w x>) for each
     slice b of the stack ``values`` (B, n^rank) and each node p of the
     tensor grid over the 1D axis ``out_axis``, in ``_tensor_nodes`` order;
@@ -186,8 +218,11 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     products.  At rank 2 the identity coset is A @ U @ B^T per slice, from
     one phase table per output coordinate; that is the whole sum on B2, C2
     and D2.  On A2 the other two representatives fold the rows y_a >= 0
-    in blocks of output rows (``_axis_fold``) from per-coordinate tables
-    built once per representative (``_weyl_phases``).
+    through ``_axis_fold``: the mirror diag(-1, 1) has det -1, so U is odd
+    in x_0, and only its half x_0 > 0 is contracted, against 2i sin, one
+    real matrix product per output row.  ``tables`` holds each
+    representative's ``_weyl_phases`` tables (``_fold_tables``); they are
+    built here when not given.
     """
     U, reps, (s, sign) = _coset_fold(rs, values, weights)
     x, y = _symmetric(axis), _symmetric(out_axis)
@@ -198,9 +233,13 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
         half = 2j * (U[:, k:].real @ T) - 2.0 * (U[:, k:].imag @ T)
     else:
         half = _phase(y[lo:], x) @ U @ _phase(y, x).T
-        for mat, rsign in reps[1:]:
-            half += rsign * _axis_fold(_weyl_phases(mat, y, x), np.arange(lo, m)[:, None],
-                                       np.arange(m)[None, :], U).reshape(half.shape)
+        if len(reps) > 1:
+            tables = tables or _fold_tables(rs, axis, out_axis)
+            parts = _half_axis(U, sign if s[1, 1] == 1 else 0)
+            for (mat, rsign), tab in zip(reps[1:], tables[1:]):
+                for h, odd in parts:
+                    half += rsign * _axis_fold(tab, np.arange(lo, m)[:, None],
+                                               np.arange(m)[None, :], h, odd).reshape(half.shape)
     low = half[(slice(None), slice(None, None, -1))
                + tuple(np.s_[::int(d)] for d in np.diag(s)[1:])]
     out = np.concatenate([sign * low[:, :lo], half], axis=1)
@@ -209,7 +248,7 @@ def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
 
 def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
                axis: np.ndarray, out_axis: np.ndarray, idx: np.ndarray,
-               normals: np.ndarray) -> np.ndarray:
+               normals: np.ndarray, tables: list | None = None) -> np.ndarray:
     """The derivative d_n S(p) of the rank-2 fold S of ``_w_fold`` along the
     unit vector n, at the output nodes ``idx`` (flat indices into the tensor
     grid over ``out_axis``), each with its own n, a row of ``normals``;
@@ -221,57 +260,97 @@ def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
                    sum_x U_b(x) i x_k exp(i <r^T p, x>)
 
     is the fold of the two moment stacks i x_k U over the representatives
-    only, contracted per point with (n r)_k.  Their phases come from each
-    representative's tables (``_weyl_phases``) on the exactly antisymmetric
-    axes, at the nodes' grid indices, passed as one row: one block."""
-    U, reps, _ = _coset_fold(rs, values, weights)
-    x, y = _symmetric(axis), _symmetric(out_axis)
-    B = U.shape[0]
-    moments = np.empty((2, B) + U.shape[1:], dtype=complex)
-    np.multiply(U, 1j * x[:, None], out=moments[0])
-    np.multiply(U, 1j * x, out=moments[1])
-    del U
-    moments = moments.reshape(2 * B, -1)
-    ia, ib = np.divmod(idx, y.shape[0])
-    out = np.zeros((B, idx.shape[0]), dtype=complex)
-    for mat, sign in reps:
-        F = _axis_fold(_weyl_phases(mat, y, x), ia[None], ib[None], moments).reshape(2, B, -1)
+    only, contracted per point with (n r)_k.  Each moment goes to
+    ``_axis_fold`` by its parity in x_0 (``_half_axis``): where the mirror
+    is diag(-1, 1), U is odd in x_0, so i x_0 U is even and i x_1 U odd; on
+    D2, whose mirror is -I, each moment is split into its even and odd
+    parts.  The phases come from each representative's tables (``tables``,
+    or ``_fold_tables`` when not given) at the nodes' grid indices, passed
+    as one row: one product per moment part and representative."""
+    U, reps, (s, sign) = _coset_fold(rs, values, weights)
+    x = _symmetric(axis)
+    tables = tables or _fold_tables(rs, axis, out_axis)
+    parity = sign if s[1, 1] == 1 else 0     # U(-x_0, x_1) = parity U(x_0, x_1)
+    moments = (_half_axis(U * (1j * x[:, None]), -parity),
+               _half_axis(U * (1j * x), parity))
+    ia, ib = np.divmod(idx, out_axis.shape[0])
+    out = np.zeros((U.shape[0], idx.shape[0]), dtype=complex)
+    for (mat, rsign), tab in zip(reps, tables):
         c = normals @ mat                  # (n r)_k per point
-        out += sign * (c[:, 0] * F[0] + c[:, 1] * F[1])
+        for k, parts in enumerate(moments):
+            for h, odd in parts:
+                out += rsign * c[:, k] * _axis_fold(tab, ia[None], ib[None], h, odd)
     return out
+
+
+def _half_axis(stack: np.ndarray, parity: int) -> list:
+    """The half stacks over x_0 >= 0 whose ``_axis_fold`` terms add up to the
+    fold of ``stack`` (B, n, n) over the whole x_0 axis, as (half, odd)
+    pairs.  ``parity`` is +-1 where stack(-x_0, x_1) = parity stack(x_0, x_1)
+    and 0 where the stack has no parity in x_0; such a stack is split into
+    its even and odd parts.  An odd half starts at x_0 > 0 (sin 0 = 0); an
+    even half starts at x_0 = 0 with that column halved, which is exact,
+    as 2 cos(c_0 x_0) counts it twice."""
+    k = stack.shape[1] // 2                   # x_0 = 0 at index k
+    pos, neg = stack[:, k:], stack[:, k::-1]  # at x_0 >= 0 and at -x_0
+    parts = ([(pos, parity < 0)] if parity
+             else [((pos + neg) / 2.0, False), ((pos - neg) / 2.0, True)])
+    return [(h[:, 1:], True) if odd else
+            (np.concatenate([h[:, :1] / 2.0, h[:, 1:]], axis=1), False)
+            for h, odd in parts]
 
 
 def _weyl_phases(mat: np.ndarray, out_axis: np.ndarray, axis: np.ndarray) -> list:
     """The per-coordinate tables (exp(i w_0k y x), exp(i w_1k y x)), k < 2,
-    of the Weyl matrix ``mat``, over y in ``out_axis`` and x in ``axis``, each
-    (m, n).  At p = (y_a, y_b), (w^T p)_k = w_0k y_a + w_1k y_b, so the phase
-    exp(i (w^T p)_k x) is row a of the first table times row b of the second."""
-    return [(_phase(mat[0, k] * out_axis, axis), _phase(mat[1, k] * out_axis, axis))
-            for k in range(2)]
+    of the Weyl matrix ``mat``, over y in ``out_axis`` (m nodes) and x in
+    ``axis`` (n nodes): x >= 0 only for k = 0, (m, (n + 1)/2), and the whole
+    axis for k = 1, (m, n).  At p = (y_a, y_b), (w^T p)_k = w_0k y_a + w_1k y_b,
+    so the phase exp(i (w^T p)_k x) is row a of the first table times row b
+    of the second; for k = 0 ``_axis_fold`` keeps the product's real part,
+    cos(c_0 x_0), or its imaginary part, sin(c_0 x_0)."""
+    half = axis[axis.shape[0] // 2:]
+    return [(_phase(mat[0, k] * out_axis, ax), _phase(mat[1, k] * out_axis, ax))
+            for k, ax in ((0, half), (1, axis))]
 
 
 def _axis_fold(tables: list, ia: np.ndarray, ib: np.ndarray,
-               stack: np.ndarray) -> np.ndarray:
-    """sum_x stack_b(x) E_0(p, x_0) E_1(p, x_1) for each slice b of a stack
-    (B, n, n) or (B, n^2) that already carries the quadrature weights, and
-    each point p = (y[ia], y[ib]) of the index arrays broadcast against each
-    other (rank 2); returns (B, points), row-major over the broadcast shape.
+               stack: np.ndarray, odd: bool) -> np.ndarray:
+    """sum_x stack_b(x) T(p, x_0) E_1(p, x_1) for each slice b of a half
+    stack (B, K, n) from ``_half_axis``, which carries the quadrature
+    weights, and each point p = (y[ia], y[ib]) of the index arrays broadcast
+    against each other (rank 2); returns (B, points), row-major over the
+    broadcast shape.  With T = 2i sin(c_0(p) x_0) over x_0 > 0 (``odd``) or
+    T = 2 cos(c_0(p) x_0) over x_0 >= 0, this is the fold over the whole
+    x_0 axis of a stack of that parity.
 
-    The phase matrices E_k, shared by all slices, are products of rows of
-    the ``_weyl_phases`` tables, formed for at most ``_FOLD_BLOCK`` rows of
-    the broadcast shape at a time and contracted first with the grid's x_0
-    axis by a matrix product, then with its x_1 axis by a rowwise dot."""
+    T and E_1 = exp(i c_1(p) x_1) are products of rows of the
+    ``_weyl_phases`` tables, formed for ``_FOLD_BLOCK`` rows of the
+    broadcast shape at a time.  Each row of points contracts x_0 by one
+    real product (points, K) @ (K, 2Bn), the complex slices viewed as real
+    and set side by side, and x_1 by a rowwise dot.  The product's shape
+    does not depend on the block, so neither does a point's value."""
     shape = np.broadcast_shapes(ia.shape, ib.shape)
-    n = tables[0][0].shape[1]
-    V = stack.reshape(-1, n, n)
-    out = np.empty((V.shape[0],) + shape, dtype=complex)
+    (a0, b0), (a1, b1) = tables
+    B, K, n = stack.shape
+    c, d = (t[:, 1:] if odd else t for t in (a0, b0))       # x_0 > 0 or >= 0
+    V = np.ascontiguousarray(stack.transpose(1, 0, 2)).view(float).reshape(K, -1)
+    out = np.empty((B,) + shape, dtype=complex)
     for lo in range(0, shape[0], _FOLD_BLOCK):
         rows = np.s_[lo:lo + _FOLD_BLOCK]
         ja, jb = (i[rows] if i.shape[0] > 1 else i for i in (ia, ib))
-        E0, E1 = ((t0[ja] * t1[jb]).reshape(-1, n) for t0, t1 in tables)
-        for b, v in enumerate(V):
-            out[b, rows] = np.einsum("ji,ji->j", E1, E0 @ v).reshape(-1, shape[1])
-    return out.reshape(V.shape[0], -1)
+        if odd:                             # Im and Re of the row product
+            T = c.real[ja] * d.imag[jb]
+            T += c.imag[ja] * d.real[jb]
+        else:
+            T = c.real[ja] * d.real[jb]
+            T -= c.imag[ja] * d.imag[jb]
+        E1 = a1[ja] * b1[jb]
+        for r in range(T.shape[0]):
+            P = (T[r] @ V).view(complex).reshape(-1, B, n)
+            out[:, lo + r] = np.einsum("ji,jbi->bj", E1[r], P)
+        del T, E1, P           # freed before the next block's tables are formed
+    out *= 2j if odd else 2.0
+    return out.reshape(B, -1)
 
 
 def _remainders(x1: np.ndarray, x2: np.ndarray, k: int) -> tuple:
@@ -463,10 +542,11 @@ def _patched(rs: RootSystem, grid, values: np.ndarray, weights: np.ndarray,
             "set but on no single wall")
     j, k = np.nonzero(on & wall[:, None])     # none at rank 1: only the origin
     slope = np.linalg.norm(rs.roots_c[k], axis=1)
-    out = _w_fold(rs, values, weights, axis, grid.axis)
+    tables = _fold_tables(rs, axis, grid.axis) if rs.rank == 2 else None
+    out = _w_fold(rs, values, weights, axis, grid.axis, tables)
     if j.size:
         out[:, j] = _wall_fold(rs, values, weights, axis, grid.axis, j,
-                               rs.roots_c[k] / slope[:, None])
+                               rs.roots_c[k] / slope[:, None], tables)
     fac = root_factor(_tensor_nodes(_symmetric(grid.axis), rs.rank)
                       @ rs.roots_c.T)          # at the nodes S was taken at
     fac[j, k] = slope

@@ -191,6 +191,25 @@ def test_malformed_config_value_exits_like_the_flag(tmp_path, capsys, section, k
     assert f"argument --{key}: invalid" in from_file
 
 
+@pytest.mark.parametrize("section, key", [("kernel", "piece"), ("decay", "regime")])
+def test_config_value_outside_choices_exits_like_the_flag(tmp_path, capsys, section, key):
+    # argparse checks choices only on the command line; a config value
+    # outside them exits 2 with the flag's message before the command
+    # runs, so no half-written kernel.csv is left behind
+    ini, out = tmp_path / "run.ini", tmp_path / "out"
+    ini.write_text(f"[{section}]\n{key} = bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(ini), section, "--output-dir", str(out)])
+    assert exc.value.code == 2
+    from_file = capsys.readouterr().err.splitlines()[-1]
+    assert not (out / "kernel.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        run([section, f"--{key}", "bogus"])
+    assert exc.value.code == 2
+    assert from_file == capsys.readouterr().err.splitlines()[-1]
+    assert f"argument --{key}: invalid choice: 'bogus'" in from_file
+
+
 # two valid literals of each option type: the config file's and the flag's
 _LITERALS = {_float_list: ("0.5,1.5", "2"), _parse_float: ("inf", "3"),
              int: ("7", "9"), float: ("2.5", "0.125"), None: ("A2", "B2")}

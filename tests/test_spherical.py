@@ -553,8 +553,9 @@ def test_stacked_transforms_match_per_slice(tag, R, n, L, m):
         assert np.max(np.abs(inv[b] - one)) <= 1e-13 * np.max(np.abs(one))
 
 
-def _point_fold(rs, values, weights, axis, pts):
-    # sum_w det(w) sum_x weights values_b(x) exp(i <p, w x>), with
+def _point_fold(rs, values, weights, axis, pts, elements=None):
+    # sum_w det(w) sum_x weights values_b(x) exp(i <p, w x>) over the Weyl
+    # group, or over the (matrix, sign) pairs ``elements``, with
     # exp(i <w^T p, x>) = exp(i (w^T p)_0 x_0) exp(i (w^T p)_1 x_1)
     # exponentiated per point, Weyl element and node coordinate
     n = axis.size
@@ -563,7 +564,7 @@ def _point_fold(rs, values, weights, axis, pts):
     return sum(sign * np.einsum("bij,pi,pj->bp", V,
                                 *np.exp(1j * (pts @ mat).T[:, :, None] * axis),
                                 optimize=True)
-               for mat, sign in zip(W.matrices, W.signs))
+               for mat, sign in elements or zip(W.matrices, W.signs))
 
 
 def _fold_case(tag):
@@ -613,6 +614,43 @@ def test_cosets_cover_the_weyl_group_once(tag):
     assert mirror[0, 0] == -1 and np.array_equal(mirror, np.diag(np.diag(mirror)))
 
 
+@pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
+def test_coset_fold_is_exactly_odd_or_even_under_the_mirror(tag):
+    # U is summed over half of W0 and its mirror image added by an index
+    # flip, so U(-x_0, x_1) = -U(x_0, x_1) holds bit for bit where the
+    # mirror is diag(-1, 1), and U(-x) = U(x) on D2, whose mirror is -I
+    rs, x, y, values, weights = _fold_case(tag)
+    U, _, (mirror, sign) = _coset_fold(rs, values, weights)
+    if tag == "D2":
+        assert np.array_equal(mirror, -np.eye(2)) and sign == 1
+        assert np.all(U[:, ::-1, ::-1] == U)
+    else:
+        assert np.array_equal(mirror, np.diag([-1.0, 1.0])) and sign == -1
+        assert np.all(U[:, ::-1] == -U)
+
+
+@pytest.mark.parametrize("parity", [-1, 1, 0])
+def test_half_axis_fold_matches_point_fold(parity):
+    # a stack odd (-1) or even (1) in x_0, or of neither parity (0, split in
+    # two), folded over the half axis x_0 >= 0 against 2i sin and 2 cos,
+    # gives the point sum over the whole axis for each A2 representative;
+    # the even stack keeps a nonzero x_0 = 0 column, which 2 cos counts twice
+    rs, x, y, values, weights = _fold_case("A2")
+    n = x.size
+    V = (weights * values).reshape(-1, n, n)
+    V = V + parity * V[:, ::-1] if parity else V
+    assert parity < 0 or np.all(V[:, n // 2] != 0)
+    xs, ys = spherical._symmetric(x), spherical._symmetric(y)
+    ia, ib = np.arange(y.size)[:, None], np.arange(y.size)[None, :]
+    halves = spherical._half_axis(V, parity)
+    assert len(halves) == (2 if parity == 0 else 1)
+    for (mat, _), tables in zip(spherical._cosets(rs)[1], spherical._fold_tables(rs, x, y)):
+        got = sum(spherical._axis_fold(tables, ia, ib, h, odd) for h, odd in halves)
+        want = _point_fold(rs, V.reshape(V.shape[0], -1), 1.0, xs, _tensor_nodes(ys, 2),
+                           [(mat, 1)])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("tag", ["A1", "A2", "B2", "C2", "D2"])
 def test_general_representatives_alone_take_the_axis_fold(tag, monkeypatch):
     # Only the two cosets of A2 without a signed permutation go through the
@@ -655,15 +693,17 @@ def _traced_peak(call):
 
 
 def test_a2_transform_memory_is_bounded(a2):
-    # the coset fold forms its phase matrices a block of output rows at a
-    # time, so on the largest benchmark grid pair (161/131) each transform
-    # traces a peak of about 14 MB; one phase matrix over all folded output
-    # points would take 22 MB (forward) or 27 MB (inverse) alone
+    # the coset fold forms its phase tables a block of output rows at a
+    # time and frees them before the next block, and its x_0 tables are
+    # real over the half axis, so on the largest benchmark grid pair
+    # (161/131) each transform traces a peak of about 8.3 MB; one complex
+    # phase matrix over all folded output points would take 22 MB
+    # (forward) or 27 MB (inverse) alone
     rgrid, sgrid = RadialGrid(a2, 10.0, 161), SpectralGrid(a2, 10.0, 131)
     f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1)))
     Hf, fwd = _traced_peak(lambda: forward_transform(a2, f, sgrid))
     _, inv = _traced_peak(lambda: inverse_transform(a2, Hf, rgrid))
-    assert fwd <= 25e6 and inv <= 25e6, (fwd, inv)
+    assert fwd <= 10e6 and inv <= 10e6, (fwd, inv)
 
 
 @pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
