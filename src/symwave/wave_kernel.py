@@ -13,14 +13,20 @@ power tail.  A Filon panel linearises the phase at its midpoint with a
 frequency kappa rounded to a multiple of 1/16, so that one block of panels
 needs exact linear-phase Legendre moments only at its few distinct kappa;
 the rest of the phase, including the rounding and the factor
-e^{-i Im(sigma)/2 ln(r^2+rt^2)}, is folded into the amplitude samples, and
-the pre-fold amplitude is real.  Beyond the point where the cutoff is
-identically one, the Bessel factor is split by its large-argument expansion
-into e^{+-isr} branches, every remaining smooth factor is expanded in powers
-of 1/r, and the integrals of the powers against e^{i(t+-s)r} are evaluated
-in double precision by numerical steepest descent: a Gauss-Laguerre rule on
-a ray into the complex plane, after a short real-axis segment where the
-frequency is too low for the ray alone.  Nothing is ever hard-truncated.
+e^{-i Im(sigma)/2 ln(r^2+rt^2)}, is folded into the amplitude samples.
+Below r|H| = 40, and wherever the cutoff still varies, the pre-fold
+amplitude is real and holds J_nu(r|H|), so a panel is no wider than the
+shell's period.  Past that cut the shell is split into its Hankel branches,
+J_nu = (H1_nu + H2_nu)/2: a panel carries the slowly varying hankel1e
+amplitude and its conjugate against the phase plus and minus |H| r, and
+only the local scale and the phase curvature bound its width.  Beyond the
+panels' end R, where the cutoff is identically one, the Bessel factor is
+split by its large-argument expansion into e^{+-isr} branches, every
+remaining smooth factor is expanded in powers of 1/r, and the integrals of
+the powers against e^{i(t+-s)r} are evaluated in double precision by
+numerical steepest descent: a Gauss-Laguerre rule on a ray into the complex
+plane, after a short real-axis segment where the frequency is too low for
+the ray alone.  Nothing is ever hard-truncated.
 
 The kernel functions take one point H (rank,) or a stack (N, rank); the
 point is the N = 1 case of the same code.  A call evaluates one radial
@@ -62,6 +68,7 @@ _SEG_NODES = 20
 class _KernelTables(NamedTuple):
     gamma: Callable                   # scipy.special functions
     jv: Callable
+    hankel1e: Callable
     spherical_jn: Callable
     psi_u: np.ndarray                 # smooth step F(u) tabulated on [0, 1]
     psi_F: np.ndarray
@@ -86,7 +93,7 @@ def _kernel_tables() -> _KernelTables:
     load either package.  ``smooth_step`` calls it, so the first
     ``chi_pair`` pays the whole cost."""
     from numpy.polynomial import laguerre as _lag, legendre as _leg
-    from scipy.special import gamma, jv, spherical_jn
+    from scipy.special import gamma, hankel1e, jv, spherical_jn
 
     n = 200_001
     u = np.linspace(0.0, 1.0, n)
@@ -100,7 +107,7 @@ def _kernel_tables() -> _KernelTables:
     # imaginary for odd n)
     gl_m = np.array([(-1.0) ** (n // 2) * (2 * n + 1) * gl_w * _leg.legval(gl_x, np.eye(n + 1)[n])
                      for n in range(_GL_N)])
-    return _KernelTables(gamma, jv, spherical_jn,
+    return _KernelTables(gamma, jv, hankel1e, spherical_jn,
                          u, 1.0 - cum / cum[-1],          # 1 at s=0, 0 at s=1
                          gl_x, gl_m,
                          *_lag.laggauss(_RAY_NODES),
@@ -126,7 +133,10 @@ def smooth_step_alt(s: np.ndarray) -> np.ndarray:
     out[s >= 1.0] = 0.0
     mid = (s > 0.0) & (s < 1.0)
     sm = s[mid]
-    out[mid] = 1.0 / (1.0 + np.exp(1.0 / (1.0 - sm) - 1.0 / sm))
+    # the logistic 1/(1 + e^a) through e^{-|a|}, which cannot overflow
+    a = 1.0 / (1.0 - sm) - 1.0 / sm
+    e = np.exp(-np.abs(a))
+    out[mid] = np.where(a > 0.0, e, 1.0) / (1.0 + e)
     return out
 
 
@@ -161,7 +171,9 @@ def bessel_j(nu: float, x: np.ndarray) -> np.ndarray:
     The name stays because it is public API (exported by ``symwave``) and
     ``perfbench/tracer.py`` instruments it by name.  ``shell_integral`` calls
     it for even dim_X only; for odd dim_X it uses the elementary
-    half-integer form (DLMF 10.49) through ``spherical_jn``."""
+    half-integer form (DLMF 10.49) through ``spherical_jn``.  Past the
+    Filon cut of ``_build_panels`` both parities use ``hankel1e`` instead
+    (``_shell_branch``)."""
     x = np.asarray(x, dtype=float)
     if nu < 0 or np.any(x < 0):
         raise ConfigError("bessel_j requires nu >= 0 and x >= 0")
@@ -210,6 +222,16 @@ def shell_integral(rs: RootSystem, r: np.ndarray, s: float | np.ndarray) -> np.n
     return float(out) if out.ndim == 0 else out
 
 
+def _shell_branch(rs: RootSystem, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The amplitude g, slowly varying for large r s, of the e^{irs} branch
+    of ``shell_integral`` = 2 Re(g e^{irs}) at r s > 0: as J_nu is the mean
+    of H1_nu(z) = hankel1e(nu, z) e^{iz} and its conjugate,
+    g = (1/2) (2 pi)^{d/2} r^{d/2} s^{(2-d)/2} hankel1e(nu, r s)."""
+    d = rs.dim_X
+    f = 0.5 * (2.0 * np.pi) ** (d / 2.0) * r ** (d / 2.0) * s ** ((2.0 - d) / 2.0)
+    return f * _kernel_tables().hankel1e((d - 2) / 2.0, r * s)
+
+
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
@@ -246,31 +268,50 @@ def _gamma_pole_distance(z: complex) -> float:
 
 _FILON_BLOCK = 1024          # panels per Filon block
 _TAIL_BLOCK = 64             # rows per steepest-descent block of the tail
+# r|H| from which Filon panels carry the shell's Hankel branches.  Measured
+# on the benchmark's kernel sweeps: 80 leaves 11% more panels, while 10 and
+# 20 split A2 panels whose hankel1e (about 0.6 us per node at order 3)
+# costs more than the nodes they save.
+_SPLIT_Z0 = 40.0
+_MAX_PANEL_STEPS = 400_000   # lockstep steps before a panel build gives up
 
 
 def _build_panels(a, b, s, t: float, rho_norm: float,
                   width_scale: float) -> tuple:
     """Panel edges on [a_k, b_k] for every key k at once, with t > 0 and
     a_k >= 0; a, b and s (the key's |H|) broadcast to (K,).  Returns
-    (edges, owner): the edges of key k are ``edges[owner == k]``, ascending,
-    and keys come in order.
+    (edges, owner, wave): the edges of key k are ``edges[owner == k]``,
+    ascending, and keys come in order; wave[i] is the shell frequency that
+    the panel from edges[i] carries in its phase, s_k past the cut and 0
+    before it (and on each key's last edge).
 
-    Each step is the scalar recurrence r -> min(r + max(w(r) scale, 1e-9), b)
-    run in lockstep over the keys still short of their b.  The width w is
-    bounded by the local scale, 20 rad of phase plus shell oscillation, the
-    phase curvature and the shell period.  The curvature's q^{3/2} is
-    q sqrt(q), not a power: numpy's vectorised power differs from the C
-    library's pow in the last bit on some inputs, while sqrt and the
-    product are rounded correctly by both, so the edges equal those of the
-    scalar recurrence bit for bit."""
+    Each step is the scalar recurrence r -> min(r + max(w(r) scale, 1e-9), c)
+    run in lockstep over the keys still short of their b.  Every key is cut
+    at r = max(Z0/s_k, 2|rho|) (``_SPLIT_Z0``), which becomes an edge when it
+    lies inside (a_k, b_k): c is the cut before it and b_k past it.  Before
+    the cut the width w is bounded by the local scale, 20 rad of phase plus
+    shell oscillation, the phase curvature and the shell period 6/s_k.
+    Past it the panels carry the shell's two Hankel branches, whose
+    oscillation e^{+-i s_k r} is linear phase that the Filon moments absorb,
+    so only the local scale and the curvature bound them.  Such panels are
+    too wide for the cutoff's ramp, which ends at 2|rho| (A1, t = 40,
+    |H| = 60: 1e-4 relative with a cut inside the ramp, 1.5e-9 without).
+    The curvature's q^{3/2} is q sqrt(q), not a power: numpy's vectorised
+    power differs from the C library's pow in the last bit on some inputs,
+    while sqrt and the product are rounded correctly by both, so the edges
+    equal those of the scalar recurrence bit for bit."""
     a, b, s = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                     for v in (a, b, s)))
     rho2 = rho_norm ** 2
-    stop = b - 1e-14 * np.maximum(1.0, b)
-    live = np.flatnonzero(a < stop)
-    r, sl, bl, stopl = a[live], s[live], b[live], stop[live]
+    cut = np.minimum(b, np.maximum(_SPLIT_Z0 / np.maximum(s, 1e-300), 2.0 * rho_norm))
+
+    def near(x):
+        return x - 1e-14 * np.maximum(1.0, x)
+
+    live = np.flatnonzero(a < near(b))
+    r, sl, bl, stopl, cutl, pastl = (x[live] for x in (a, s, b, near(b), cut, near(cut)))
     cap = 6.0 / (sl + 1e-30)
-    parts, owners = [a], [np.arange(a.size)]
+    parts, owners, split = [a], [np.arange(a.size)], [np.zeros(a.size, dtype=bool)]
     while live.size:
         q = r * r + rho2
         sq = np.sqrt(q)
@@ -278,19 +319,30 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
         curv = t * rho2 / (q * sq)
         w = np.where(r < 2.5 * rho_norm,
                      np.minimum(0.5 * np.maximum(r, 0.3 * rho_norm), rho_norm / 3.0), 0.5 * r)
-        w = np.minimum(np.minimum(w, cap),
-                       np.minimum(20.0 / (rate + 1e-30), np.sqrt(0.8 / (curv + 1e-30))))
-        r = np.minimum(r + np.maximum(w * width_scale, 1e-9), bl)
+        w = np.minimum(w, np.sqrt(0.8 / (curv + 1e-30)))
+        past = r >= pastl
+        w = np.where(past, w, np.minimum(w, np.minimum(cap, 20.0 / (rate + 1e-30))))
+        r = np.minimum(r + np.maximum(w * width_scale, 1e-9), np.where(past, bl, cutl))
         parts.append(r)
         owners.append(live)
-        if len(parts) > 400_000:
-            raise InconclusiveIntegralError("panel count exploded")
+        split.append(past)
+        if len(parts) > _MAX_PANEL_STEPS:
+            k = live[0]
+            raise InconclusiveIntegralError(
+                f"panel count exploded: over {_MAX_PANEL_STEPS} lockstep steps at t = {t:.6g} "
+                f"for |H| = {s[k]:.6g} on [{a[k]:.6g}, {b[k]:.6g}]")
         more = r < stopl
         if not more.all():
-            live, r, sl, bl, stopl, cap = (x[more] for x in (live, r, sl, bl, stopl, cap))
+            live, r, sl, bl, stopl, cutl, pastl, cap = (
+                x[more] for x in (live, r, sl, bl, stopl, cutl, pastl, cap))
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
-    return np.concatenate(parts)[order], owner[order]
+    owner = owner[order]
+    # split[j] marks the panel that ends at edge j, and no panel ends at a
+    # key's first edge
+    wave = np.zeros(owner.size)
+    wave[:-1] = np.where(np.concatenate(split)[order][1:], s[owner[:-1]], 0.0)
+    return np.concatenate(parts)[order], owner, wave
 
 
 def _rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -306,7 +358,11 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b in real arithmetic.  numpy's complex product gives other last
     bits when it reuses a temporary operand of 256 KiB or more for the
     result, so a row's bits could depend on the size of the stack around
-    it.  Real products and sums are rounded once each whatever the loop."""
+    it.  Real products and sums are rounded once each whatever the loop,
+    and so is numpy's real times complex product, which multiplies each
+    part of b by a."""
+    if not np.iscomplexobj(a):
+        return a * b
     out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
@@ -318,54 +374,68 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _filon_sums(amp_fn, phase_fn, dphase_fn, edges: np.ndarray,
-                owner: np.ndarray, out: np.ndarray) -> None:
+def _filon_sums(amp_fn, phase_fn, dphase_fn, edges: np.ndarray, owner: np.ndarray,
+                wave: np.ndarray, out: np.ndarray) -> None:
     """Add to out[k] the phase-folded Filon-Legendre sum over the panels
-    between consecutive edges of the same owner k (edges and owner as
+    between consecutive edges of the same owner k (edges, owner and wave as
     returned by ``_build_panels``, owner mapped to indices of out).
 
-    Per panel the phase is linearised at the midpoint with the frequency
-    kappa' = rint(16 kappa)/16, kappa = phase'(mid) * half-width, which is
-    exact in binary.  The whole residual, phase(nodes) - phase(mid) -
-    kappa' x at the Gauss nodes x, is folded into the amplitude samples, so
-    the only error is the Legendre resolution of the folded amplitude; the
-    rounding adds a linear phase of at most 1/32 rad, which degree 15
+    A panel with wave[i] = 0 is one row: amp_fn against e^{i phase_fn}.  A
+    panel with wave[i] = w > 0 splits a real amplitude f = 2 Re(g e^{iwr})
+    into two rows, g against e^{i(phase + wr)} and conj(g) against
+    e^{i(phase - wr)}; amp_fn returns g for it.
+    Per row the phase is linearised at the midpoint with the frequency
+    kappa' = rint(16 kappa)/16, kappa = (phase'(mid) +- w) * half-width,
+    which is exact in binary.  The whole residual, phase(nodes) - phase(mid)
+    - kappa' x at the Gauss nodes x, is folded into the amplitude samples,
+    so the only error is the Legendre resolution of the folded amplitude;
+    the rounding adds a linear phase of at most 1/32 rad, which degree 15
     resolves far below rounding.  Linear-phase moments are exact:
     int_-1^1 P_n(x) e^{i kappa x} dx = 2 i^n j_n(kappa), with j_n from
     ``scipy.special.spherical_jn``, accurate for every kappa.  Each block
-    takes the distinct kappa' of its own panels (``np.unique``), computes
+    takes the distinct kappa' of its own rows (``np.unique``), computes
     one moment row per kappa' and indexes the rows back to the panels: the
-    A1 high profile at t = 40 over 40 radii needs 183 rows for 10,210
-    panels.  The table lives for one block only, so nothing bounds kappa
-    and nothing is kept between calls.
-    ``amp_fn(nodes, k)`` gets the (P, 16) Gauss nodes and the owner of each
-    panel.  Panels go in blocks of at most ``_FILON_BLOCK``: a profile can
-    hold 10^5 panels, and unblocked work arrays would take hundreds of MB.
-    Every step is row by row and ``np.add.at`` adds the panels in order, so
-    out[k] does not depend on the block boundaries or on other owners.  For
-    that, the contraction of the folded amplitude with the moment row is
-    written in real arithmetic: numpy's complex product gave the same row
-    other last bits in different blocks.
+    A1 high profile at t = 40 over 40 radii needs 100 moment rows for its
+    3,045 unsplit panels, and 712 for the 754 rows of its 377 split panels,
+    whose wide panels rarely share a kappa'.  The table lives for one block
+    only, so nothing bounds kappa and nothing is kept between calls.
+    ``amp_fn(nodes, k, split)`` gets the (P, 16) Gauss nodes, the owner of
+    each panel and the mask wave > 0.  Panels go in blocks of at most
+    ``_FILON_BLOCK``: a profile can hold 10^5 panels, and unblocked work
+    arrays would take hundreds of MB.  Every step is row by row, a split
+    panel's two rows are summed before its value goes out, and
+    ``np.add.at`` adds the panels in order, so out[k] does not depend on
+    the block boundaries or on other owners.  For that, the products of
+    the folded amplitude are written in real arithmetic: numpy's complex
+    product gave the same row other last bits in different blocks.
     """
     tab = _kernel_tables()
     inner = np.flatnonzero(owner[1:] == owner[:-1])
     for start in range(0, inner.size, _FILON_BLOCK):
         i = inner[start:start + _FILON_BLOCK]
-        lo, hi, k = edges[i], edges[i + 1], owner[i]
+        lo, hi, k, w = edges[i], edges[i + 1], owner[i], wave[i]
         mids = (hi + lo) / 2.0
         hws = (hi - lo) / 2.0
         nodes = mids[:, None] + hws[:, None] * tab.gl_x
-        phi = phase_fn(mids)
-        kappa, which = np.unique(np.rint(16.0 * dphase_fn(mids) * hws) / 16.0,
-                                 return_inverse=True)
-        A = amp_fn(nodes, k) * np.exp(1j * (phase_fn(nodes) - phi[:, None]
-                                            - kappa[which, None] * tab.gl_x))
+        split = np.flatnonzero(w)
+        amp = amp_fn(nodes, k, w > 0.0)
+        phi, dphi, phin = phase_fn(mids), dphase_fn(mids), phase_fn(nodes)
+        if split.size:        # the e^{-iwr} rows of the split panels go last
+            rows = np.concatenate([np.arange(i.size), split])
+            w = np.concatenate([w, -w[split]])
+            amp = np.concatenate([amp, amp[split].conj()])
+            hws, mids, nodes = hws[rows], mids[rows], nodes[rows]
+            phi, dphi, phin = phi[rows] + w * mids, dphi[rows] + w, phin[rows] + w[:, None] * nodes
+        kappa, which = np.unique(np.rint(16.0 * dphi * hws) / 16.0, return_inverse=True)
+        A = _cmul(amp, np.exp(1j * (phin - phi[:, None] - kappa[which, None] * tab.gl_x)))
         jn = tab.spherical_jn(np.arange(_GL_N), kappa[:, None])
         Gr = _rowwise(jn[:, 0::2], tab.gl_m[0::2])[which]
         Gi = _rowwise(jn[:, 1::2], tab.gl_m[1::2])[which]
         Ar, Ai = A.real, A.imag
         S = np.sum(Ar * Gr - Ai * Gi, axis=1) + 1j * np.sum(Ar * Gi + Ai * Gr, axis=1)
-        np.add.at(out, k, hws * np.exp(1j * phi) * S)
+        v = hws * np.exp(1j * phi) * S
+        v[split] += v[i.size:]
+        np.add.at(out, k, v[:i.size])
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +696,35 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
     The panels see the real amplitude chi (r^2+rt^2)^{-Re sigma/2} S_d(r, s)
     and the phase t sqrt(r^2+|rho|^2) - (Im sigma/2) ln(r^2+rt^2), which
     carries the rest of (r^2+rt^2)^{-sigma/2}: one complex power per node
-    fewer, and a real times complex product in the fold.  The panel widths
-    stay those of the t-phase alone; the log term's small curvature is
-    folded like the rest."""
+    fewer.  Past the cut of ``_build_panels`` the shell factor is
+    ``_shell_branch`` instead, the e^{+isr} branch (the low piece ends
+    before any cut).  The panel widths stay those of the t-phase alone; the
+    log term's small curvature is folded like the rest."""
     assert t > 0
     rho_norm = rs.rho_norm
     out = np.zeros(s.size, dtype=complex)
 
-    def amp(r, k):
+    def amp(r, k, split):
         c0, cinf = chi_pair(r / rho_norm, cutoff)
-        return ((c0 if piece == "low" else cinf) * (r * r + rho_tilde ** 2) ** (-sigma.real / 2.0)
-                * shell_integral(rs, r, s[k][:, None]))
+        f = (c0 if piece == "low" else cinf) * (r * r + rho_tilde ** 2) ** (-sigma.real / 2.0)
+        if not split.any():
+            return f * shell_integral(rs, r, s[k][:, None])
+        g = np.empty(r.shape, dtype=complex)
+        g[~split] = f[~split] * shell_integral(rs, r[~split], s[k[~split]][:, None])
+        g[split] = f[split] * _shell_branch(rs, r[split], s[k[split]][:, None])
+        return g
 
     def add_panels(keys, a, b):
-        edges, owner = _build_panels(a, b, s[keys], t, rho_norm, width_scale)
+        try:
+            edges, owner, wave = _build_panels(a, b, s[keys], t, rho_norm, width_scale)
+        except InconclusiveIntegralError as exc:
+            raise InconclusiveIntegralError(f"{exc} ({piece} piece, sigma = {sigma:.6g})") from None
         _filon_sums(amp,
                     lambda r: (t * np.sqrt(r * r + rho_norm ** 2)
                                - sigma.imag / 2.0 * np.log(r * r + rho_tilde ** 2)),
                     lambda r: (t * r / np.sqrt(r * r + rho_norm ** 2)
                                - sigma.imag * r / (r * r + rho_tilde ** 2)),
-                    edges, keys[owner], out)
+                    edges, keys[owner], wave, out)
 
     pending = np.arange(s.size)
     if piece == "low":
