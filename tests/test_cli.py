@@ -11,6 +11,7 @@ import pytest
 
 import symwave
 from symwave.cli import _build_parser, _float_list, _load_config, _parse_float, run
+from symwave.geometry import phi0
 from symwave.root_system import root_system_from_tag
 from symwave.spherical import plancherel_constant
 from symwave.wave_kernel import KernelParams, kernel_piece
@@ -47,6 +48,20 @@ def test_phi_writes_csv_and_manifest(tmp_path, capsys):
     manifest = json.loads((out / "phi_manifest.json").read_text())
     assert manifest["root_system"] == "A1"
     assert manifest["lam"] == [1.0]
+
+
+@pytest.mark.parametrize("tag", ["B4", "C4", "D4"])
+def test_phi_table_at_rank_four_keeps_the_basic_bound(tag, tmp_path, capsys):
+    # the default lam = (1, 1, 1, 1) is orthogonal to six roots, the
+    # e_i - e_j, and most nodes of the 3^4 grid lie on two or more walls
+    out = tmp_path / "o"
+    assert run(["phi", "--root-system", tag, "--points", "3", "--output-dir", str(out)]) == 0
+    rs = root_system_from_tag(tag)
+    with open(out / "phi.csv") as fh:
+        rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+    H, vals = rows[:, :rs.rank], rows[:, rs.rank] + 1j * rows[:, rs.rank + 1]
+    assert rows.shape[0] == 81
+    assert np.all(np.abs(vals) <= phi0(rs, H) * (1 + 1e-10))
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "B2", "C2"])

@@ -302,7 +302,7 @@ def test_phi_near_one_wall_matches_closed_form_at_rank_3_and_4(tag):
 
 def test_phi_on_two_walls_matches_closed_form_at_rank_3():
     # an argument orthogonal to two roots (on a third wall too when their
-    # sum is a root) is the one input the pairing leaves to extrapolation
+    # sum is a root) is the one input the pairing leaves to the circle mean
     rs = build_root_system("A", 3)
     g_reg = _unit(_GENERIC["A3"][1])
     worst = 0.0
@@ -312,18 +312,57 @@ def test_phi_on_two_walls_matches_closed_form_at_rank_3():
             for lam, H in ((r_lam * g_reg, r_H * line), (r_lam * line, r_H * g_reg)):
                 ref = _phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
                 worst = max(worst, abs(phi_lambda(rs, lam, H) - ref) / abs(ref))
-    assert worst <= 1e-7
+    assert worst <= 1e-11
+
+
+def _multi_wall_points(rs, g):
+    # unit points on the walls of two or three roots (a line at rank 3, a
+    # line or a plane at rank 4), and unit points whose pairings with two
+    # roots are set to (delta1, delta2) in [1e-6, 0.05], from the generic g
+    combos = [ks for n in (2, 3) for ks in itertools.combinations(range(rs.n_positive), n)
+              if np.linalg.matrix_rank(rs.roots_c[list(ks)]) == n < rs.rank]
+    lines = [_on_walls(rs, ks, g) for ks in combos[::max(1, len(combos) // 6)]]
+    pairs = [ks for ks in combos if len(ks) == 2]
+    near = []
+    for ks, deltas in zip(pairs[::max(1, len(pairs) // 6)],
+                          itertools.cycle([(2e-6, 0.03), (1e-3, 0.045), (0.011, 0.027)])):
+        A = rs.roots_c[list(ks)]
+        p = _unit(_on_walls(rs, ks, g) + A.T @ np.linalg.solve(A @ A.T, deltas))
+        assert np.count_nonzero(np.abs(rs.roots_c @ p) >= 1e-6) == rs.n_positive
+        assert np.count_nonzero(np.abs(rs.roots_c @ p) <= 0.05) >= 2
+        near.append(p)
+    return lines, near
+
+
+@pytest.mark.parametrize("tag,tol", [("A3", 1e-12), ("B3", 1e-12), ("C3", 1e-12),
+                                     ("A4", 1e-11), ("D4", 1e-11),
+                                     ("B4", 1e-9), ("C4", 1e-8)])
+def test_phi_near_two_walls_matches_closed_form(tag, tol):
+    # both arguments on or near two or more walls (root hyperplanes) at once,
+    # where phi_lambda_many takes the circle mean of the paired form
+    rs = build_root_system(tag[0], int(tag[1]))
+    g = np.array([1.0, 0.3, -0.7, 0.45][:rs.rank])
+    lams, Hs = [], []
+    for points in _multi_wall_points(rs, g):
+        for k, (p, q) in enumerate(zip(points, points[1:] + points[:1])):
+            r_lam, r_H = ((0.3, 1.0), (1.0, 3.0), (3.0, 3.0), (3.0, 0.3))[k % 4]
+            lams.append(r_lam * p)
+            Hs.append(r_H * q)
+    vals = phi_lambda_many(rs, np.array(lams), np.array(Hs))
+    ref = np.array([_phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
+                    for lam, H in zip(lams, Hs)])
+    assert np.max(np.abs(vals - ref) / np.abs(ref)) <= tol
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "B2"])
 def test_rank_two_takes_no_extrapolation(tag, monkeypatch):
     # walls, root hyperplanes, both and the joint origin all take the
-    # paired closed form: the ray extrapolation is never reached
+    # paired closed form: the circle mean is never evaluated
     rs = build_root_system(tag[0], int(tag[1]))
 
     def refuse(*args):
-        raise AssertionError("extrapolation reached at rank <= 2")
-    monkeypatch.setattr(spherical, "_ray_offsets", refuse)
+        raise AssertionError("circle mean reached at rank <= 2")
+    monkeypatch.setattr(spherical, "_phi_circle", refuse)
     if rs.rank == 1:
         lams = np.array([[1.7], [-0.4], [1e-5], [0.01]])
         Hs = np.array([[0.9], [-2.1], [3e-5], [0.01]])
@@ -337,14 +376,25 @@ def test_rank_two_takes_no_extrapolation(tag, monkeypatch):
     assert np.all(np.abs(table) <= phi0(rs, Hs)[None, :] * (1 + 1e-10))
 
 
-@pytest.mark.parametrize("tag", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2", "A3", "B4"])
 def test_phi_lambda_many_matches_single_points(tag):
     # One broadcast call over a table that mixes lam = 0, H = 0, regular
-    # pairs, lam on a root hyperplane, H on a wall and both.
+    # pairs, lam on a root hyperplane, H on a wall and both; at rank >= 3
+    # also arguments on two walls and with two pairings near 0.03 |p|.
     rs = build_root_system(tag[0], int(tag[1]))
     if rs.rank == 1:
         lams = np.array([[0.0], [1.7], [-0.4], [1e-5]])
         Hs = np.array([[0.0], [0.9], [-2.1], [3e-5]])
+    elif rs.rank > 2:
+        g_wall, g_reg = (_GENERIC["A3"] if rs.rank == 3 else
+                         ([1.0, 0.3, -0.7, 0.45], [0.9, -0.35, 0.6, 0.2]))
+        A = rs.roots_c[[0, 1]]
+        moderate = _on_walls(rs, [0, 1], g_wall) + A.T @ np.linalg.solve(A @ A.T, [0.03, 0.035])
+        points = [np.zeros(rs.rank), _unit(g_reg), _on_walls(rs, [0], g_wall),
+                  _on_walls(rs, [0, 1], g_wall), _on_walls(rs, [1, 2], g_reg), moderate]
+        lams = np.array([r * p for r, p in zip((1.0, 1.3, 0.7, 2.0, 0.4, 1.1), points)])
+        Hs = np.array([r * points[k] for r, k in zip((1.0, 0.9, 2.5, 0.6, 1.7, 1.2),
+                                                     (0, 5, 4, 3, 2, 1))])
     else:
         lams = np.array([[0.0, 0.0], [1.1, 0.6], 1.3 * _wall(rs, 0),
                          0.7 * _wall(rs, 1), [-2.0, 0.5]])
