@@ -182,9 +182,9 @@ def kernel_on_grid(rs: RootSystem, p: KernelParams, grid: RadialGrid,
 
     The kernel is phi0(H) psi(|H|), so one stacked ``kernel_piece`` call on
     the rho_c-ray points with the nodes' |H| gives psi on the whole grid, one
-    radial integral per distinct |H|; phi0 then restores the dependence on
-    the direction of H."""
-    r = np.round(np.linalg.norm(grid.nodes, axis=1), 12)
+    radial integral per distinct |H| (``_radial_profile`` keys the radii);
+    phi0 then restores the dependence on the direction of H."""
+    r = np.linalg.norm(grid.nodes, axis=1)
     direction = rs.rho_c / np.linalg.norm(rs.rho_c)
     ray = direction[None, :] * r[:, None]
     vals = kernel_piece(rs, p, ray, piece) * (phi0(rs, grid.nodes) / phi0(rs, ray))

@@ -37,7 +37,9 @@ def _trapezoid_weights(axis: np.ndarray, rank: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _TensorGrid:
     """Uniform tensor grid over the box [-R, R]^rank, an odd number of
-    points per axis so that the origin is a node."""
+    points per axis so that the origin is a node.  The axis is a linspace
+    made exactly antisymmetric, axis[::-1] == -axis bit for bit (a linspace
+    alone is off by a few ulps), so x -> -x maps nodes onto nodes."""
 
     rs: RootSystem
     box_radius: float
@@ -52,7 +54,8 @@ class _TensorGrid:
             raise ConfigError("points_per_axis must be odd and >= 3")
         if self.box_radius <= 0:
             raise ConfigError("box_radius must be positive")
-        axis = np.linspace(-self.box_radius, self.box_radius, n)
+        lin = np.linspace(-self.box_radius, self.box_radius, n)
+        axis = (lin - lin[::-1]) / 2.0
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "nodes", _tensor_nodes(axis, self.rs.rank))
         object.__setattr__(self, "weights", _trapezoid_weights(axis, self.rs.rank))

@@ -25,34 +25,35 @@ the value at its centre because phi is analytic there.
 Transforms are plain trapezoid sums over tensor grids, applied to a stack of
 B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
 ``forward_transform`` and ``inverse_transform`` are the B = 1 case.  The
-transform pair is defined for rank <= 2.  The Weyl sum is folded over the
-cosets of the subgroup W0 of signed permutations (Weyl elements within
-1e-12 of an integer matrix), which map the input and output grids onto
-themselves once their 1D axes are made exactly antisymmetric: the weighted
-stack is antisymmetrised over W0 by index flips and transposes, and the
-result U is summed once per coset representative (``_coset_fold``); its
-image under a mirror of W0 is added by an index flip, so U has an exact
-parity.  At rank 1, W0 = W and U is odd, so the fold is one real sine
-table over the positive half-axis and two real matrix products.  At rank 2
-the identity coset is A @ U @ B^T per slice, the whole sum on B2, C2 and
-D2.  The two other cosets of A2 fold U over the half axis x_0 > 0 only, a
-half-range sine transform: the mirror diag(-1, 1) makes U odd in x_0, so
-x_0 is contracted against 2i sin by one real matrix product per output
-row, and x_1 by a rowwise dot against complex phases (``_axis_fold``); the
-phase tables of each representative are built once per transform.
-Only the output rows y_a >= 0 are folded; the others follow from
-S(s p) = det(s) S(p) for a diagonal s in W0 with s_00 = -1.  The
-transform is evaluated on the whole output grid and divided by pi(lam) or
-by the Weyl denominator, each a product of one factor per positive root.
-On the wall (root hyperplane) of one root the alternating sum and that
-product both vanish, and the value there is their limit along the wall's
-normal: the normal derivative of the alternating sum, folded at the wall
-nodes only from the two first-moment stacks of U over the representatives,
-each stack by its parity in x_0 (a cosine table for an even one), over the
-product with the vanishing factor replaced by its normal derivative.  The
-origin takes its exact value, and a grid with any other node near a
-singular set is refused.  Each slice passes its own tail check, and a
-failure names the slice.
+transform pair is defined for rank <= 2, and both refuse rank >= 3 before
+any other check.  The Weyl sum is folded once per transform over the cosets
+of the subgroup W0 of signed permutations (Weyl elements within 1e-12 of an
+integer matrix), which map the input and output grids onto themselves, as
+grid axes are exactly antisymmetric: the weighted stack is antisymmetrised
+over W0 by index flips and transposes, and the result U is summed once per
+coset representative (``_coset_fold``); its image under a mirror of W0 is
+added by an index flip, so U has an exact parity.  Every coset folds the
+same half stacks of U over x_0 >= 0 (``_half_axis``) against 2i sin or
+2 cos, a half-range sine or cosine transform: U is odd in x_0 on A1, A2,
+B2 and C2, and D2 takes its even and odd parts.  The identity coset is
+separable, so it contracts x_0 by real matrix products against one real
+table and, at rank 2, x_1 by one complex product; that is the whole sum at
+rank 1 and on B2, C2 and D2.  The two other cosets of A2 contract x_0 by
+one real matrix product per output row, and x_1 by a rowwise dot against
+complex phases (``_axis_fold``); the phase tables of each representative
+are built once per transform.  Only the output rows y_a >= 0 are folded;
+the others follow from S(s p) = det(s) S(p) for a diagonal s in W0 with
+s_00 = -1.  The transform is evaluated on the whole output grid and
+divided by pi(lam) or by the Weyl denominator, each a product of one
+factor per positive root.  On the wall (root hyperplane) of one root the
+alternating sum and that product both vanish, and the value there is
+their limit along the wall's normal: the normal derivative of the
+alternating sum, folded at the wall nodes only from the two first-moment
+stacks of the same U over the representatives, each stack by its parity
+in x_0, over the product with the vanishing factor replaced by its normal
+derivative.  The origin takes its exact value, and a grid with any other
+node near a singular set is refused.  Each slice passes its own tail
+check, and a failure names the slice.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ import numpy as np
 from .errors import (ConfigError, InconclusiveIntegralError,
                      UnsupportedConfigurationError)
 from .geometry import (TAIL_TOL, RadialFunction, RadialGrid, _TensorFunction,
-                       _TensorGrid, _tensor_nodes, density_delta,
-                       integrate_biinvariant, phi0, weyl_denominator)
+                       _TensorGrid, density_delta, integrate_biinvariant, phi0,
+                       weyl_denominator)
 from .root_system import RootSystem, pi, pi_many, weyl_group
 
 SINGULAR_EPS = 1e-4
@@ -155,8 +156,8 @@ def _coset_fold(rs: RootSystem, values: np.ndarray,
     (matrix, sign) pairs, the identity first; and the mirror (s, det s).
     U is summed over one element of each pair {s, s mirror}, and its image
     under the mirror is then added by an index flip, so U o s = det(s) U
-    holds bit for bit: U is odd in x_0 on A2, B2 and C2 and even under -I
-    on D2.
+    holds bit for bit: U is odd in x_0 on A1, A2, B2 and C2 and even
+    under -I on D2.
     """
     def compose(G, s):
         # (G o s)(x) = G(s x): axis j of x feeds the coordinate that column
@@ -175,76 +176,57 @@ def _coset_fold(rs: RootSystem, values: np.ndarray,
     return U, reps, (s, sign)
 
 
-def _symmetric(axis: np.ndarray) -> np.ndarray:
-    """The 1D grid ``axis`` made exactly antisymmetric under reversal, within
-    an ulp of its nodes: a linspace over [-L, L] is only symmetric to a few
-    ulps, and the coset fold needs x -> -x to map nodes onto nodes."""
-    return (axis - axis[::-1]) / 2.0
-
-
-def _fold_tables(rs: RootSystem, axis: np.ndarray, out_axis: np.ndarray) -> list:
-    """The ``_weyl_phases`` tables of each coset representative of
-    ``_cosets``, in order, on the exactly antisymmetric axes."""
-    x, y = _symmetric(axis), _symmetric(out_axis)
-    return [_weyl_phases(mat, y, x) for mat, _ in _cosets(rs)[1]]
-
-
-def _w_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
-            axis: np.ndarray, out_axis: np.ndarray,
-            tables: list | None = None) -> np.ndarray:
+def _w_fold(U: np.ndarray, reps: list, mirror: tuple, x: np.ndarray,
+            y: np.ndarray, tables: list) -> np.ndarray:
     """sum_w det(w) sum_x weights(x) values_b(x) exp(i <p, w x>) for each
-    slice b of the stack ``values`` (B, n^rank) and each node p of the
-    tensor grid over the 1D axis ``out_axis``, in ``_tensor_nodes`` order;
-    returns (B, m^rank).
+    slice b of the stack and each node p of the tensor grid over the 1D
+    axis ``y``, in ``_tensor_nodes`` order; returns (B, m^rank).  It takes
+    what ``_coset_fold`` returns for the stack: U (B, n) or (B, n, n) over
+    the axis ``x``, the representatives ``reps`` and the ``mirror``; at
+    rank 2 ``tables`` holds each representative's ``_weyl_phases`` tables.
+    Both axes are grid axes, exactly antisymmetric.
 
-    The inner sum runs over the tensor grid with 1D nodes ``axis``.  Both
-    axes are taken exactly antisymmetric (``_symmetric``), and the sum is
-    folded over the cosets of the signed permutations W0 (``_coset_fold``):
-    the W0-antisymmetrised stack U is summed once per coset representative.
-    W0 also maps the output grid onto itself, and substituting w -> s^-1 w
+    W0 maps the output grid onto itself, and substituting w -> s^-1 w
     gives S(s p) = det(s) S(p), so only the rows y_a >= 0 are folded and
-    the others are filled through the mirror.
-
-    At rank 1, W0 = W and U is odd, so S(y) = 2i sum_{x>0} U(x) sin(y x):
-    one real sine table over the positive half-axis and two real matrix
-    products.  At rank 2 the identity coset is A @ U @ B^T per slice, from
-    one phase table per output coordinate; that is the whole sum on B2, C2
-    and D2.  On A2 the other two representatives fold the rows y_a >= 0
-    through ``_axis_fold``: the mirror diag(-1, 1) has det -1, so U is odd
-    in x_0, and only its half x_0 > 0 is contracted, against 2i sin, one
-    real matrix product per output row.  ``tables`` holds each
-    representative's ``_weyl_phases`` tables (``_fold_tables``); they are
-    built here when not given.
+    the others are filled through the mirror.  Every coset folds the same
+    ``_half_axis`` parts of U over x_0 >= 0, against 2i sin or 2 cos: U is
+    odd in x_0 on A1, A2, B2 and C2, and D2 takes its even and odd parts.
+    The identity coset is separable: x_0 is contracted by two real matrix
+    products against one real sine or cosine table, and at rank 2 x_1 by
+    one complex product against exp(i y_b x_1); at rank 1 and on B2, C2
+    and D2 that is the whole sum.  The two other representatives of A2
+    fold the rows y_a >= 0 through ``_axis_fold``, one real matrix product
+    per output row.
     """
-    U, reps, (s, sign) = _coset_fold(rs, values, weights)
-    x, y = _symmetric(axis), _symmetric(out_axis)
+    s, sign = mirror
     m, lo = y.shape[0], y.shape[0] // 2      # rows y[lo:] >= 0 are folded
-    if rs.rank == 1:
-        k = x.shape[0] // 2 + 1              # x[k:] > 0; U(0) = 0
-        T = np.sin(np.multiply.outer(x[k:], y[lo:]))
-        half = 2j * (U[:, k:].real @ T) - 2.0 * (U[:, k:].imag @ T)
-    else:
-        half = _phase(y[lo:], x) @ U @ _phase(y, x).T
-        if len(reps) > 1:
-            tables = tables or _fold_tables(rs, axis, out_axis)
-            parts = _half_axis(U, sign if s[1, 1] == 1 else 0)
-            for (mat, rsign), tab in zip(reps[1:], tables[1:]):
-                for h, odd in parts:
-                    half += rsign * _axis_fold(tab, np.arange(lo, m)[:, None],
-                                               np.arange(m)[None, :], h, odd).reshape(half.shape)
+    k = x.shape[0] // 2                       # x_0 = 0 at index k
+    parts = _half_axis(U, sign if np.all(np.diag(s)[1:] == 1) else 0)
+    half = 0.0
+    for h, odd in parts:                      # the identity coset over x_0
+        T = (np.sin if odd else np.cos)(np.multiply.outer(x[k + odd:], y[lo:]))
+        re, im = (np.moveaxis(part, 1, -1) @ T for part in (h.real, h.imag))
+        half = half + (2j * re - 2.0 * im if odd else 2.0 * re + 2j * im)
+    del T, re, im                 # freed before the other cosets' blocks
+    if U.ndim == 3:                  # x_1 against the identity's exp(i y_b x_1)
+        half = np.swapaxes(half, 1, 2) @ tables[0][1][1].T
+    for (mat, rsign), tab in zip(reps[1:], tables[1:]):
+        for h, odd in parts:
+            half += rsign * _axis_fold(tab, np.arange(lo, m)[:, None],
+                                       np.arange(m)[None, :], h, odd).reshape(half.shape)
     low = half[(slice(None), slice(None, None, -1))
                + tuple(np.s_[::int(d)] for d in np.diag(s)[1:])]
     out = np.concatenate([sign * low[:, :lo], half], axis=1)
-    return out.reshape(values.shape[0], -1)
+    return out.reshape(U.shape[0], -1)
 
 
-def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
-               axis: np.ndarray, out_axis: np.ndarray, idx: np.ndarray,
-               normals: np.ndarray, tables: list | None = None) -> np.ndarray:
+def _wall_fold(U: np.ndarray, reps: list, mirror: tuple, x: np.ndarray, m: int,
+               tables: list, idx: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """The derivative d_n S(p) of the rank-2 fold S of ``_w_fold`` along the
     unit vector n, at the output nodes ``idx`` (flat indices into the tensor
-    grid over ``out_axis``), each with its own n, a row of ``normals``;
-    returns (B, len(idx)).
+    grid of m nodes per axis), each with its own n, a row of ``normals``;
+    returns (B, len(idx)).  U, ``reps``, ``mirror``, the axis ``x`` and
+    ``tables`` are those of ``_w_fold``.
 
     Over the cosets of ``_coset_fold``, S = sum_r det(r) S_r[U], so
 
@@ -256,16 +238,14 @@ def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
     ``_axis_fold`` by its parity in x_0 (``_half_axis``): where the mirror
     is diag(-1, 1), U is odd in x_0, so i x_0 U is even and i x_1 U odd; on
     D2, whose mirror is -I, each moment is split into its even and odd
-    parts.  The phases come from each representative's tables (``tables``,
-    or ``_fold_tables`` when not given) at the nodes' grid indices, passed
-    as one row: one product per moment part and representative."""
-    U, reps, (s, sign) = _coset_fold(rs, values, weights)
-    x = _symmetric(axis)
-    tables = tables or _fold_tables(rs, axis, out_axis)
+    parts.  The phases come from each representative's tables at the nodes'
+    grid indices, passed as one row: one product per moment part and
+    representative."""
+    s, sign = mirror
     parity = sign if s[1, 1] == 1 else 0     # U(-x_0, x_1) = parity U(x_0, x_1)
     moments = (_half_axis(U * (1j * x[:, None]), -parity),
                _half_axis(U * (1j * x), parity))
-    ia, ib = np.divmod(idx, out_axis.shape[0])
+    ia, ib = np.divmod(idx, m)
     out = np.zeros((U.shape[0], idx.shape[0]), dtype=complex)
     for (mat, rsign), tab in zip(reps, tables):
         c = normals @ mat                  # (n r)_k per point
@@ -276,11 +256,12 @@ def _wall_fold(rs: RootSystem, values: np.ndarray, weights: np.ndarray,
 
 
 def _half_axis(stack: np.ndarray, parity: int) -> list:
-    """The half stacks over x_0 >= 0 whose ``_axis_fold`` terms add up to the
-    fold of ``stack`` (B, n, n) over the whole x_0 axis, as (half, odd)
-    pairs.  ``parity`` is +-1 where stack(-x_0, x_1) = parity stack(x_0, x_1)
-    and 0 where the stack has no parity in x_0; such a stack is split into
-    its even and odd parts.  An odd half starts at x_0 > 0 (sin 0 = 0); an
+    """The half stacks over x_0 >= 0 whose folds against 2i sin or 2 cos
+    (``_w_fold``, ``_axis_fold``) add up to the fold of ``stack`` (B, n) or
+    (B, n, n) over the whole x_0 axis, as (half, odd) pairs.  ``parity`` is
+    +-1 where stack(-x_0, x_1) = parity stack(x_0, x_1) and 0 where the
+    stack has no parity in x_0; such a stack is split into its even and odd
+    parts.  An odd half starts at x_0 > 0 (sin 0 = 0); an
     even half starts at x_0 = 0 with that column halved, which is exact,
     as 2 cos(c_0 x_0) counts it twice."""
     k = stack.shape[1] // 2                   # x_0 = 0 at index k
@@ -520,10 +501,9 @@ def _patched(rs: RootSystem, grid, values: np.ndarray, weights: np.ndarray,
     m = |Sigma+|, S the fold (``_w_fold``) of the stack ``values`` (B, n^rank)
     with ``weights`` over the tensor grid with 1D nodes ``axis``;
     ``root_factor`` is the identity (pi(p)) or sinh (the Weyl denominator
-    over 2^m), each of slope 1 at 0.  S is evaluated on the exactly
-    antisymmetric axis (``_symmetric``), and so is the product: near the
-    origin both vanish to order m, and a shift of 1e-15 between their
-    nodes would move the ratio by about m 1e-15 / |p|.
+    over 2^m), each of slope 1 at 0.  The stack is folded over W0 once
+    (``_coset_fold``), and each representative's phase tables are built
+    once, for the grid fold and the wall limits alike.
 
     On the wall <alpha, p> = 0 of one root both S and the product vanish,
     and the value is their limit along the unit normal n = alpha/|alpha|,
@@ -543,13 +523,13 @@ def _patched(rs: RootSystem, grid, values: np.ndarray, weights: np.ndarray,
             "set but on no single wall")
     j, k = np.nonzero(on & wall[:, None])     # none at rank 1: only the origin
     slope = np.linalg.norm(rs.roots_c[k], axis=1)
-    tables = _fold_tables(rs, axis, grid.axis) if rs.rank == 2 else None
-    out = _w_fold(rs, values, weights, axis, grid.axis, tables)
+    U, reps, mirror = _coset_fold(rs, values, weights)
+    tables = [_weyl_phases(mat, grid.axis, axis) for mat, _ in reps] if rs.rank == 2 else []
+    out = _w_fold(U, reps, mirror, axis, grid.axis, tables)
     if j.size:
-        out[:, j] = _wall_fold(rs, values, weights, axis, grid.axis, j,
-                               rs.roots_c[k] / slope[:, None], tables)
-    fac = root_factor(_tensor_nodes(_symmetric(grid.axis), rs.rank)
-                      @ rs.roots_c.T)          # at the nodes S was taken at
+        out[:, j] = _wall_fold(U, reps, mirror, axis, grid.points_per_axis, tables,
+                               j, rs.roots_c[k] / slope[:, None])
+    fac = root_factor(pts @ rs.roots_c.T)
     fac[j, k] = slope
     fac[origin] = 1.0
     out *= pi(rs, rs.rho_c) / (1j ** rs.n_positive) * constant / np.prod(fac, axis=1)
@@ -564,6 +544,16 @@ def _as_stack(values: np.ndarray, grid) -> np.ndarray:
         raise ConfigError(f"stack of shape {v.shape} does not match a grid of "
                           f"{grid.n_nodes} nodes")
     return v
+
+
+def _check_pair(rs: RootSystem, *grids) -> None:
+    """Refuse grids built for another root system, and rank >= 3, where the
+    transform pair is not defined; checked before any tail check."""
+    if any(g.rs is not rs for g in grids):
+        raise ConfigError("grids belong to a different root system")
+    if rs.rank > 2:
+        raise UnsupportedConfigurationError(
+            "the transform pair is defined for rank <= 2")
 
 
 def _check_tail(kind: str, values: np.ndarray, weights: np.ndarray,
@@ -594,11 +584,7 @@ def forward_transform_stack(rs: RootSystem, rgrid: RadialGrid,
     ``rgrid``, returned as values (B, M) on ``grid``.
 
     Each slice passes its own tail check; see ``forward_transform``."""
-    if rgrid.rs is not rs or grid.rs is not rs:
-        raise ConfigError("grids belong to a different root system")
-    if rs.rank > 2:
-        raise UnsupportedConfigurationError(
-            "the transform pair is defined for rank <= 2")
+    _check_pair(rs, rgrid, grid)
     values = _as_stack(values, rgrid)
     wdp = rgrid.weights * density_delta(rs, rgrid.nodes) * phi0(rs, rgrid.nodes)
     _check_tail("radial", values, wdp, rgrid.shell_mask(), tail_tol, tail_floor)
@@ -617,8 +603,7 @@ def inverse_transform_stack(rs: RootSystem, sgrid: SpectralGrid,
     ``sgrid``, returned as values (B, N) on ``grid``.
 
     Each slice passes its own tail check; see ``inverse_transform``."""
-    if sgrid.rs is not rs or grid.rs is not rs:
-        raise ConfigError("grids belong to a different root system")
+    _check_pair(rs, sgrid, grid)
     values = _as_stack(values, sgrid)
     wp = sgrid.weights * plancherel_density(rs, sgrid.nodes)
     _check_tail("spectral", values, wp, sgrid.shell_mask(), tail_tol, tail_floor)
@@ -658,9 +643,7 @@ def plancherel_constant(rs: RootSystem) -> float:
 
     The transform pair is defined for rank <= 2; a reference-Gaussian round
     trip pinned at the origin reproduces the constant (see the tests)."""
-    if rs.rank > 2:
-        raise UnsupportedConfigurationError(
-            "the transform pair is defined for rank <= 2")
+    _check_pair(rs)
     return float(4.0 ** rs.n_positive / (
         pi(rs, rs.rho_c) ** 2
         * (2.0 * np.pi) ** rs.rank * weyl_group(rs).order))

@@ -14,12 +14,14 @@ from symwave.errors import (ConfigError, InconclusiveIntegralError,
 from symwave.geometry import (RadialFunction, RadialGrid, _tensor_nodes,
                               _trapezoid_weights, density_delta, phi0,
                               w_invariance_defect)
+from symwave.estimates import ks_box_radius
+from symwave.evolution import default_spectral_grid
 from symwave.root_system import build_root_system, weyl_group
 from symwave import spherical
 from symwave.spherical import (SpectralFunction, SpectralGrid, _coset_fold,
                                _near_joint_origin, _near_singular,
-                               _phi_direct, _w_fold,
-                               _wall_fold,
+                               _phi_direct, _w_fold, _wall_fold,
+                               _weyl_phases,
                                forward_transform, forward_transform_stack,
                                inverse_transform, inverse_transform_stack,
                                phi_lambda, phi_lambda_many,
@@ -606,35 +608,63 @@ def test_stacked_transforms_match_per_slice(tag, R, n, L, m):
 def _point_fold(rs, values, weights, axis, pts, elements=None):
     # sum_w det(w) sum_x weights values_b(x) exp(i <p, w x>) over the Weyl
     # group, or over the (matrix, sign) pairs ``elements``, with
-    # exp(i <w^T p, x>) = exp(i (w^T p)_0 x_0) exp(i (w^T p)_1 x_1)
-    # exponentiated per point, Weyl element and node coordinate
-    n = axis.size
-    V = (weights * values).reshape(-1, n, n)
+    # exp(i <w^T p, x>) = prod_k exp(i (w^T p)_k x_k) exponentiated per
+    # point, Weyl element and node coordinate
+    n, ij = axis.size, "ij"[:rs.rank]
+    V = (weights * values).reshape((-1,) + (n,) * rs.rank)
+    spec = f"b{ij}," + ",".join("p" + c for c in ij) + "->bp"
     W = weyl_group(rs)
-    return sum(sign * np.einsum("bij,pi,pj->bp", V,
-                                *np.exp(1j * (pts @ mat).T[:, :, None] * axis),
+    return sum(sign * np.einsum(spec, V, *np.exp(1j * (pts @ mat).T[:, :, None] * axis),
                                 optimize=True)
                for mat, sign in elements or zip(W.matrices, W.signs))
 
 
 def _fold_case(tag):
+    # a random complex stack on grid axes, which are exactly antisymmetric
     rs = build_root_system(tag[0], int(tag[1]))
-    x, y = np.linspace(-5.0, 5.0, 33), np.linspace(-6.0, 6.0, 27)
+    x, y = RadialGrid(rs, 5.0, 33).axis, SpectralGrid(rs, 6.0, 27).axis
     rng = np.random.default_rng(3)
-    values = rng.normal(size=(2, x.size ** 2)) + 1j * rng.normal(size=(2, x.size ** 2))
-    return rs, x, y, values, _trapezoid_weights(x, 2)
+    size = (2, x.size ** rs.rank)
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return rs, x, y, values, _trapezoid_weights(x, rs.rank)
 
 
-@pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
+def _fold(rs, values, weights, x, y, idx=None, normals=None):
+    # the transforms' fold of a stack from the axis x onto the grid over y,
+    # or, given idx and normals, its wall derivatives: the stack is folded
+    # over W0 once and each representative's phase tables built once
+    U, reps, mirror = _coset_fold(rs, values, weights)
+    tables = [_weyl_phases(mat, y, x) for mat, _ in reps] if rs.rank == 2 else []
+    if idx is None:
+        return _w_fold(U, reps, mirror, x, y, tables)
+    return _wall_fold(U, reps, mirror, x, y.size, tables, idx, normals)
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2", "C2", "D2"])
 def test_tensor_fold_matches_point_fold(tag):
     # The grid fold folds only the rows y_a >= 0 and fills the others by the
-    # mirror identity S(s p) = det(s) S(p), with s = diag(-1, 1) or -I; that
-    # identity holds for any stack, so a random complex stack that is not
-    # W-invariant must give the point-by-point fold on every node.
+    # mirror identity S(s p) = det(s) S(p), with s = -1, diag(-1, 1) or -I;
+    # that identity holds for any stack, so a random complex stack that is
+    # not W-invariant must give the point-by-point fold on every node.  At
+    # rank 1 the identity coset is the whole sum.
     rs, x, y, values, weights = _fold_case(tag)
-    grid = _w_fold(rs, values, weights, x, y)
-    points = _point_fold(rs, values, weights, x, _tensor_nodes(y, 2))
+    grid = _fold(rs, values, weights, x, y)
+    points = _point_fold(rs, values, weights, x, _tensor_nodes(y, rs.rank))
     assert np.max(np.abs(grid - points)) <= 1e-13 * np.max(np.abs(points))
+
+
+def test_forward_transform_folds_the_stack_once(a2, monkeypatch):
+    # the grid fold and the wall limits share one coset fold per transform
+    calls = {"_coset_fold": 0, "_cosets": 0}
+    for name in calls:
+        func = getattr(spherical, name)
+        monkeypatch.setattr(spherical, name, lambda *args, name=name, func=func:
+                            calls.__setitem__(name, calls[name] + 1) or func(*args))
+    rgrid, sgrid = RadialGrid(a2, 5.0, 25), SpectralGrid(a2, 5.0, 21)
+    f = RadialFunction(rgrid, np.exp(-np.sum(rgrid.nodes ** 2, axis=1)))
+    forward_transform(a2, f, sgrid, tail_tol=1.0)
+    assert len(_wall_nodes(a2, sgrid)[0]) > 0
+    assert calls == {"_coset_fold": 1, "_cosets": 1}
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "B2", "C2", "D2"])
@@ -690,13 +720,13 @@ def test_half_axis_fold_matches_point_fold(parity):
     V = (weights * values).reshape(-1, n, n)
     V = V + parity * V[:, ::-1] if parity else V
     assert parity < 0 or np.all(V[:, n // 2] != 0)
-    xs, ys = spherical._symmetric(x), spherical._symmetric(y)
     ia, ib = np.arange(y.size)[:, None], np.arange(y.size)[None, :]
     halves = spherical._half_axis(V, parity)
     assert len(halves) == (2 if parity == 0 else 1)
-    for (mat, _), tables in zip(spherical._cosets(rs)[1], spherical._fold_tables(rs, x, y)):
+    for mat, _ in spherical._cosets(rs)[1]:
+        tables = _weyl_phases(mat, y, x)
         got = sum(spherical._axis_fold(tables, ia, ib, h, odd) for h, odd in halves)
-        want = _point_fold(rs, V.reshape(V.shape[0], -1), 1.0, xs, _tensor_nodes(ys, 2),
+        want = _point_fold(rs, V.reshape(V.shape[0], -1), 1.0, x, _tensor_nodes(y, 2),
                            [(mat, 1)])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -704,18 +734,14 @@ def test_half_axis_fold_matches_point_fold(parity):
 @pytest.mark.parametrize("tag", ["A1", "A2", "B2", "C2", "D2"])
 def test_general_representatives_alone_take_the_axis_fold(tag, monkeypatch):
     # Only the two cosets of A2 without a signed permutation go through the
-    # per-axis phase matrices; every other family is one product per slice.
-    rs = build_root_system(tag[0], int(tag[1]))
-    if rs.rank == 1:
-        x, y = np.linspace(-5.0, 5.0, 33), np.linspace(-6.0, 6.0, 27)
-        values, weights = np.ones((2, 33), dtype=complex), _trapezoid_weights(x, 1)
-    else:
-        rs, x, y, values, weights = _fold_case(tag)
+    # per-axis phase matrices; the identity coset, the whole sum on every
+    # other family, takes one real table over x_0 and one product over x_1.
+    rs, x, y, values, weights = _fold_case(tag)
     calls = []
     fold = spherical._axis_fold
     monkeypatch.setattr(spherical, "_axis_fold",
                         lambda *args: calls.append(1) or fold(*args))
-    _w_fold(rs, values, weights, x, y)
+    _fold(rs, values, weights, x, y)
     assert len(calls) == (2 if tag == "A2" else 0)
 
 
@@ -726,11 +752,11 @@ def test_fold_does_not_depend_on_the_block(monkeypatch, block):
     rs, x, y, values, weights = _fold_case("A2")
     idx = np.random.default_rng(5).choice(y.size ** 2, 40, replace=False)
     normals = np.tile([0.6, 0.8], (idx.size, 1))
-    default = (_w_fold(rs, values, weights, x, y),
-               _wall_fold(rs, values, weights, x, y, idx, normals))
+    default = (_fold(rs, values, weights, x, y),
+               _fold(rs, values, weights, x, y, idx, normals))
     monkeypatch.setattr(spherical, "_FOLD_BLOCK", block)
-    assert np.all(_w_fold(rs, values, weights, x, y) == default[0])
-    assert np.all(_wall_fold(rs, values, weights, x, y, idx, normals) == default[1])
+    assert np.all(_fold(rs, values, weights, x, y) == default[0])
+    assert np.all(_fold(rs, values, weights, x, y, idx, normals) == default[1])
 
 
 def _traced_peak(call):
@@ -770,7 +796,7 @@ def test_wall_fold_matches_point_derivative(tag):
     oracle = sum(sign * np.einsum(
         "bx,px,px->bp", weights * values, 1j * normals @ mat @ nodes.T,
         np.exp(1j * pts @ mat @ nodes.T)) for mat, sign in zip(W.matrices, W.signs))
-    wall = _wall_fold(rs, values, weights, x, y, idx, normals)
+    wall = _fold(rs, values, weights, x, y, idx, normals)
     assert np.max(np.abs(wall - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
@@ -785,6 +811,23 @@ def _wall_nodes(rs, grid):
 _WALL_SET_GRIDS = [(10.0, 81, 11.0, 89), (10.0, 121, 10.0, 109),
                    (10.0, 161, 10.0, 131), (10.0, 121, 12.0, 109),
                    (5.0, 25, 5.0, 21)]
+
+
+def test_grid_axes_are_exactly_antisymmetric(a1):
+    # The coset fold maps x -> -x onto the nodes and fills half the output
+    # through the mirror, so every grid axis must equal -axis[::-1] bit for
+    # bit; a linspace is off by ulps on most sizes, 4/21 among them.  The
+    # sizes are the benchmark's, the command line's defaults (with the
+    # solver's default spectral grids) and the wall-set grids.
+    sizes = [(10.0, 129), (10.0, 193), (10.0, 257), (9.0, 129), (9.0, 193),
+             (9.0, 257), (16.0, 321), (10.5, 321), (4.0, 65), (4.0, 49),
+             (4.0, 25), (4.0, 21), (12.0, 257), (12.0, 97), (12.0, 109)]
+    sizes += [(ks_box_radius(a1, t), 257) for t in (2.0, 40.0)]
+    sizes += [s for R, n, L, m in _WALL_SET_GRIDS for s in ((R, n), (L, m))]
+    for R, n in sizes:
+        rgrid = RadialGrid(a1, R, n)
+        for grid in (rgrid, SpectralGrid(a1, R, n), default_spectral_grid(a1, rgrid)):
+            assert np.all(grid.axis[::-1] == -grid.axis), (R, n)
 
 
 @pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2"])
@@ -890,6 +933,18 @@ def test_plancherel_constant_closed_form(a1, a2):
                                                         rel=1e-12)
     with pytest.raises(UnsupportedConfigurationError):
         plancherel_constant(build_root_system("A", 3))
+
+
+def test_transforms_refuse_rank_three_before_the_tail_check():
+    # a 5-point A3 grid fails the tail check of either transform at the
+    # default tail_tol, so the rank must be refused first
+    a3 = build_root_system("A", 3)
+    rgrid, sgrid = RadialGrid(a3, 2.0, 5), SpectralGrid(a3, 2.0, 5)
+    ones = np.ones((1, 5 ** 3), dtype=complex)
+    with pytest.raises(UnsupportedConfigurationError, match="rank <= 2"):
+        forward_transform_stack(a3, rgrid, ones, sgrid)
+    with pytest.raises(UnsupportedConfigurationError, match="rank <= 2"):
+        inverse_transform_stack(a3, sgrid, ones, rgrid)
 
 
 def test_parseval(a1):
