@@ -13,9 +13,8 @@ from .spherical import (SpectralFunction, SpectralGrid, forward_transform,
                         inverse_transform, phi_lambda, phi_lambda_many,
                         plancherel_constant, plancherel_density,
                         radial_laplacian_apply)
-from .wave_kernel import (KernelParams, bessel_j, chi_pair,
-                          kernel_high_regularized, kernel_low, kernel_piece,
-                          kernel_total, shell_integral)
+from .wave_kernel import (KernelParams, bessel_j, chi_pair, kernel_piece,
+                          shell_integral)
 from .estimates import (DecayReport, DispersiveReport, critical_point,
                         decay_sweep, dispersive_report, fit_decay,
                         kernel_on_grid, kunze_stein_bound, kunze_stein_sweep,

@@ -10,7 +10,7 @@ sup bounds against the standard envelope) and regresses their time decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class DecayReport:
     theoretical_slope: float
     r_squared: float
     envelope_power: float = float("nan")
+    sigma: complex = complex("nan")   # the kernel's sigma, as ``decay_sweep`` resolved it
+    per_axis: int = 0                 # the points per axis it asked of its grids, likewise
 
     def as_dict(self) -> dict:
         return {"regime": self.regime,
@@ -53,7 +55,9 @@ class DecayReport:
                 "fitted_slope": self.fitted_slope,
                 "theoretical_slope": self.theoretical_slope,
                 "r_squared": self.r_squared,
-                "envelope_power": self.envelope_power}
+                "envelope_power": self.envelope_power,
+                "sigma": [self.sigma.real, self.sigma.imag],
+                "per_axis": self.per_axis}
 
 
 def fit_decay(times, sup_ratios, regime: str = "large_time",
@@ -125,16 +129,22 @@ def _regime(rs: RootSystem, regime: str) -> tuple:
     raise DomainError(f"unknown regime {regime!r}")
 
 
+def _sup_settings(rs: RootSystem, sigma: complex | None, per_axis: int | None) -> tuple:
+    """(sigma, per_axis) of ``_sup_at``: sigma on the critical line
+    (d+1)/2 + i and 65 (rank 1) or 49 points per axis, each unless given."""
+    return (complex((rs.dim_X + 1) / 2.0 + 1.0j if sigma is None else sigma),
+            per_axis or (65 if rs.rank == 1 else 49))
+
+
 def _sup_at(rs: RootSystem, regime: str, t: float, sigma: complex | None = None,
             per_axis: int | None = None, envelope_power: float | None = None) -> float:
     """``sup_weighted`` of the regime's piece at time t with the standard
-    settings: sigma on the critical line (d+1)/2 + i, the regime's envelope
-    power, a box of radius max(4, 2t) and 65 (rank 1) or 49 points per axis,
-    each unless given."""
+    settings: those of ``_sup_settings``, the regime's envelope power and a
+    box of radius max(4, 2t), each unless given."""
     _, piece, N, _, interior = _regime(rs, regime)
-    sigma = (rs.dim_X + 1) / 2.0 + 1.0j if sigma is None else sigma
+    sigma, per_axis = _sup_settings(rs, sigma, per_axis)
     N = N if envelope_power is None else envelope_power
-    grid = chamber_sup_grid(rs, max(4.0, 2.0 * t), per_axis or (65 if rs.rank == 1 else 49))
+    grid = chamber_sup_grid(rs, max(4.0, 2.0 * t), per_axis)
     return sup_weighted(rs, KernelParams(t=float(t), sigma=sigma), piece, N, grid,
                         interior_only=interior)
 
@@ -150,9 +160,11 @@ def decay_sweep(rs: RootSystem, regime: str, sigma: complex | None = None,
     """
     default_times, _, N, theo, _ = _regime(rs, regime)
     times = default_times if times is None else np.asarray(times, float)
+    sigma, per_axis = _sup_settings(rs, sigma, per_axis)
     sups = [_sup_at(rs, regime, t, sigma, per_axis, envelope_power) for t in times]
-    return fit_decay(times, sups, regime=regime, theoretical_slope=theo,
-                     envelope_power=N if envelope_power is None else envelope_power)
+    report = fit_decay(times, sups, regime=regime, theoretical_slope=theo,
+                       envelope_power=N if envelope_power is None else envelope_power)
+    return replace(report, sigma=sigma, per_axis=per_axis)
 
 
 def kunze_stein_bound(rs: RootSystem, kernel_samples: RadialFunction,
@@ -178,17 +190,11 @@ def kunze_stein_bound(rs: RootSystem, kernel_samples: RadialFunction,
 
 def kernel_on_grid(rs: RootSystem, p: KernelParams, grid: RadialGrid,
                    piece: str = "total") -> RadialFunction:
-    """Sample a kernel piece on every grid node.
-
-    The kernel is phi0(H) psi(|H|), so one stacked ``kernel_piece`` call on
-    the rho_c-ray points with the nodes' |H| gives psi on the whole grid, one
-    radial integral per distinct |H| (``_radial_profile`` keys the radii);
-    phi0 then restores the dependence on the direction of H."""
-    r = np.linalg.norm(grid.nodes, axis=1)
-    direction = rs.rho_c / np.linalg.norm(rs.rho_c)
-    ray = direction[None, :] * r[:, None]
-    vals = kernel_piece(rs, p, ray, piece) * (phi0(rs, grid.nodes) / phi0(rs, ray))
-    return RadialFunction(grid, vals)
+    """Sample a kernel piece on every grid node: one stacked
+    ``kernel_piece`` call on the nodes themselves, which takes H anywhere
+    in a and evaluates one radial integral per distinct |H|
+    (``_radial_profile`` keys the radii)."""
+    return RadialFunction(grid, kernel_piece(rs, p, grid.nodes, piece))
 
 
 def ks_box_radius(rs: RootSystem, t: float) -> float:
@@ -213,13 +219,15 @@ def kunze_stein_sweep(rs: RootSystem, q: float, times, sigma: complex) -> tuple:
 class DispersiveReport:
     q: float
     sigma_q: float
+    per_axis_ks: int                           # the Kunze-Stein grids' points per axis
     rows: list = field(default_factory=list)   # per-t dicts
     small_time: dict = field(default_factory=dict)
     large_time: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {"q": self.q, "sigma_q": self.sigma_q, "rows": self.rows,
-                "small_time": self.small_time, "large_time": self.large_time}
+        return {"q": self.q, "sigma_q": self.sigma_q, "per_axis_ks": self.per_axis_ks,
+                "rows": self.rows, "small_time": self.small_time,
+                "large_time": self.large_time}
 
 
 def dispersive_report(rs: RootSystem, q: float, t_list,
@@ -245,7 +253,7 @@ def dispersive_report(rs: RootSystem, q: float, t_list,
         ks_low = kunze_stein_bound(rs, kernel_on_grid(rs, p_low, grid, "low"), q)
         rows.append({"t": float(t), "ks_low": ks_low,
                      "sup_high_reg": _sup_at(rs, "small_time", t)})
-    report = DispersiveReport(q=q, sigma_q=sigma_q, rows=rows)
+    report = DispersiveReport(q=q, sigma_q=sigma_q, per_axis_ks=per_axis_ks, rows=rows)
     small = times[times < 1.0]
     large = times[times >= 1.0]
     if small.size >= 4:

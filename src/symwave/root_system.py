@@ -189,13 +189,10 @@ def pi_many(rs: RootSystem, lam: np.ndarray) -> np.ndarray:
 
 
 def fold_into_chamber(rs: RootSystem, H: np.ndarray) -> np.ndarray:
-    """Reflect H by simple reflections until it lies in the closed chamber."""
-    H = np.asarray(H, dtype=float).copy()
-    gens = [_reflection(a) for a in rs.simple_c]
-    for _ in range(200):
-        pair = rs.simple_c @ H
-        j = int(np.argmin(pair))
-        if pair[j] >= -1e-14:
-            return H
-        H = gens[j] @ H
-    raise RuntimeError("chamber folding did not terminate")  # pragma: no cover
+    """H, one point (rank,) or a stack (N, rank), real or complex, with each
+    row moved by the Weyl element w that takes its real part into the closed
+    positive chamber: the w that maximizes Re<rho, w H>."""
+    W = weyl_group(rs)
+    H = np.asarray(H)
+    w = W.matrices[np.argmax((H @ (rs.rho_c @ W.matrices).T).real, axis=-1)]
+    return np.einsum("...ij,...j->...i", w, H)

@@ -67,7 +67,7 @@ from .errors import (ConfigError, InconclusiveIntegralError,
 from .geometry import (TAIL_TOL, RadialFunction, RadialGrid, _TensorFunction,
                        _TensorGrid, density_delta, integrate_biinvariant, phi0,
                        weyl_denominator)
-from .root_system import RootSystem, pi, pi_many, weyl_group
+from .root_system import RootSystem, fold_into_chamber, pi, pi_many, weyl_group
 
 SINGULAR_EPS = 1e-4
 # pairs near two walls take the circle mean of ``_phi_circle``: switch, N, c
@@ -356,21 +356,14 @@ def _near_joint_origin(s: np.ndarray, m: int) -> np.ndarray:
     return np.exp(-s) * (head + 1.0) > 1.0
 
 
-def _into_chamber(rs: RootSystem, p: np.ndarray) -> np.ndarray:
-    """Each row of p (P, rank), real or complex, moved by the Weyl element
-    that takes its real part into the closed positive chamber."""
-    W = weyl_group(rs)
-    w = W.matrices[np.argmax((p @ (rs.rho_c @ W.matrices).T).real, axis=1)]
-    return np.einsum("pij,pj->pi", w, p)
-
-
 def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     """The closed form at pairs with lam != 0 and H != 0; lam, H (P, r),
     real or complex -> (P,).
 
-    Both arguments are first moved into the closed positive chamber (the
-    value is W-invariant in each), where for real ones the roots alpha and
-    beta of smallest |pairing| with lam and with H are simple.  With
+    Both arguments are first moved into the closed positive chamber
+    (``fold_into_chamber``; the value is W-invariant in each), where for
+    real ones the roots alpha and beta of smallest |pairing| with lam and
+    with H are simple.  With
     a = 2<alpha,lam>/|alpha|^2, b = 2<beta,H>/|beta|^2 and z = i<w lam, H>,
     the elements w, s_beta w, w s_alpha and s_beta w s_alpha give
     det(w) e^z [expm1(p) expm1(q) + e^{p+q} expm1(r)], p = -i a <w alpha, H>,
@@ -389,7 +382,7 @@ def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     by an 8-point Gauss-Legendre rule: the integrand is entire in t."""
     m = rs.n_positive
     near = _near_joint_origin(np.linalg.norm(lam, axis=1) * np.linalg.norm(H, axis=1), m - 1)
-    lam, H = _into_chamber(rs, lam), _into_chamber(rs, H)
+    lam, H = fold_into_chamber(rs, lam), fold_into_chamber(rs, H)
     ia, ib = (np.argmin(np.abs(rs.pairings(p)), axis=1) for p in (lam, H))
     W = weyl_group(rs)
     n = np.arange(1.0, 8.0)
@@ -437,7 +430,7 @@ def _phi_circle(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
     to O(2^-N).  tau = c/max(|H|, eta) bounds |Im lam| |H| by c.  As every
     <alpha, d> > 0, a pairing vanishes only on the non-positive real
     zeta-axis, off every node."""
-    lam, H = _into_chamber(rs, lam), _into_chamber(rs, H)
+    lam, H = fold_into_chamber(rs, lam), fold_into_chamber(rs, H)
     eta = np.minimum(_CIRCLE_REACH / np.linalg.norm(lam, axis=1),
                      np.pi / 2.0 / np.max(np.linalg.norm(rs.roots_c, axis=1)))
     tau = _CIRCLE_REACH / np.maximum(np.linalg.norm(H, axis=1), eta)

@@ -28,9 +28,10 @@ numerical steepest descent: a Gauss-Laguerre rule on a ray into the complex
 plane, after a short real-axis segment where the frequency is too low for
 the ray alone.  Nothing is ever hard-truncated.
 
-The kernel functions take one point H (rank,) or a stack (N, rank); the
-point is the N = 1 case of the same code.  A call evaluates one radial
-integral per distinct |H| in its stack and keeps nothing between calls.
+``kernel_piece`` is the one kernel entry: it takes one point H (rank,) or
+a stack (N, rank) anywhere in a, and the point is the N = 1 case of the
+same code.  A call evaluates one radial integral per distinct |H| in its
+stack and keeps nothing between calls.
 All the integrals of one (t, piece) are one batched pass: the panel edges
 of every |H| step in lockstep, the panels of all of them go through the
 Filon engine in blocks of at most ``_FILON_BLOCK``, the |H|-independent
@@ -282,8 +283,9 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
     a_k >= 0; a, b and s (the key's |H|) broadcast to (K,).  Returns
     (edges, owner, wave): the edges of key k are ``edges[owner == k]``,
     ascending, and keys come in order; wave[i] is the shell frequency that
-    the panel from edges[i] carries in its phase, s_k past the cut and 0
-    before it (and on each key's last edge).
+    the panel from edges[i] carries in its phase: s_k where that edge lies
+    at or past the key's cut (less 1e-14 relative), and 0 before it and on
+    each key's last edge, from which no panel starts.
 
     Each step is the scalar recurrence r -> min(r + max(w(r) scale, 1e-9), c)
     run in lockstep over the keys still short of their b.  Every key is cut
@@ -311,7 +313,7 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
     live = np.flatnonzero(a < near(b))
     r, sl, bl, stopl, cutl, pastl = (x[live] for x in (a, s, b, near(b), cut, near(cut)))
     cap = 6.0 / (sl + 1e-30)
-    parts, owners, split = [a], [np.arange(a.size)], [np.zeros(a.size, dtype=bool)]
+    parts, owners = [a], [np.arange(a.size)]
     while live.size:
         q = r * r + rho2
         sq = np.sqrt(q)
@@ -325,7 +327,6 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
         r = np.minimum(r + np.maximum(w * width_scale, 1e-9), np.where(past, bl, cutl))
         parts.append(r)
         owners.append(live)
-        split.append(past)
         if len(parts) > _MAX_PANEL_STEPS:
             k = live[0]
             raise InconclusiveIntegralError(
@@ -337,12 +338,10 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
                 x[more] for x in (live, r, sl, bl, stopl, cutl, pastl, cap))
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
-    owner = owner[order]
-    # split[j] marks the panel that ends at edge j, and no panel ends at a
-    # key's first edge
-    wave = np.zeros(owner.size)
-    wave[:-1] = np.where(np.concatenate(split)[order][1:], s[owner[:-1]], 0.0)
-    return np.concatenate(parts)[order], owner, wave
+    owner, edges = owner[order], np.concatenate(parts)[order]
+    last = np.append(owner[1:] != owner[:-1], True)
+    wave = np.where((edges >= near(cut)[owner]) & ~last, s[owner], 0.0)
+    return edges, owner, wave
 
 
 def _rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -773,12 +772,28 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
     return out
 
 
-def _kernel(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
-    """Kernel piece at one point (rank,) or a stack (N, rank) of chamber
-    points.  Each row's phi0 and |H| come from a (1, rank) product of its
+def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
+    """Kernel piece at one point H (rank,), as a complex number, or at a stack
+    H (N, rank), as an (N,) array.  The pieces are
+
+        "low"       phi0(H) times the spectral integral of ``_radial_profile``
+                    with the compactly supported cutoff chi0, no
+                    regularization factor;
+        "high_reg"  the regularized high-frequency kernel
+                    phi0(H) e^{sigma^2}/Gamma((d+1)/2 - sigma) times the
+                    integral with chiinf;
+        "total"     "low" plus the unregularized high piece
+                    Gamma((d+1)/2 - sigma) e^{-sigma^2} times "high_reg".
+
+    Each is phi0(H) psi(|H|), a Weyl-invariant function, so H may be any
+    point of a whose norm |H| is finite; any other row (NaN or infinite
+    entries, or a norm that overflows) is refused before any panel is
+    built.  Each row's phi0 and |H| come from a (1, rank) product of its
     own, and all arithmetic is on (N,) arrays (numpy's scalar complex
     product can differ in the last bit), so a point gets the same bits
     alone as in any stack."""
+    if piece not in ("low", "high_reg", "total"):
+        raise ConfigError(f"unknown kernel piece {piece!r}")
     sigma = complex(p.sigma)
     if piece != "low":
         z = (rs.dim_X + 1) / 2.0 - sigma
@@ -787,13 +802,13 @@ def _kernel(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
     H = np.asarray(H, dtype=float)
     single = H.ndim < 2
     rows = H.reshape(1 if single else len(H), 1, rs.rank)
-    outside = np.flatnonzero(~np.all(rows[:, 0] @ rs.simple_c.T >= -1e-9, axis=1))
-    if outside.size:
-        i = outside[0]
-        raise ConfigError(f"{'H' if single else f'H[{i}]'} = {rows[i, 0].tolist()} "
-                          "is outside the closed positive chamber")
-    w = phi0(rs, rows)[:, 0]
     s = np.sqrt(rows @ rows.transpose(0, 2, 1))[:, 0, 0]
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(f"{'H' if single else f'H[{i}]'} = {rows[i, 0].tolist()} "
+                          "has no finite norm")
+    w = phi0(rs, rows)[:, 0]
     if piece != "high_reg":
         vals = w * _radial_profile(rs, p, "low", s)
     if piece != "low":
@@ -802,29 +817,3 @@ def _kernel(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
                 * _radial_profile(rs, p, "high", s))
         vals = high if piece == "high_reg" else vals + gamma_z * np.exp(-sigma ** 2) * high
     return complex(vals[0]) if single else vals
-
-
-def kernel_low(rs: RootSystem, p: KernelParams, H: np.ndarray):
-    """Low-frequency kernel piece; compactly supported cutoff, no
-    regularization factor."""
-    return _kernel(rs, p, H, "low")
-
-
-def kernel_high_regularized(rs: RootSystem, p: KernelParams, H: np.ndarray):
-    """Regularized high-frequency kernel
-    phi0(H) e^{sigma^2}/Gamma((d+1)/2 - sigma) * (spectral integral)."""
-    return _kernel(rs, p, H, "high_reg")
-
-
-def kernel_total(rs: RootSystem, p: KernelParams, H: np.ndarray):
-    """Full kernel: low piece plus the unregularized high piece
-    Gamma((d+1)/2 - sigma) e^{-sigma^2} * (regularized high piece)."""
-    return _kernel(rs, p, H, "total")
-
-
-def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
-    """Kernel piece "low", "high_reg" or "total" at one point H (rank,), as a
-    complex number, or at a stack H (N, rank), as an (N,) array."""
-    if piece not in ("low", "high_reg", "total"):
-        raise ConfigError(f"unknown kernel piece {piece!r}")
-    return _kernel(rs, p, H, piece)

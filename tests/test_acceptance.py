@@ -26,7 +26,7 @@ from symwave.spherical import (SpectralGrid, forward_transform,
                                inverse_transform, phi_lambda_many,
                                radial_laplacian_apply)
 from symwave.spherical import _phi_direct
-from symwave.wave_kernel import KernelParams, kernel_high_regularized
+from symwave.wave_kernel import KernelParams, kernel_piece
 
 from kernel_oracle import oracle_high_regularized
 
@@ -99,7 +99,7 @@ def test_criterion_04_quadrature_oracle_equivalence():
     for t in (0.3, 0.9, 2.1, 4.5, 7.5):
         for s in (0.0, 0.7, 1.9, 3.8):
             H = np.array([s])
-            a = kernel_high_regularized(A1, KernelParams(t=t, sigma=sigma), H)
+            a = kernel_piece(A1, KernelParams(t=t, sigma=sigma), H, "high_reg")
             b = oracle_high_regularized(A1, t, sigma, H)
             worst = max(worst, abs(a - b) / abs(b))
     dt = time.monotonic() - t0

@@ -125,6 +125,25 @@ def test_decay_small_report(tmp_path, capsys):
     assert len(csv_lines) == 13
 
 
+def test_decay_and_dispersive_manifests_record_their_grids(tmp_path, capsys):
+    # two decay runs that differ only in --per-axis differ in the manifest's
+    # per_axis; sigma is recorded as resolved, with the default imaginary part
+    reps = []
+    for n in ("17", "19"):
+        out = tmp_path / n
+        assert run(["decay", "--root-system", "A1", "--per-axis", n, "--sigma-re", "2.5",
+                    "--output-dir", str(out)]) == 0
+        reps.append(json.loads((out / "decay_report.json").read_text()))
+    assert [r["per_axis"] for r in reps] == [17, 19]
+    assert all(r["sigma"] == [2.5, 1.0] for r in reps)
+    assert {k for k in reps[0] if reps[0][k] != reps[1][k]} <= {"per_axis", "sup_ratios",
+                                                               "fitted_slope", "r_squared"}
+    out = tmp_path / "d"
+    assert run(["dispersive", "--times", "2,3", "--per-axis-ks", "33",
+                "--output-dir", str(out)]) == 0
+    assert json.loads((out / "dispersive_report.json").read_text())["per_axis_ks"] == 33
+
+
 def test_solve_manifest(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["solve", "--root-system", "A1", "--gamma", "3", "--T", "1.0",

@@ -9,7 +9,7 @@ from symwave.estimates import (chamber_sup_grid, critical_point, fit_decay,
                                kernel_on_grid, kunze_stein_bound, phase_psi,
                                sup_weighted)
 from symwave.geometry import RadialFunction, RadialGrid, phi0
-from symwave.wave_kernel import KernelParams
+from symwave.wave_kernel import KernelParams, kernel_piece
 
 SIGMA = 2.0 + 1.0j
 
@@ -139,12 +139,20 @@ def test_kernel_on_grid_matches_pointwise(a1):
     grid = RadialGrid(a1, 3.0, 21)
     p = KernelParams(t=2.0, sigma=SIGMA)
     samples = kernel_on_grid(a1, p, grid, "low")
-    from symwave.wave_kernel import kernel_low
     for i in (3, 10, 15):
         H = grid.nodes[i]
         Hc = np.abs(H)          # chamber representative in rank one
         assert samples.values[i] == pytest.approx(
-            kernel_low(a1, p, Hc) * phi0(a1, H) / phi0(a1, Hc), rel=1e-12)
+            kernel_piece(a1, p, Hc, "low") * phi0(a1, H) / phi0(a1, Hc), rel=1e-12)
+
+
+def test_kernel_on_grid_equals_kernel_piece_at_the_nodes(a2):
+    # every node, inside the chamber or not, goes to kernel_piece as it is
+    grid = RadialGrid(a2, 3.0, 9)
+    p = KernelParams(t=0.7, sigma=SIGMA)
+    for piece in ("low", "total"):
+        samples = kernel_on_grid(a2, p, grid, piece)
+        assert np.all(samples.values == kernel_piece(a2, p, grid.nodes, piece)), piece
 
 
 def test_dispersive_report_rejects_bad_q(a1):

@@ -136,3 +136,18 @@ def test_fold_into_chamber(a2, rng):
         folded = fold_into_chamber(a2, H)
         assert a2.in_closed_chamber(folded, tol=1e-12)
         assert np.linalg.norm(folded) == pytest.approx(np.linalg.norm(H))
+    # a stack folds row by row, as each row alone; a complex row moves by one
+    # Weyl element w, the one that takes its real part into the chamber
+    local = np.random.default_rng(7)
+    for rs in (a2, build_root_system("B", 3)):
+        W = weyl_group(rs).matrices
+        X, Y = local.normal(size=(2, 40, rs.rank)) * 3
+        real = fold_into_chamber(rs, X)
+        assert real.shape == X.shape and rs.in_closed_chamber(real, tol=1e-12)
+        assert all(np.array_equal(r, fold_into_chamber(rs, x)) for r, x in zip(real, X))
+        folded = fold_into_chamber(rs, X + 1j * Y)
+        assert folded.dtype == complex and np.allclose(folded.real, real, rtol=0, atol=1e-12)
+        wX, wY = (np.einsum("wij,nj->nwi", W, v) for v in (X, Y))
+        same_w = (np.all(np.abs(wX - real[:, None]) < 1e-12, axis=2)
+                  & np.all(np.abs(wY - folded.imag[:, None]) < 1e-12, axis=2))
+        assert np.all(same_w.any(axis=1)), rs.tag

@@ -17,10 +17,8 @@ import symwave
 from symwave import wave_kernel
 from symwave.errors import ConfigError, InconclusiveIntegralError, PoleError
 from symwave.geometry import phi0
-from symwave.wave_kernel import (KernelParams, bessel_j, chi_pair,
-                                 kernel_high_regularized, kernel_low,
-                                 kernel_piece, kernel_total, shell_integral,
-                                 sphere_area, smooth_step)
+from symwave.wave_kernel import (KernelParams, bessel_j, chi_pair, kernel_piece,
+                                 shell_integral, sphere_area, smooth_step)
 from symwave.root_system import root_system_from_tag
 from symwave.wave_kernel import (_FILON_BLOCK, _SERIES_LEN, _SPLIT_Z0, _build_panels,
                                  _filon_sums, _power_tail_orders, _radial_profile,
@@ -187,18 +185,29 @@ def test_gamma_pole_guard(a1):
     # sigma = (d+1)/2 exactly sits on a Gamma pole of the analytic family
     p = KernelParams(t=1.0, sigma=2.0 + 0.0j)
     with pytest.raises(PoleError):
-        kernel_high_regularized(a1, p, np.zeros(1))
+        kernel_piece(a1, p, np.zeros(1), "high_reg")
     with pytest.raises(PoleError):
-        kernel_total(a1, p, np.zeros(1))
+        kernel_piece(a1, p, np.zeros(1), "total")
     # sigma = 3 puts the unregularization factor on the Gamma pole at -1
     with pytest.raises(PoleError):
-        kernel_total(a1, KernelParams(t=1.0, sigma=3.0 + 0.0j), np.zeros(1))
+        kernel_piece(a1, KernelParams(t=1.0, sigma=3.0 + 0.0j), np.zeros(1), "total")
 
 
-def test_chamber_requirement(a1):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_refuses_rows_without_a_finite_norm(a1, a2, monkeypatch, bad):
+    def no_panels(*args):
+        raise AssertionError("a panel was built")
+
+    monkeypatch.setattr(wave_kernel, "_build_panels", no_panels)
     p = KernelParams(t=1.0, sigma=SIGMA)
-    with pytest.raises(ConfigError):
-        kernel_low(a1, p, -a1.rho_c)
+    with pytest.raises(ConfigError, match=re.escape(f"H = {[bad]}")):
+        kernel_piece(a1, p, [bad], "high_reg")
+    for rs in (a1, a2):
+        H = np.ones((3, rs.rank))
+        H[1, -1] = bad
+        for piece in ("low", "high_reg", "total"):
+            with pytest.raises(ConfigError, match=re.escape(f"H[1] = {H[1].tolist()}")):
+                kernel_piece(rs, p, H, piece)
 
 
 # ---------------------------------------------------------------------------
@@ -459,27 +468,27 @@ def test_radial_integral_errors_name_the_inputs(a1, monkeypatch):
     names = ("high piece", "|H| = 0.8", "sigma = 2+1j", "R = ")
     # the analytic tail may not start beyond 5e6; it starts at t |rho|^2 = 6e6
     with pytest.raises(InconclusiveIntegralError, match="out of reach") as exc:
-        kernel_high_regularized(a1, KernelParams(t=3e6, sigma=SIGMA), H)
+        kernel_piece(a1, KernelParams(t=3e6, sigma=SIGMA), H, "high_reg")
     assert all(n in str(exc.value) for n in names + ("t = 3e+06",))
     with pytest.raises(InconclusiveIntegralError, match="out of reach") as exc:
-        kernel_high_regularized(a1, KernelParams(t=-3e6, sigma=np.conj(SIGMA)), H)
+        kernel_piece(a1, KernelParams(t=-3e6, sigma=np.conj(SIGMA)), H, "high_reg")
     assert "conjugate of the problem at t = -3e+06, sigma = 2-1j" in str(exc.value)
     # no tail estimate is ever below a zero tolerance
     monkeypatch.setattr(wave_kernel, "TAIL_REL_TOL", 0.0)
     with pytest.raises(InconclusiveIntegralError, match="tail estimate") as exc:
-        kernel_high_regularized(a1, KernelParams(t=1.35, sigma=SIGMA), H)
+        kernel_piece(a1, KernelParams(t=1.35, sigma=SIGMA), H, "high_reg")
     assert all(n in str(exc.value) for n in names + ("t = 1.35",))
     assert 0.0 < exc.value.tail_bound and 0.0 < exc.value.accumulated
     # on the light cone with p0 + k = 1 the tail integral has no value
     with pytest.raises(InconclusiveIntegralError, match="zero asymptotic frequency") as exc:
-        kernel_high_regularized(a1, KernelParams(t=1.5, sigma=1.0), [1.5])
+        kernel_piece(a1, KernelParams(t=1.5, sigma=1.0), [1.5], "high_reg")
     assert all(n in str(exc.value) for n in ("high piece", "t = 1.5", "|H| = 1.5",
                                              "sigma = 1+0j", "R = "))
     # a panel build that outruns its step budget names a key still live and
     # its stretch
     monkeypatch.setattr(wave_kernel, "_MAX_PANEL_STEPS", 50)     # 0.8 takes 102 steps
     with pytest.raises(InconclusiveIntegralError, match="panel count exploded") as exc:
-        kernel_high_regularized(a1, KernelParams(t=40.0, sigma=SIGMA), H)
+        kernel_piece(a1, KernelParams(t=40.0, sigma=SIGMA), H, "high_reg")
     assert all(n in str(exc.value) for n in ("high piece", "t = 40", "|H| = 0.8",
                                              "sigma = 2+1j", "[1.41421, 80]"))
 
@@ -598,18 +607,18 @@ def test_tail_seam_consistency(a1):
 
 def test_conjugation_symmetry(a1):
     H = np.array([1.0])
-    a = np.conj(kernel_high_regularized(
-        a1, KernelParams(t=-2.0, sigma=np.conj(SIGMA)), H))
-    b = kernel_high_regularized(a1, KernelParams(t=2.0, sigma=SIGMA), H)
+    a = np.conj(kernel_piece(
+        a1, KernelParams(t=-2.0, sigma=np.conj(SIGMA)), H, "high_reg"))
+    b = kernel_piece(a1, KernelParams(t=2.0, sigma=SIGMA), H, "high_reg")
     assert a == pytest.approx(b, rel=1e-12)
-    a = np.conj(kernel_low(a1, KernelParams(t=-2.0, sigma=np.conj(SIGMA)), H))
-    b = kernel_low(a1, KernelParams(t=2.0, sigma=SIGMA), H)
+    a = np.conj(kernel_piece(a1, KernelParams(t=-2.0, sigma=np.conj(SIGMA)), H, "low"))
+    b = kernel_piece(a1, KernelParams(t=2.0, sigma=SIGMA), H, "low")
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_oracle_agreement_spot(a1):
     H = np.array([1.0])
-    a = kernel_high_regularized(a1, KernelParams(t=2.0, sigma=SIGMA), H)
+    a = kernel_piece(a1, KernelParams(t=2.0, sigma=SIGMA), H, "high_reg")
     b = oracle_high_regularized(a1, 2.0, SIGMA, H)
     assert abs(a - b) / abs(b) < 1e-6
 
@@ -620,8 +629,8 @@ def test_total_additivity(a1):
     H = np.array([0.7])
     z = (a1.dim_X + 1) / 2.0 - SIGMA
     unreg = cgamma(z) * np.exp(-SIGMA ** 2)
-    total = kernel_total(a1, p, H)
-    split = kernel_low(a1, p, H) + unreg * kernel_high_regularized(a1, p, H)
+    total = kernel_piece(a1, p, H, "total")
+    split = kernel_piece(a1, p, H, "low") + unreg * kernel_piece(a1, p, H, "high_reg")
     assert total == pytest.approx(split, rel=1e-12)
 
 
@@ -631,16 +640,16 @@ def test_cutoff_independence(a1):
     for panels in (128, 256):
         p = KernelParams(t=1.0, sigma=SIGMA, panels=panels)
         for H in (np.zeros(1), np.array([0.8])):
-            va = kernel_total(a1, p, H)
-            vb = kernel_total(a1, replace(p, cutoff="alt"), H)
+            va = kernel_piece(a1, p, H, "total")
+            vb = kernel_piece(a1, replace(p, cutoff="alt"), H, "total")
             assert abs(va - vb) / abs(va) < 1e-6, panels
 
 
 def test_panel_doubling_stability(a1):
     p = KernelParams(t=2.0, sigma=SIGMA)
     for H in (np.zeros(1), np.array([1.0])):
-        v1 = kernel_high_regularized(a1, p, H)
-        v2 = kernel_high_regularized(a1, replace(p, panels=2 * p.panels), H)
+        v1 = kernel_piece(a1, p, H, "high_reg")
+        v2 = kernel_piece(a1, replace(p, panels=2 * p.panels), H, "high_reg")
         assert abs(v1 - v2) / abs(v2) < 1e-7
 
 
@@ -651,7 +660,7 @@ def test_low_piece_bounded_by_phi0(a1):
         p = KernelParams(t=float(t), sigma=SIGMA)
         for s in (0.0, 0.9, 2.4):
             H = np.array([s])
-            ratios.append(abs(kernel_low(a1, p, H)) / phi0(a1, H))
+            ratios.append(abs(kernel_piece(a1, p, H, "low")) / phi0(a1, H))
     assert max(ratios) < 60.0     # uniform constant, no growth
 
 
@@ -676,7 +685,7 @@ def test_spectral_route_cross_check(a1, a2):
         t, sig = 0.7, 1.3 + 0.4j
         rho_t = rs.rho_norm * 1.1
         H = rs.rho_c * 0.23
-        radial = kernel_low(rs, KernelParams(t=t, sigma=sig, rho_tilde=rho_t), H)
+        radial = kernel_piece(rs, KernelParams(t=t, sigma=sig, rho_tilde=rho_t), H, "low")
         sg = SpectralGrid(rs, 2 * rs.rho_norm * 1.02, m)
         lam = sg.nodes
         lam_n = np.linalg.norm(lam, axis=1)
@@ -709,16 +718,40 @@ def test_stacked_kernel_equals_single_points(tag, t, a1, a2):
     wall = np.linalg.solve(rs.simple_c, np.eye(rs.rank)[-1])
     wall /= np.linalg.norm(wall)
     H = np.array([1.1 * u, np.zeros(rs.rank), 1.1 * wall, abs(t) * u, 1.1 * u,
-                  5e-5 * u, 2e-4 * u, 4.0 * u, 12.0 * u])
+                  5e-5 * u, 2e-4 * u, 4.0 * u, 12.0 * u, -1.1 * u])
     for piece in ("low", "high_reg", "total"):
         stacked = kernel_piece(rs, p, H, piece)
         single = [kernel_piece(rs, p, h, piece) for h in H]
         assert stacked.shape == (len(H),)
         assert all(type(v) is complex for v in single)
         assert np.all(stacked == np.array(single)), piece
-    outside = np.vstack([H[:2], -H[:1], H[2:]])
-    with pytest.raises(ConfigError, match=re.escape(f"H[2] = {(-H[0]).tolist()}")):
-        kernel_piece(rs, p, outside, "low")
+
+
+@pytest.mark.parametrize("t", [0.7, -0.7])
+def test_kernel_is_weyl_invariant(a1, a2, b2, t):
+    # the kernel is phi0(H) psi(|H|): every Weyl image of a point gives its
+    # value, outside the chamber as inside; on A1, -H is exact.  Elsewhere
+    # the images' phi0 differ in the last bits, and the total is held to
+    # the size of its two summands, which cancel: at the last point the
+    # total is 34 to 137 times smaller than they are
+    from symwave.root_system import weyl_group
+    p = KernelParams(t=t, sigma=SIGMA)
+    for rs in (a1, a2, b2):
+        u = rs.rho_c / np.linalg.norm(rs.rho_c)
+        wall = np.linalg.solve(rs.simple_c, np.eye(rs.rank)[-1])
+        wall /= np.linalg.norm(wall)
+        H = np.array([0.4 * u, 1.3 * wall, 2.1 * u + 0.3 * wall])
+        W = weyl_group(rs).matrices
+        images = np.einsum("wij,nj->wni", W, H).reshape(-1, rs.rank)
+        ident = np.flatnonzero([np.array_equal(m, np.eye(rs.rank)) for m in W])[0]
+        low = kernel_piece(rs, p, images, "low").reshape(len(W), len(H))
+        for piece in ("low", "high_reg", "total"):
+            vals = kernel_piece(rs, p, images, piece).reshape(len(W), len(H))
+            scale = np.abs(low) + np.abs(vals - low) if piece == "total" else np.abs(vals)
+            if rs.rank == 1:
+                assert np.all(vals == vals[ident]), piece
+            else:
+                assert np.all(np.abs(vals - vals[ident]) <= 1e-14 * scale[ident]), (rs.tag, piece)
 
 
 def test_kernel_piece_dispatch(a1):
