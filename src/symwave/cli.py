@@ -53,8 +53,16 @@ def _parse_float(x: str) -> float:
     return math.inf if x in ("inf", "Inf", "INF") else float(x)
 
 
+def _finite_float(x: str) -> float:
+    """Every float flag's type but admissible's --p and --q, which take inf."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {x!r}")
+    return v
+
+
 def _float_list(x: str) -> list:
-    return [float(v) for v in x.split(",") if v.strip()]
+    return [_finite_float(v) for v in x.split(",") if v.strip()]
 
 
 # each subcommand's flags besides the [common] ones, with argparse's type,
@@ -63,35 +71,40 @@ def _float_list(x: str) -> list:
 # the root system is None here, and the subcommand fills it in.
 _COMMON = (("--root-system", dict(default="A1")), ("--output-dir", dict(default="out")))
 _OPTIONS = {
-    "phi": (("--lam", dict(type=_float_list)), ("--box-radius", dict(type=float, default=4.0)),
-            ("--points", dict(type=int, default=65))),
-    "transform": (("--box-radius", dict(type=float, default=10.0)), ("--points", dict(type=int)),
-                  ("--spectral-radius", dict(type=float)),
+    "phi": (("--lam", dict(type=_float_list)), ("--points", dict(type=int, default=65)),
+            ("--box-radius", dict(type=_finite_float, default=4.0))),
+    "transform": (("--box-radius", dict(type=_finite_float, default=10.0)),
+                  ("--points", dict(type=int)),
+                  ("--spectral-radius", dict(type=_finite_float)),
                   ("--spectral-points", dict(type=int)),
-                  ("--width", dict(type=float, default=1.0)),
-                  ("--amplitude", dict(type=float, default=1.0)),
+                  ("--width", dict(type=_finite_float, default=1.0)),
+                  ("--amplitude", dict(type=_finite_float, default=1.0)),
                   ("--roundtrip", dict(type=int, default=1))),
-    "kernel": (("--t", dict(type=_float_list, default=[1.0])), ("--sigma-re", dict(type=float)),
-               ("--sigma-im", dict(type=float, default=1.0)), ("--rho-tilde", dict(type=float)),
+    "kernel": (("--t", dict(type=_float_list, default=[1.0])),
+               ("--sigma-re", dict(type=_finite_float)), ("--h-points", dict(type=int, default=33)),
+               ("--sigma-im", dict(type=_finite_float, default=1.0)),
+               ("--rho-tilde", dict(type=_finite_float)), ("--panels", dict(type=int, default=128)),
                ("--piece", dict(choices=["low", "high_reg", "total"], default="total")),
-               ("--h-max", dict(type=float, default=4.0)),
-               ("--h-points", dict(type=int, default=33)),
-               ("--envelope-power", dict(type=float)), ("--panels", dict(type=int, default=128))),
+               ("--h-max", dict(type=_finite_float, default=4.0)),
+               ("--envelope-power", dict(type=_finite_float))),
     "decay": (("--regime", dict(choices=["small", "large", "small_time", "large_time"],
                                 default="small")),
-              ("--sigma-re", dict(type=float)), ("--sigma-im", dict(type=float, default=1.0)),
-              ("--per-axis", dict(type=int)), ("--envelope-power", dict(type=float))),
-    "dispersive": (("--q", dict(type=float, default=4.0)),
+              ("--sigma-re", dict(type=_finite_float)),
+              ("--sigma-im", dict(type=_finite_float, default=1.0)),
+              ("--per-axis", dict(type=int)), ("--envelope-power", dict(type=_finite_float))),
+    "dispersive": (("--q", dict(type=_finite_float, default=4.0)),
                    ("--times", dict(type=_float_list, default=[float(t) for t in LARGE_TIMES])),
                    ("--per-axis-ks", dict(type=int, default=129))),
-    "solve": (("--gamma", dict(type=float, default=3.0)), ("--T", dict(type=float, default=10.0)),
-              ("--steps", dict(type=int)), ("--box-radius", dict(type=float, default=12.0)),
-              ("--points", dict(type=int)), ("--smallness", dict(type=float, default=1e-2)),
-              ("--mu", dict(type=float, default=1.0)), ("--snapshots", dict(type=int, default=11))),
+    "solve": (("--gamma", dict(type=_finite_float, default=3.0)),
+              ("--T", dict(type=_finite_float, default=10.0)), ("--steps", dict(type=int)),
+              ("--box-radius", dict(type=_finite_float, default=12.0)),
+              ("--points", dict(type=int)), ("--smallness", dict(type=_finite_float, default=1e-2)),
+              ("--mu", dict(type=_finite_float, default=1.0)),
+              ("--snapshots", dict(type=int, default=11))),
     "admissible": (("--d", dict(type=int, default=4)),
                    ("--p", dict(type=_parse_float, default=math.inf)),
                    ("--q", dict(type=_parse_float, default=2.0))),
-    "gwp": (("--d", dict(type=int, default=3)), ("--gamma", dict(type=float, default=3.0))),
+    "gwp": (("--d", dict(type=int, default=3)), ("--gamma", dict(type=_finite_float, default=3.0))),
 }
 # the keys of each config section: the dests of its flags
 _SECTIONS = {name: {flag[2:].replace("-", "_") for flag, _ in specs}

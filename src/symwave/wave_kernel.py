@@ -7,26 +7,28 @@ one-dimensional integral against the Euclidean shell integral
     S_d(r, s) = (2 pi)^{d/2} r^{d/2} s^{(2-d)/2} J_{(d-2)/2}(r s),
 
 so every kernel value is phi0(H) times an oscillatory half-line integral in
-the spectral radius r with phase t sqrt(r^2 + |rho|^2).  Quadrature is split
-into a finite region handled by phase-folded Filon panels and an analytic
-power tail.  A Filon panel linearises the phase at its midpoint with a
-frequency kappa rounded to a multiple of 1/16, so that one block of panels
-needs exact linear-phase Legendre moments only at its few distinct kappa;
-the rest of the phase, including the rounding and the factor
-e^{-i Im(sigma)/2 ln(r^2+rt^2)}, is folded into the amplitude samples.
-Below r|H| = 40, and wherever the cutoff still varies, the pre-fold
-amplitude is real and holds J_nu(r|H|), so a panel is no wider than the
-shell's period.  Past that cut the shell is split into its Hankel branches,
-J_nu = (H1_nu + H2_nu)/2: a panel carries the slowly varying hankel1e
-amplitude and its conjugate against the phase plus and minus |H| r, and
-only the local scale and the phase curvature bound its width.  Beyond the
-panels' end R, where the cutoff is identically one, the Bessel factor is
-split by its large-argument expansion into e^{+-isr} branches, every
-remaining smooth factor is expanded in powers of 1/r, and the integrals of
-the powers against e^{i(t+-s)r} are evaluated in double precision by
-numerical steepest descent: a Gauss-Laguerre rule on a ray into the complex
-plane, after a short real-axis segment where the frequency is too low for
-the ray alone.  Nothing is ever hard-truncated.
+the spectral radius r with phase t sqrt(r^2 + |rho|^2).  For the total
+kernel that integral has no cutoff; only the low and high pieces weigh it
+by chi0 or chiinf = 1 - chi0 on the step ``KernelParams.cutoff``.
+Quadrature is split into a finite region handled by phase-folded Filon
+panels and an analytic power tail.  A Filon panel linearises the phase at
+its midpoint with a frequency kappa rounded to a multiple of 1/16, so that
+one block of panels needs exact linear-phase Legendre moments only at its
+few distinct kappa; the rest of the phase, including the rounding and the
+factor e^{-i Im(sigma)/2 ln(r^2+rt^2)}, is folded into the amplitude
+samples.  Below r|H| = 40 and below 2|rho|, where the cutoffs vary, the
+pre-fold amplitude is real and holds J_nu(r|H|), so a panel is no wider
+than the shell's period.  Past that cut the shell is split into its Hankel
+branches, J_nu = (H1_nu + H2_nu)/2: a panel carries the slowly varying
+hankel1e amplitude and its conjugate against the phase plus and minus
+|H| r, and only the local scale and the phase curvature bound its width.
+Beyond the panels' end R, where chiinf = 1 and the high integrand is the
+total's, the Bessel factor is split by its large-argument expansion into
+e^{+-isr} branches, every remaining smooth factor is expanded in powers of
+1/r, and the integrals of the powers against e^{i(t+-s)r} are evaluated in
+double precision by numerical steepest descent: a Gauss-Laguerre rule on a
+ray into the complex plane, after a short real-axis segment where the
+frequency is too low for the ray alone.  Nothing is ever hard-truncated.
 
 ``kernel_piece`` is the one kernel entry: it takes one point H (rank,) or
 a stack (N, rank) anywhere in a, and the point is the N = 1 case of the
@@ -246,6 +248,10 @@ class KernelParams:
     cutoff: str = "bump"              # the step of ``chi_pair``: "bump" or "alt"
 
     def __post_init__(self):
+        for name in ("t", "sigma", "rho_tilde"):
+            x = getattr(self, name)
+            if x is not None and not np.isfinite(x):
+                raise ConfigError(f"{name} = {x!r} is not finite")
         if self.t == 0.0:
             raise ConfigError("t must be nonzero")
         if self.panels < 64:
@@ -652,17 +658,13 @@ def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray) 
         int_0^inf chi(r/|rho|) (r^2+rt^2)^{-sigma/2} e^{i t phi(r)} S_d(r,s) dr
 
     with chi = chi0 (piece 'low') or chiinf (piece 'high') on the step
-    ``p.cutoff``, once per distinct ``round(|H|, 12)`` (Python's round;
-    ``np.round`` is one ulp off on some radii).  The key matters on the
-    light cone |H| = t, where the high piece moves by up to 1.5 relative
-    under a 1e-13 shift of |H| and every sweep has a node.  For t < 0 the
-    conjugate problem at (-t, conj sigma) is solved and conjugated back.
-
-    All keys go through one batched pass (``_profile_pass``): lockstep panel
-    edges, one Filon engine over the panels of every key in blocks of at
-    most ``_FILON_BLOCK`` (a profile can hold 10^5 panels, and unblocked work
-    arrays reach hundreds of MB), the tail series built once, and one
-    batched tail call per extension round.
+    ``p.cutoff``, or chi = 1 (piece 'total', which reads no cutoff), once
+    per distinct ``round(|H|, 12)`` (Python's round; ``np.round`` is one ulp
+    off on some radii), all in one batched pass (``_profile_pass``).  The
+    key matters on the light cone |H| = t, where the high piece moves by up
+    to 1.5 relative under a 1e-13 shift of |H| and every sweep has a node.
+    For t < 0 the conjugate problem at (-t, conj sigma) is solved and
+    conjugated back.
     """
     keys, inverse = np.unique([round(x, 12) for x in s.tolist()], return_inverse=True)
     t, sigma = float(p.t), complex(p.sigma)
@@ -685,27 +687,31 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
                   cutoff: str) -> np.ndarray:
     """The integrals of ``_radial_profile`` at the distinct radii s (K,), t > 0.
 
-    The low piece is one set of panels on [0, 2|rho|].  The high piece has
-    panels on [|rho|, R_k] and the analytic tail beyond R_k.  Each round
-    evaluates the tails of all pending keys in one ``_tail_values`` call and
-    checks them against ``TAIL_REL_TOL`` as arrays; each key whose tail
-    error estimate is not below that share of its mass moves R_k out by
-    1.7, and only those keys get panels on the new stretch.
+    The low piece is one set of panels on [0, 2|rho|].  The high and total
+    pieces have panels on [|rho|, R_k] and [0, R_k], and the same analytic
+    tail beyond R_k >= 2|rho|, where chiinf = 1.  Each round evaluates the
+    tails of all pending keys in one ``_tail_values`` call and checks them
+    against ``TAIL_REL_TOL`` as arrays; each key whose tail error estimate
+    is not below that share of its mass moves R_k out by 1.7, and only
+    those keys get panels on the new stretch.
 
-    The panels see the real amplitude chi (r^2+rt^2)^{-Re sigma/2} S_d(r, s)
-    and the phase t sqrt(r^2+|rho|^2) - (Im sigma/2) ln(r^2+rt^2), which
-    carries the rest of (r^2+rt^2)^{-sigma/2}: one complex power per node
-    fewer.  Past the cut of ``_build_panels`` the shell factor is
-    ``_shell_branch`` instead, the e^{+isr} branch (the low piece ends
-    before any cut).  The panel widths stay those of the t-phase alone; the
-    log term's small curvature is folded like the rest."""
+    The panels see the real amplitude chi (r^2+rt^2)^{-Re sigma/2} S_d(r, s),
+    with chi from ``chi_pair`` on the step ``cutoff`` (the total calls none:
+    its chi is 1), and the phase t sqrt(r^2+|rho|^2) - (Im sigma/2)
+    ln(r^2+rt^2), which carries the rest of (r^2+rt^2)^{-sigma/2}: one
+    complex power per node fewer.  Past the cut of ``_build_panels`` the
+    shell factor is ``_shell_branch`` instead, the e^{+isr} branch (the low
+    piece ends before any cut).  The panel widths stay those of the t-phase
+    alone; the log term's small curvature is folded like the rest."""
     assert t > 0
     rho_norm = rs.rho_norm
     out = np.zeros(s.size, dtype=complex)
 
     def amp(r, k, split):
-        c0, cinf = chi_pair(r / rho_norm, cutoff)
-        f = (c0 if piece == "low" else cinf) * (r * r + rho_tilde ** 2) ** (-sigma.real / 2.0)
+        f = (r * r + rho_tilde ** 2) ** (-sigma.real / 2.0)
+        if piece != "total":
+            c0, cinf = chi_pair(r / rho_norm, cutoff)
+            f = (c0 if piece == "low" else cinf) * f
         if not split.any():
             return f * shell_integral(rs, r, s[k][:, None])
         g = np.empty(r.shape, dtype=complex)
@@ -740,7 +746,7 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
     if far.size:
         raise InconclusiveIntegralError(
             f"analytic-tail start R = {R[far[0]]:.2e} out of reach ({context(far[0])})")
-    add_panels(pending, rho_norm, R)
+    add_panels(pending, 0.0 if piece == "total" else rho_norm, R)
     series = _tail_series(rs, sigma, rho_tilde, t)
     last_err, last_mass = np.zeros(s.size), np.zeros(s.size)
     stopped = []
@@ -777,21 +783,20 @@ def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
     H (N, rank), as an (N,) array.  The pieces are
 
         "low"       phi0(H) times the spectral integral of ``_radial_profile``
-                    with the compactly supported cutoff chi0, no
-                    regularization factor;
+                    with the cutoff chi0, no regularization factor;
         "high_reg"  the regularized high-frequency kernel
                     phi0(H) e^{sigma^2}/Gamma((d+1)/2 - sigma) times the
-                    integral with chiinf;
-        "total"     "low" plus the unregularized high piece
-                    Gamma((d+1)/2 - sigma) e^{-sigma^2} times "high_reg".
+                    integral with chiinf = 1 - chi0;
+        "total"     phi0(H) times the integral with no cutoff, in one pass:
+                    "low" plus Gamma((d+1)/2 - sigma) e^{-sigma^2} "high_reg".
 
-    Each is phi0(H) psi(|H|), a Weyl-invariant function, so H may be any
-    point of a whose norm |H| is finite; any other row (NaN or infinite
-    entries, or a norm that overflows) is refused before any panel is
-    built.  Each row's phi0 and |H| come from a (1, rank) product of its
-    own, and all arithmetic is on (N,) arrays (numpy's scalar complex
-    product can differ in the last bit), so a point gets the same bits
-    alone as in any stack."""
+    Only "low" and "high_reg" read ``p.cutoff``.  Each piece is
+    phi0(H) psi(|H|), a Weyl-invariant function, so H may be any point of a
+    whose norm |H| is finite; any other row (NaN or infinite entries, or a
+    norm that overflows) is refused before any panel is built.  Each row's
+    phi0 and |H| come from a (1, rank) product of its own, and all
+    arithmetic is on (N,) arrays (numpy's scalar complex product can differ
+    in the last bit), so a point gets the same bits alone as in any stack."""
     if piece not in ("low", "high_reg", "total"):
         raise ConfigError(f"unknown kernel piece {piece!r}")
     sigma = complex(p.sigma)
@@ -809,11 +814,7 @@ def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
         raise ConfigError(f"{'H' if single else f'H[{i}]'} = {rows[i, 0].tolist()} "
                           "has no finite norm")
     w = phi0(rs, rows)[:, 0]
-    if piece != "high_reg":
-        vals = w * _radial_profile(rs, p, "low", s)
-    if piece != "low":
-        gamma_z = _kernel_tables().gamma(z)
-        high = (w * (np.exp(sigma ** 2) / gamma_z)
-                * _radial_profile(rs, p, "high", s))
-        vals = high if piece == "high_reg" else vals + gamma_z * np.exp(-sigma ** 2) * high
+    if piece == "high_reg":
+        w = w * (np.exp(sigma ** 2) / _kernel_tables().gamma(z))
+    vals = w * _radial_profile(rs, p, "high" if piece == "high_reg" else piece, s)
     return complex(vals[0]) if single else vals

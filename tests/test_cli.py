@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import symwave
-from symwave.cli import _build_parser, _float_list, _load_config, _parse_float, run
+from symwave.cli import (_build_parser, _finite_float, _float_list, _load_config, _parse_float,
+                         run)
 from symwave.geometry import phi0
 from symwave.root_system import root_system_from_tag
 from symwave.spherical import plancherel_constant
@@ -225,6 +226,25 @@ def test_malformed_config_value_exits_like_the_flag(tmp_path, capsys, section, k
     assert f"argument --{key}: invalid" in from_file
 
 
+def test_non_finite_floats_exit_naming_the_flag(tmp_path, capsys):
+    # a non-finite size, time, exponent or sigma part exits 2 with its flag's
+    # message, from the command line and from a config file, before the
+    # command runs
+    out, ini = tmp_path / "out", tmp_path / "run.ini"
+    ini.write_text("[kernel]\nh_max = nan\n")
+    for argv, flag, value in ((["kernel", "--h-max", "inf"], "--h-max", "inf"),
+                              (["--config", str(ini), "kernel"], "--h-max", "nan"),
+                              (["kernel", "--t", "1,-inf"], "--t", "-inf")):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: not a finite number: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+    # admissible's exponents take inf on purpose
+    assert run(["admissible", "--d", "4", "--p", "inf", "--q", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 @pytest.mark.parametrize("section, key", [("kernel", "piece"), ("decay", "regime")])
 def test_config_value_outside_choices_exits_like_the_flag(tmp_path, capsys, section, key):
     # argparse checks choices only on the command line; a config value
@@ -246,7 +266,7 @@ def test_config_value_outside_choices_exits_like_the_flag(tmp_path, capsys, sect
 
 # two valid literals of each option type: the config file's and the flag's
 _LITERALS = {_float_list: ("0.5,1.5", "2"), _parse_float: ("inf", "3"),
-             int: ("7", "9"), float: ("2.5", "0.125"), None: ("A2", "B2")}
+             int: ("7", "9"), _finite_float: ("2.5", "0.125"), None: ("A2", "B2")}
 
 
 def test_flags_and_config_keys_parse_alike(tmp_path):

@@ -181,6 +181,15 @@ def test_params_validation(a1):
         KernelParams(t=1.0, sigma=SIGMA, panels=32)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_refuse_non_finite_values(bad):
+    # each field, and either part of sigma, is refused with its name and value
+    for field, value in (("t", bad), ("sigma", complex(bad, 1.0)), ("sigma", complex(2.0, bad)),
+                         ("rho_tilde", bad)):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} = {value!r} is not finite")):
+            KernelParams(**{"t": 1.0, "sigma": SIGMA, field: value})
+
+
 def test_gamma_pole_guard(a1):
     # sigma = (d+1)/2 exactly sits on a Gamma pole of the analytic family
     p = KernelParams(t=1.0, sigma=2.0 + 0.0j)
@@ -623,26 +632,63 @@ def test_oracle_agreement_spot(a1):
     assert abs(a - b) / abs(b) < 1e-6
 
 
-def test_total_additivity(a1):
+def _split_total(rs, p, H):
+    """The total as the paper splits it: low plus the unregularized high
+    piece Gamma((d+1)/2 - sigma) e^{-sigma^2} times high_reg."""
     from scipy.special import gamma as cgamma
-    p = KernelParams(t=1.5, sigma=SIGMA)
+    sigma = complex(p.sigma)
+    unreg = cgamma((rs.dim_X + 1) / 2.0 - sigma) * np.exp(-sigma ** 2)
+    return kernel_piece(rs, p, H, "low") + unreg * kernel_piece(rs, p, H, "high_reg")
+
+
+def test_total_additivity(a1):
+    # the total is one cutoff-free integral; the split sum converges more
+    # slowly in the panels (1.2e-12 away at 128 panels), so both sides are
+    # taken at 512
+    p = KernelParams(t=1.5, sigma=SIGMA, panels=512)
     H = np.array([0.7])
-    z = (a1.dim_X + 1) / 2.0 - SIGMA
-    unreg = cgamma(z) * np.exp(-SIGMA ** 2)
-    total = kernel_piece(a1, p, H, "total")
-    split = kernel_piece(a1, p, H, "low") + unreg * kernel_piece(a1, p, H, "high_reg")
-    assert total == pytest.approx(split, rel=1e-12)
+    assert kernel_piece(a1, p, H, "total") == pytest.approx(_split_total(a1, p, H), rel=1e-12)
 
 
 def test_cutoff_independence(a1):
-    # at 256 panels some node of the alternative step lies within 1e-4 of
-    # the end of its ramp
+    # the split into low and high pieces does not depend on the cutoff: under
+    # either step their sum is the cutoff-free total.  At 256 panels some
+    # node of the alternative step lies within 1e-4 of the end of its ramp
     for panels in (128, 256):
         p = KernelParams(t=1.0, sigma=SIGMA, panels=panels)
         for H in (np.zeros(1), np.array([0.8])):
-            va = kernel_piece(a1, p, H, "total")
-            vb = kernel_piece(a1, replace(p, cutoff="alt"), H, "total")
-            assert abs(va - vb) / abs(va) < 1e-6, panels
+            total = kernel_piece(a1, p, H, "total")
+            for cutoff in ("bump", "alt"):
+                split = _split_total(a1, replace(p, cutoff=cutoff), H)
+                assert abs(split - total) / abs(total) < 1e-6, (panels, cutoff)
+
+
+def test_total_panel_doubling(a1, a2):
+    # the one cutoff-free pass is converged at 128 panels: 512 moves it by
+    # less than 1e-9 relative, out to |H| = 1.4 t (and to 9 at t = 2 on A1)
+    cases = [(a1, 2.0 + 1.0j, 2.0, np.linspace(0.0, 2.8, 7)),
+             (a1, 2.0 + 1.0j, 7.5, np.linspace(0.0, 10.5, 7)),
+             (a1, 2.0 + 1.0j, 2.0, np.array([9.0])),
+             (a2, 4.5 + 1.0j, 2.0, np.linspace(0.0, 2.8, 7))]
+    for rs, sigma, t, radii in cases:
+        H = radii[:, None] * (rs.rho_c / np.linalg.norm(rs.rho_c))
+        p = KernelParams(t=t, sigma=sigma)
+        v128 = kernel_piece(rs, p, H, "total")
+        v512 = kernel_piece(rs, replace(p, panels=512), H, "total")
+        assert np.all(np.abs(v128 - v512) <= 1e-9 * np.abs(v512)), (rs.tag, t)
+
+
+def test_total_reads_no_cutoff(a1, a2, monkeypatch):
+    def no_cutoff(*args):
+        raise AssertionError("chi_pair was called")
+
+    monkeypatch.setattr(wave_kernel, "chi_pair", no_cutoff)
+    for rs in (a1, a2):
+        H = np.array([0.0, 0.8, 4.0, 12.0])[:, None] * np.ones(rs.rank) / math.sqrt(rs.rank)
+        for t in (0.7, -7.5):
+            assert np.all(np.isfinite(kernel_piece(rs, KernelParams(t=t, sigma=SIGMA), H, "total")))
+    with pytest.raises(AssertionError, match="chi_pair"):
+        kernel_piece(a1, KernelParams(t=0.7, sigma=SIGMA), np.zeros(1), "high_reg")
 
 
 def test_panel_doubling_stability(a1):
