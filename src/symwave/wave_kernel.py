@@ -248,7 +248,7 @@ class KernelParams:
     cutoff: str = "bump"              # the step of ``chi_pair``: "bump" or "alt"
 
     def __post_init__(self):
-        for name in ("t", "sigma", "rho_tilde"):
+        for name in ("t", "sigma", "rho_tilde", "panels"):
             x = getattr(self, name)
             if x is not None and not np.isfinite(x):
                 raise ConfigError(f"{name} = {x!r} is not finite")

@@ -185,7 +185,7 @@ def test_params_validation(a1):
 def test_params_refuse_non_finite_values(bad):
     # each field, and either part of sigma, is refused with its name and value
     for field, value in (("t", bad), ("sigma", complex(bad, 1.0)), ("sigma", complex(2.0, bad)),
-                         ("rho_tilde", bad)):
+                         ("rho_tilde", bad), ("panels", bad)):
         with pytest.raises(ConfigError, match=re.escape(f"{field} = {value!r} is not finite")):
             KernelParams(**{"t": 1.0, "sigma": SIGMA, field: value})
 
