@@ -49,10 +49,6 @@ def _write_manifest(path: Path, payload: dict) -> None:
                                default=float) + "\n", encoding="utf-8")
 
 
-def _parse_float(x: str) -> float:
-    return math.inf if x in ("inf", "Inf", "INF") else float(x)
-
-
 def _finite_float(x: str) -> float:
     """Every float flag's type but admissible's --p and --q, which take inf."""
     v = float(x)
@@ -102,8 +98,8 @@ _OPTIONS = {
               ("--mu", dict(type=_finite_float, default=1.0)),
               ("--snapshots", dict(type=int, default=11))),
     "admissible": (("--d", dict(type=int, default=4)),
-                   ("--p", dict(type=_parse_float, default=math.inf)),
-                   ("--q", dict(type=_parse_float, default=2.0))),
+                   ("--p", dict(type=float, default=math.inf)),
+                   ("--q", dict(type=float, default=2.0))),
     "gwp": (("--d", dict(type=int, default=3)), ("--gamma", dict(type=_finite_float, default=3.0))),
 }
 # the keys of each config section: the dests of its flags

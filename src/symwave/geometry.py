@@ -52,8 +52,8 @@ class _TensorGrid:
         n = self.points_per_axis
         if n < 3 or n % 2 == 0:
             raise ConfigError("points_per_axis must be odd and >= 3")
-        if self.box_radius <= 0:
-            raise ConfigError("box_radius must be positive")
+        if not np.isfinite(self.box_radius) or self.box_radius <= 0:
+            raise ConfigError(f"box_radius must be positive and finite, got {self.box_radius}")
         lin = np.linspace(-self.box_radius, self.box_radius, n)
         axis = (lin - lin[::-1]) / 2.0
         object.__setattr__(self, "axis", axis)
@@ -151,13 +151,18 @@ def weyl_denominator(rs: RootSystem, H: np.ndarray) -> np.ndarray:
 
 
 def _x_over_sinh(x: np.ndarray) -> np.ndarray:
+    """x / sinh x; past |x| = 700, before sinh overflows, as
+    2|x| e^-|x| / (1 - e^-2|x|), which underflows to 0 instead."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = np.abs(x) < 1e-6
     xs = x[small]
     out[small] = 1.0 - xs * xs / 6.0 + 7.0 * xs ** 4 / 360.0
     xl = x[~small]
-    out[~small] = xl / np.sinh(xl)
+    far = np.abs(xl) > 700.0
+    out[~small] = xl / np.sinh(xl) if not far.any() else np.where(
+        far, 2.0 * np.abs(xl) * np.exp(-np.abs(xl)) / -np.expm1(-2.0 * np.abs(xl)),
+        xl / np.sinh(np.where(far, 1.0, xl)))
     return out
 
 

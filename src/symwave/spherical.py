@@ -6,21 +6,15 @@ Spherical functions are evaluated through the complex-case closed form
     phi_lam(exp H) = (pi(rho)/pi(i lam)) * sum_w det(w) e^{i<w lam, H>}
                                           / sum_w det(w) e^{<w rho, H>},
 
-an alternating sum over the Weyl group divided by the Weyl denominator
-prod 2 sinh<alpha,H>, normalized so phi_lam(0) = 1.  ``phi_lambda_many``
-takes lam and H broadcast against each other and evaluates every pair with
-lam != 0 and H != 0 in one ``_phi_direct`` call; ``phi_lambda`` is its
-one-point case.  The Weyl sum is paired on both sides: with alpha the root
-of smallest pairing with lam and beta the one with H, it is grouped into
-the sets {w, s_beta w, w s_alpha, s_beta w s_alpha}, and each set's term
-carries the factors <alpha, lam> and 2 sinh<beta, H> that the denominators
-divide out, so a pair on a wall or root hyperplane, near one or far from
-all takes the same formula.  Near the joint origin (small |lam||H|) the
-exponentials are replaced by their remainders e^z - sum_{j<m} z^j/j!,
-m = |Sigma+|, which the alternating sum leaves unchanged.  At rank >= 3 an
-argument can lie near two walls at once; such a pair takes the mean of the
-same formula over a circle of complex arguments around it, which equals
-the value at its centre because phi is analytic there.
+normalized so phi_lam(0) = 1, by one path at every rank: in ambient
+coordinates the Weyl sum is a determinant det[f(x_j y_k)], and dividing
+by pi(lam) and the Weyl denominator leaves, beside phi0(H), the
+determinant of the bivariate divided differences of f(xy) (``_phi_det``).
+Nodes that nearly coincide form clusters whose divided differences come
+from a matrix function of their bidiagonal matrices (Opitz; McCurdy, Ng
+and Parlett 1984); across clusters the differences divide out explicitly.
+``phi_lambda_many`` takes lam and H broadcast against each other;
+``phi_lambda`` is its one-point case.
 
 Transforms are plain trapezoid sums over tensor grids, applied to a stack of
 B slices at once (``forward_transform_stack``, ``inverse_transform_stack``);
@@ -67,15 +61,14 @@ from .errors import (ConfigError, InconclusiveIntegralError,
 from .geometry import (TAIL_TOL, RadialFunction, RadialGrid, _TensorFunction,
                        _TensorGrid, density_delta, integrate_biinvariant, phi0,
                        weyl_denominator)
-from .root_system import RootSystem, fold_into_chamber, pi, pi_many, weyl_group
+from .root_system import RootSystem, pi, pi_many, weyl_group
 
 SINGULAR_EPS = 1e-4
-# pairs near two walls take the circle mean of ``_phi_circle``: switch, N, c
-_CIRCLE_SWITCH, _CIRCLE_NODES, _CIRCLE_REACH = 0.05, 96, 8.0
 _FOLD_BLOCK = 8              # output rows per block of the A2 coset fold
-# Below the switch of _phi_direct successive remainder-series terms shrink by
-# a factor under 0.4, so 40 terms leave a tail far below double precision.
-_REMAINDER_TERMS = 40
+# phi's nodes closer than this many times their number over the other
+# variable's largest node share a cluster; at most 1 in the entries of
+# Z / 4^s, 10 Taylor terms of cos sqrt Z leave 1/20! < 1e-18
+_CLUSTER_GAP, _COS_TERMS = 0.125, 10
 
 
 class SpectralGrid(_TensorGrid):
@@ -326,119 +319,128 @@ def _axis_fold(tables: list, ia: np.ndarray, ib: np.ndarray,
     return out.reshape(B, -1)
 
 
-def _remainders(x1: np.ndarray, x2: np.ndarray, k: int) -> tuple:
-    """(D, R) at y1 = i x1, y2 = i x2, for any x1, x2: the divided difference
-    D = [R_k(y1) - R_k(y2)]/(y1 - y2) = sum_{j>=k} h_{j-1}(y1, y2)/j! and
-    R = R_k(y2) = sum_{j>=k} y2^j/j!, where R_k(y) = e^y - sum_{j<k} y^j/j!
-    and h_j = y1 h_{j-1} + y2^j (h_{-1} = 0).  The recurrences run on x1
-    and x2; each term's power i^n is applied in the sum."""
-    h, p = np.zeros_like(x1), np.ones_like(x2)    # h_{j-1}(x1, x2)/j!, x2^j/j!
-    D, R = np.zeros(x1.shape, dtype=complex), np.zeros(x2.shape, dtype=complex)
-    for j in range(k + _REMAINDER_TERMS):
-        if j >= k:
-            D += 1j ** (j - 1) * h
-            R += 1j ** j * p
-        h, p = (h * x1 + p) / (j + 1), p * x2 / (j + 1)
-    return D, R
+def _cos_sin(Z: np.ndarray) -> np.ndarray:
+    """[C(Z) S(Z)] side by side (K, N, 2N) for real matrices Z (K, N, N),
+    C(z) = cos sqrt z and S(z) = sin sqrt z / sqrt z: Taylor polynomials of
+    _COS_TERMS terms at Z / 4^s, s the least integer that brings the sum of
+    |entries| to at most 1, in powers of (Z / 4^s)^2, then C(4Z) = 2 C(Z)^2
+    - I and S(4Z) = S(Z) C(Z), s times.  It takes no triangular shortcut,
+    where scipy's expm goes wrong on near-confluent triangular blocks."""
+    K, N = Z.shape[:2]
+    s = np.ceil(np.log2(np.maximum(np.abs(Z).reshape(K, -1).sum(axis=1), 1.0))
+                / 2.0).astype(int)
+    order = np.argsort(-s, kind="stable")      # the s > i come first
+    s, W = s[order], Z[order] / -np.exp2(2 * s[order])[:, None, None]
+    eye = np.tile(np.eye(N), 2)
+    coef = np.repeat([[1.0 / math.factorial(2 * j + o) for o in (0, 1)]
+                      for j in range(_COS_TERMS)], N, axis=1)   # of W^j in C, S
+    WW, W2 = np.concatenate([W, W], axis=2), W @ W
+    X = eye * coef[-2] + WW * coef[-1]
+    for j in range(_COS_TERMS - 4, -1, -2):
+        X = W2 @ X + WW * coef[j + 1] + eye * coef[j]
+    for i in range(s[0] if s.size else 0):
+        m = np.count_nonzero(s > i)
+        X[:m] = X[:m, :, :N] @ X[:m]
+        X[:m, :, :N] = 2.0 * X[:m, :, :N] - np.eye(N)
+    return X[np.argsort(order)]
 
 
-def _near_joint_origin(s: np.ndarray, m: int) -> np.ndarray:
-    """Where the remainder-series bound S_m(s) = sum_{j>=m} s^j/j! is below 1.
-
-    S_m(s) = e^s - sum_{j<m} s^j/j!, a finite sum for the integer m, and the
-    test is written as e^{-s} (1 + sum_{j<m} s^j/j!) > 1 so that nothing
-    overflows at large s."""
-    term = np.ones_like(s)
-    head = term.copy()
-    for j in range(1, m):
-        term = term * s / j
-        head += term
-    return np.exp(-s) * (head + 1.0) > 1.0
-
-
-def _phi_direct(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """The closed form at pairs with lam != 0 and H != 0; lam, H (P, r),
-    real or complex -> (P,).
-
-    Both arguments are first moved into the closed positive chamber
-    (``fold_into_chamber``; the value is W-invariant in each), where for
-    real ones the roots alpha and beta of smallest |pairing| with lam and
-    with H are simple.  With
-    a = 2<alpha,lam>/|alpha|^2, b = 2<beta,H>/|beta|^2 and z = i<w lam, H>,
-    the elements w, s_beta w, w s_alpha and s_beta w s_alpha give
-    det(w) e^z [expm1(p) expm1(q) + e^{p+q} expm1(r)], p = -i a <w alpha, H>,
-    q = -i b <w lam, beta>, r = i a b <w alpha, beta>.  That is the same for
-    w and s_beta w, so the w with <beta, w rho> > 0 give twice the sum.  Its
-    factor ab cancels <alpha, lam> in pi(i lam) and 2 sinh<beta, H> in the
-    Weyl denominator through expm1(i x)/x = i e^{i x/2} sin(x/2)/(x/2) and
-    u/sinh u, u = <beta, H>: on, near or far from a wall or root hyperplane
-    the formula is the same.
-
-    Near the joint origin, where S_{m-1}(|lam||H|) < 1 (m = |Sigma+|,
-    ``_near_joint_origin``), e^z becomes its remainder of order m, which
-    leaves the alternating sum unchanged, and the four terms are
-    int_0^1 [q (p + t r) D(y1, y2) + r R(y2)] dt, y1 = z + t q,
-    y2 = z + p + t (q + r), with D and R of order m - 1 (``_remainders``),
-    by an 8-point Gauss-Legendre rule: the integrand is entire in t."""
-    m = rs.n_positive
-    near = _near_joint_origin(np.linalg.norm(lam, axis=1) * np.linalg.norm(H, axis=1), m - 1)
-    lam, H = fold_into_chamber(rs, lam), fold_into_chamber(rs, H)
-    ia, ib = (np.argmin(np.abs(rs.pairings(p)), axis=1) for p in (lam, H))
-    W = weyl_group(rs)
-    n = np.arange(1.0, 8.0)
-    off = n / np.sqrt(4.0 * n * n - 1.0)
-    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))   # Golub-Welsch
-    t, gw = (t + 1.0) / 2.0, v[0] ** 2
-    total = np.zeros(lam.shape[0], dtype=complex)
-    for i, j, nr in set(zip(ia.tolist(), ib.tolist(), near.tolist())):
-        sel = np.flatnonzero((ia == i) & (ib == j) & (near == nr))
-        alpha, beta = rs.roots_c[i], rs.roots_c[j]
-        L, X = lam[sel], H[sel]
-        a, b = 2.0 * (L @ alpha) / (alpha @ alpha), 2.0 * (X @ beta) / (beta @ beta)
-        half = (W.matrices @ rs.rho_c) @ beta > 0
-        for mat, sign in zip(W.matrices[half], W.signs[half]):
-            wlam, walpha = L @ mat.T, mat @ alpha
-            zeta, P, Q, C = np.einsum("ij,ij->i", wlam, X), X @ walpha, wlam @ beta, walpha @ beta
-            tp, tq, tr = -a * P, -b * Q, a * b * C
-            if nr:
-                D, R = _remainders(zeta[:, None] + t * tq[:, None],
-                                   (zeta + tp)[:, None] + t * (tq + tr)[:, None], m - 1)
-                term = (((-P * Q)[:, None] - t * (C * tq)[:, None]) * D + 1j * C * R) @ gw
-            else:
-                sp, sq, sr = (np.sinc(x / (2.0 * np.pi)) for x in (tp, tq, tr))
-                term = (-P * Q * np.exp(1j * (zeta + (tp + tq) / 2)) * sp * sq
-                        + 1j * C * np.exp(1j * (zeta + tp + tq + tr / 2)) * sr)
-            total[sel] += sign / 2.0 * term
-    rows = np.arange(lam.shape[0])
-    lam_fac, u = rs.pairings(lam), rs.pairings(H)
-    den_fac = 2.0 * np.sinh(u)
-    lam_fac[rows, ia] = np.sum(rs.roots_c[ia] ** 2, axis=1) / 2.0
-    u = u[rows, ib]
-    den_fac[rows, ib] = np.sum(rs.roots_c[ib] ** 2, axis=1) * np.divide(
-        np.sinh(u), u, out=np.ones_like(u), where=u != 0)
-    return pi(rs, rs.rho_c) / (1j ** m * np.prod(lam_fac, axis=1)
-                               * np.prod(den_fac, axis=1)) * total
+def _cluster_block(U: np.ndarray, V: np.ndarray, family: str) -> list:
+    """The divided differences f(xy)[u_0..u_a; v_0..v_b] (K, p, q) over
+    node clusters U (K, p) and V (K, q): the first row of f(J_U (x) J_V),
+    J the upper bidiagonal matrix of a cluster's nodes (Opitz).  For A,
+    f(z) = e^(iz): with T = J_U (x) J_V less its mean diagonal c, the row
+    is that of e^(ic) (C(T^2) + i S(T^2) T).  For B and C it is the row of
+    S(J_U (x) J_V), and D takes that of C(J_U (x) J_V) first."""
+    (K, p), q = U.shape, V.shape[1]
+    J = [np.zeros((K, m, m)) for m in (p, q)]
+    for Jz, z in zip(J, (U, V)):
+        Jz[:, range(z.shape[1]), range(z.shape[1])] = z
+        Jz[:, range(z.shape[1] - 1), range(1, z.shape[1])] = 1.0
+    T = np.einsum("kac,kbd->kabcd", *J).reshape(K, p * q, p * q)
+    if family == "A":
+        c = np.trace(T, axis1=1, axis2=2) / (p * q)
+        T[:, range(p * q), range(p * q)] -= c[:, None]
+        CS = _cos_sin(T @ T)[:, 0]
+        rows = [(CS[:, :p * q] + 1j * np.einsum("kj,kjm->km", CS[:, p * q:], T))
+                * np.exp(1j * c)[:, None]]
+    else:
+        CS = _cos_sin(T)[:, 0]
+        rows = ([CS[:, :p * q]] if family == "D" else []) + [CS[:, p * q:]]
+    return [r.reshape(K, p, q) for r in rows]
 
 
-def _phi_circle(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """phi at pairs (P, rank) with lam != 0 and H != 0: the mean of
-    ``_phi_direct`` at (lam + tau zeta_k d, H + eta zeta_k d), k < N =
-    _CIRCLE_NODES, zeta_k = e^{i pi (2k+1)/N}, d = rho/|rho|, lam and H in
-    the chamber.  phi is entire in lam and analytic in H while every
-    |Im<alpha, H>| < pi, which eta = min(c/|lam|, pi/(2 max|alpha|)),
-    c = _CIRCLE_REACH, keeps for |zeta| < 2: the mean is the centre value up
-    to O(2^-N).  tau = c/max(|H|, eta) bounds |Im lam| |H| by c.  As every
-    <alpha, d> > 0, a pairing vanishes only on the non-positive real
-    zeta-axis, off every node."""
-    lam, H = fold_into_chamber(rs, lam), fold_into_chamber(rs, H)
-    eta = np.minimum(_CIRCLE_REACH / np.linalg.norm(lam, axis=1),
-                     np.pi / 2.0 / np.max(np.linalg.norm(rs.roots_c, axis=1)))
-    tau = _CIRCLE_REACH / np.maximum(np.linalg.norm(H, axis=1), eta)
-    zeta = np.exp(1j * np.pi * (2 * np.arange(_CIRCLE_NODES) + 1) / _CIRCLE_NODES)
-    nodes = [(p[:, None, :] + np.multiply.outer(r, zeta)[:, :, None]
-              * (rs.rho_c / rs.rho_norm)).reshape(-1, rs.rank)
-             for p, r in ((lam, tau), (H, eta))]
-    return _phi_direct(rs, *nodes).reshape(-1, _CIRCLE_NODES).mean(axis=1)
+def _unique_rows(a: np.ndarray) -> tuple:
+    """The distinct rows of a (K, m) and the index of each row among them."""
+    order = np.lexsort(a.T)
+    a = a[order]
+    new = np.append(True, np.any(a[1:] != a[:-1], axis=1))
+    which = np.empty(order.size, dtype=int)
+    which[order] = np.cumsum(new) - 1
+    return a[new], which
+
+
+def _phi_det(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """phi at pairs (P, rank) with lam != 0 and H != 0.
+
+    In ambient coordinates l, h of lam, H the Weyl numerator is
+    det[e^(i l_j h_k)] for A, det[2i sin(l_j h_k)] for B and C, and half of
+    det[2 cos(l_j h_k)] + det[2i sin(l_j h_k)] for D.  With nodes (x, y) =
+    (l, h) and f(z) = e^(iz) for A, and (x, y) = (l^2, h^2) and f = S or C
+    otherwise (sin(lh) = lh S(l^2 h^2)), pi(lam) and the Weyl denominator
+    leave phi = phi0(H) F / F(0), F = det[f(x_j y_k)] / (V(x) V(y)) with V
+    the Vandermonde determinant (D: F_C + i^n prod l prod h F_S).  F is the
+    determinant of the divided differences of f(xy), F(0) = prod_a [z^a] f,
+    and symmetric in the x and in the y: each sorted pair is evaluated once.
+
+    l and h are scaled to the same largest node, which leaves F alone.
+    Sorted l (|l| for B, C, D) closer than _CLUSTER_GAP times their number
+    (of l and -l for B, C, D, over which cancellations compound) over max|h|
+    form one cluster, and likewise for h.  F = det M / (V'(x) V'(y)), V'
+    over pairs in different clusters only, M holding f(x_j y_k)
+    and, on each block of two clusters, their divided differences
+    (``_cluster_block``, batched by block shape).  phi0 carries the factors
+    <alpha, H> / (2 sinh <alpha, H>), so phi is 0 where they underflow."""
+    D = rs.family == "D"
+    l, h = lam @ rs.a_basis, H @ rs.a_basis
+    n = l.shape[1]
+    if rs.family == "A":
+        taylor = [1j ** a / math.factorial(a) for a in range(n)]
+    else:
+        odd = 1j ** n * np.prod(l * h, axis=1) if D else None
+        l, h = np.abs(l), np.abs(h)
+        taylor = [(-1.0) ** a / math.factorial(2 * a + (not D)) for a in range(n)]
+    nodes, which = _unique_rows(np.concatenate([np.sort(l, axis=1), np.sort(h, axis=1)], axis=1))
+    g = np.sqrt(np.max(np.abs(nodes[:, n:]), axis=1, keepdims=True)) \
+        / np.sqrt(np.max(np.abs(nodes[:, :n]), axis=1, keepdims=True))
+    l, h = nodes[:, :n] * g, nodes[:, n:] / g
+    if rs.family == "A":
+        x, y, M = l, h, [np.exp(1j * l[:, :, None] * h[:, None, :])]
+    else:
+        lh = l[:, :, None] * h[:, None, :]
+        x, y, M = l * l, h * h, ([np.cos(lh)] if D else []) + [np.sinc(lh / np.pi)]
+    reach = np.max(np.abs(l), axis=1, keepdims=True) / _CLUSTER_GAP
+    head = [np.diff(z, axis=1, prepend=-np.inf) * reach >= (n if rs.family == "A" else 2 * n)
+            for z in (l, h)]
+    label = [np.cumsum(hd, axis=1) for hd in head]
+    size = [np.where(hd, np.sum(lb[:, :, None] == lb[:, None, :], axis=2), 0)
+            for hd, lb in zip(head, label)]    # of the cluster a node starts
+    j, k = np.triu_indices(n, 1)
+    cross = np.prod([np.divide(1.0, z[:, k] - z[:, j], out=np.ones((len(z), j.size)),
+                               where=lb[:, j] != lb[:, k])
+                     for z, lb in zip((x, y), label)], axis=(0, 2))   # 1 / (V'(x) V'(y))
+    pair, a, b = np.nonzero(size[0][:, :, None] * size[1][:, None, :] > 1)
+    shape = size[0][pair, a] * (n + 1) + size[1][pair, b]     # (p, q) of a block
+    for pq in np.unique(shape):
+        at = shape == pq
+        rows = pair[at, None]
+        iu, iv = a[at, None] + np.arange(pq // (n + 1)), b[at, None] + np.arange(pq % (n + 1))
+        for m, block in zip(M, _cluster_block(x[rows, iu], y[rows, iv], rs.family)):
+            m[rows[:, :, None], iu[:, :, None], iv[:, None, :]] = block
+    F = (np.linalg.det(M[0]) * cross)[which]
+    if D:
+        F = F + odd * (np.linalg.det(M[1]) * cross)[which]
+    return phi0(rs, H) * F / np.prod(taylor)
 
 
 def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -447,27 +449,23 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     against many H, many lam against one H, or lam[:, None] against H[None]
     for a table.
 
-    Every pair with lam != 0 and H != 0 takes the paired closed form
-    ``_phi_direct``, which lifts the cancellation of one wall (root
-    hyperplane) per argument; H = 0 gives exactly 1 and lam = 0 gives
-    phi0(H).  A pair with an argument p that has two pairings below
-    _CIRCLE_SWITCH |p| (rank >= 3 only: at rank <= 2 the second-smallest is
-    at least 0.44 |p|) takes its circle mean (``_phi_circle``) instead.  On
-    and near two or more walls that read within about 1e-12 of 60-digit
-    values on A3, B3, C3 and A4 (4e-11 at worst, on C3), 3e-11 on D4, 3e-8
-    on B4 and 4e-8 on C4."""
-    lam, H = np.broadcast_arrays(np.asarray(lam, dtype=float),
-                                 np.asarray(H, dtype=float))
+    Every pair with lam != 0 and H != 0 takes the one path of ``_phi_det``
+    at every rank, on, near or far from walls (root hyperplanes) and near
+    the joint origin alike.  H = 0 gives exactly 1, lam = 0 gives phi0(H),
+    and a row of lam or H that is not finite raises ConfigError."""
+    lam, H = np.asarray(lam, dtype=float), np.asarray(H, dtype=float)
+    for name, p in (("lam", lam.reshape(-1, rs.rank)), ("H", H.reshape(-1, rs.rank))):
+        if not np.isfinite(p).all():
+            bad = np.flatnonzero(~np.isfinite(p).all(axis=1))[0]
+            raise ConfigError(f"{name} row {bad} is not finite: {p[bad]}")
+    lam, H = np.broadcast_arrays(lam, H)
     shape = lam.shape[:-1]
     lam, H = lam.reshape(-1, rs.rank), H.reshape(-1, rs.rank)
     lam_n, H_n = np.linalg.norm(lam, axis=1), np.linalg.norm(H, axis=1)
     live = (lam_n >= 1e-14) & (H_n >= 1e-14)
-    circle = live & np.any([np.sum(np.abs(rs.pairings(p)) < _CIRCLE_SWITCH * n[:, None], axis=1)
-                            >= 2 for p, n in ((lam, lam_n), (H, H_n))], axis=0)
     out = np.empty(lam.shape[0], dtype=complex)
-    out[live & ~circle] = _phi_direct(rs, lam[live & ~circle], H[live & ~circle])
-    if circle.any():
-        out[circle] = _phi_circle(rs, lam[circle], H[circle])
+    if live.any():
+        out[live] = _phi_det(rs, lam[live], H[live])
     out[lam_n < 1e-14] = phi0(rs, H[lam_n < 1e-14])
     out[H_n < 1e-14] = 1.0
     return out.reshape(shape)

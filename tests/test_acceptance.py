@@ -25,7 +25,6 @@ from symwave.root_system import build_root_system
 from symwave.spherical import (SpectralGrid, forward_transform,
                                inverse_transform, phi_lambda_many,
                                radial_laplacian_apply)
-from symwave.spherical import _phi_direct
 from symwave.wave_kernel import KernelParams, kernel_piece
 
 from kernel_oracle import oracle_high_regularized
@@ -85,7 +84,7 @@ def test_criterion_03_basic_bound():
         for _ in range(100):
             lam = rng.uniform(-6.0, 6.0, size=(100, rs.rank))
             H = rng.uniform(-3.0, 3.0, size=rs.rank)
-            vals = np.abs(_phi_direct(rs, lam, np.broadcast_to(H, lam.shape)))
+            vals = np.abs(phi_lambda_many(rs, lam, np.broadcast_to(H, lam.shape)))
             violations += int(np.sum(vals > phi0(rs, H) * (1 + 1e-10)))
         details.append(f"{rs.tag}: {violations} violations in 10^4 samples")
         ok = ok and violations == 0

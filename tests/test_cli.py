@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import symwave
-from symwave.cli import (_build_parser, _finite_float, _float_list, _load_config, _parse_float,
+from symwave.cli import (_build_parser, _finite_float, _float_list, _load_config,
                          run)
 from symwave.geometry import phi0
 from symwave.root_system import root_system_from_tag
@@ -265,7 +265,7 @@ def test_config_value_outside_choices_exits_like_the_flag(tmp_path, capsys, sect
 
 
 # two valid literals of each option type: the config file's and the flag's
-_LITERALS = {_float_list: ("0.5,1.5", "2"), _parse_float: ("inf", "3"),
+_LITERALS = {_float_list: ("0.5,1.5", "2"), float: ("inf", "3"),
              int: ("7", "9"), _finite_float: ("2.5", "0.125"), None: ("A2", "B2")}
 
 

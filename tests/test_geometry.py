@@ -24,6 +24,14 @@ def test_grid_construction_and_validation(a1):
         RadialGrid(a1, -1.0, 31)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+def test_grids_refuse_a_non_finite_box_radius(a1, radius):
+    from symwave.spherical import SpectralGrid
+    for grid in (RadialGrid, SpectralGrid):
+        with pytest.raises(ConfigError, match="box_radius"):
+            grid(a1, radius, 31)
+
+
 def test_chamber_flags(a2):
     grid = RadialGrid(a2, 2.0, 21)
     pos = grid.nodes[grid.chamber_mask]

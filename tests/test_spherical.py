@@ -19,8 +19,7 @@ from symwave.evolution import default_spectral_grid
 from symwave.root_system import build_root_system, weyl_group
 from symwave import spherical
 from symwave.spherical import (SpectralFunction, SpectralGrid, _coset_fold,
-                               _near_joint_origin, _near_singular,
-                               _phi_direct, _w_fold, _wall_fold,
+                               _near_singular, _w_fold, _wall_fold,
                                _weyl_phases,
                                forward_transform, forward_transform_stack,
                                inverse_transform, inverse_transform_stack,
@@ -71,6 +70,7 @@ def test_phi_at_zero_spectral_parameter_matches_phi0(a2, rng):
 @given(st.floats(-6, 6), st.floats(-6, 6), st.floats(-3, 3), st.floats(-3, 3))
 @example(lx=0.0078125, ly=0.015625, hx=0.015625, hy=0.015625)
 @example(lx=1.0, ly=0.0, hx=0.0, hy=1.1125369292536007e-308)   # H = 0 on a wall
+@example(lx=1.0, ly=2.225073858507203e-309, hx=0.0, hy=1.0)     # a subnormal node
 def test_basic_bound(lx, ly, hx, hy):
     rs = build_root_system("A", 2)
     lam, H = np.array([lx, ly]), np.array([hx, hy])
@@ -137,17 +137,6 @@ def _joint_case(joint):
             r * np.array([np.cos(1.3), np.sin(1.3)]))
 
 
-@pytest.mark.parametrize("family", ["A", "B"])
-@pytest.mark.parametrize("joint", [1e-4, 1e-2, 1.0, 10.0])
-def test_phi_direct_matches_high_precision_closed_form(family, joint):
-    # the alternating sum cancels to order |Sigma+| in |lam||H|; the
-    # double-precision evaluation must not lose those digits
-    rs = build_root_system(family, 2)
-    lam, H = _joint_case(joint)
-    ref = _phi_closed_form_mp(rs, lam, H)
-    assert abs(_phi_direct(rs, lam[None], H[None])[0] - ref) <= 1e-11 * abs(ref)
-
-
 @pytest.mark.parametrize("family,lam,H", [
     pytest.param("A", *_BOUND_COUNTEREXAMPLE, id="A-bound-counterexample"),
     *[pytest.param(f, *_joint_case(j), id=f"{f}-joint{j:g}")
@@ -163,36 +152,12 @@ def test_phi_lambda_matches_high_precision_closed_form(family, lam, H):
     assert abs(phi_lambda(rs, lam, H) - ref) <= 1e-11 * abs(ref)
 
 
-# where the switch of _phi_direct lies, to three decimals
-_SWITCH_AT = {1: 0.693, 3: 1.568, 4: 1.976, 12: 5.085}
-
-
-@pytest.mark.parametrize("m", range(1, 13))
-def test_joint_origin_switch_matches_incomplete_gamma(m):
-    # the remainder series is used where sum_{j>=m} s^j/j! < 1, that is
-    # where the regularized incomplete gamma P(m, s) is below e^{-s}
-    from scipy.optimize import brentq
-    from scipy.special import gammainc
-
-    def oracle(s):
-        return gammainc(m, s) < np.exp(-s)
-
-    root = brentq(lambda s: gammainc(m, s) - np.exp(-s), 1e-3, 20.0, xtol=1e-14)
-    if m in _SWITCH_AT:
-        assert round(root, 3) == _SWITCH_AT[m]
-    s = np.concatenate([np.linspace(0.0, 20.0, 200_001), np.logspace(-300, 4, 3001),
-                        [1e-4, 1e-2, 1.0, 10.0],       # the closed-form test joints
-                        root * (1.0 + np.array([-1e-9, 1e-9]))])
-    assert np.array_equal(_near_joint_origin(s, m), oracle(s))
-    assert _near_joint_origin(s[-2:], m).tolist() == [True, False]
-
-
-def test_phi_direct_far_from_joint_origin_is_warning_free(a2):
-    # |lam||H| = 800: e^{|lam||H|} overflows, the switch must not form it
+def test_phi_far_from_joint_origin_is_warning_free(a2):
+    # |lam||H| = 800: e^{|lam||H|} overflows, the evaluation must not form it
     lam, H = _joint_case(800.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val = _phi_direct(a2, lam[None], H[None])[0]
+        val = phi_lambda_many(a2, lam, H)
     assert np.isfinite(val)
     assert abs(val) <= phi0(a2, H)
 
@@ -214,7 +179,7 @@ def test_extrapolated_phi_matches_high_precision_closed_form(family, case):
     # Removable singularities: on every wall, with |lam| and |H| in
     # {0.3, 1, 3}, the value must match the closed form taken 1e-30 off the
     # singular set.  H on a wall, lam on a root hyperplane and both take
-    # the same paired formula.
+    # the same determinant.
     rs = build_root_system(family, 2)
     n_roots = rs.roots_c.shape[0]
     worst = 0.0
@@ -277,8 +242,8 @@ _GENERIC = {"A3": ([0.8, -1.4, 0.0], [0.4, 0.0, -0.5]),
 
 @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "D4"])
 def test_phi_near_one_wall_matches_closed_form_at_rank_3_and_4(tag):
-    # one wall per argument, on it or near it: the pairing lifts the
-    # cancellation as at rank 2
+    # one wall per argument, on it or near it: two nodes of the
+    # determinant coincide or nearly coincide, as at rank 2
     rs = build_root_system(tag[0], int(tag[1:]))
     g_wall, g_reg = _GENERIC[tag]
     n_roots = rs.roots_c.shape[0]
@@ -304,7 +269,7 @@ def test_phi_near_one_wall_matches_closed_form_at_rank_3_and_4(tag):
 
 def test_phi_on_two_walls_matches_closed_form_at_rank_3():
     # an argument orthogonal to two roots (on a third wall too when their
-    # sum is a root) is the one input the pairing leaves to the circle mean
+    # sum is a root): three nodes of the determinant coincide
     rs = build_root_system("A", 3)
     g_reg = _unit(_GENERIC["A3"][1])
     worst = 0.0
@@ -337,11 +302,11 @@ def _multi_wall_points(rs, g):
 
 
 @pytest.mark.parametrize("tag,tol", [("A3", 1e-12), ("B3", 1e-12), ("C3", 1e-12),
-                                     ("A4", 1e-11), ("D4", 1e-11),
-                                     ("B4", 1e-9), ("C4", 1e-8)])
+                                     ("A4", 1e-12), ("D4", 1e-12),
+                                     ("B4", 1e-12), ("C4", 1e-12)])
 def test_phi_near_two_walls_matches_closed_form(tag, tol):
-    # both arguments on or near two or more walls (root hyperplanes) at once,
-    # where phi_lambda_many takes the circle mean of the paired form
+    # both arguments on or near two or more walls (root hyperplanes) at
+    # once, where nodes of the determinant coincide or nearly coincide
     rs = build_root_system(tag[0], int(tag[1]))
     g = np.array([1.0, 0.3, -0.7, 0.45][:rs.rank])
     lams, Hs = [], []
@@ -356,15 +321,79 @@ def test_phi_near_two_walls_matches_closed_form(tag, tol):
     assert np.max(np.abs(vals - ref) / np.abs(ref)) <= tol
 
 
-@pytest.mark.parametrize("tag", ["A1", "A2", "B2"])
-def test_rank_two_takes_no_extrapolation(tag, monkeypatch):
-    # walls, root hyperplanes, both and the joint origin all take the
-    # paired closed form: the circle mean is never evaluated
+@pytest.mark.parametrize("tag", ["A2", "B2", "C2", "D2", "A3", "B3", "C3",
+                                 "A4", "B4", "C4", "D4"])
+def test_phi_matches_closed_form_in_every_band(tag):
+    # 12 random pairs in each band of |lam||H| up to 100, with |H| between
+    # 0.1 and 8 and the rest in |lam|: the one evaluation path holds 1e-11
+    # at every rank and in every band
     rs = build_root_system(tag[0], int(tag[1]))
+    rng = np.random.default_rng(2718)
+    lams, Hs = [], []
+    for band in (1.0, 3.0, 10.0, 30.0, 100.0):
+        d = rng.normal(size=(2, 12, rs.rank))
+        d /= np.linalg.norm(d, axis=2, keepdims=True)
+        joint = band * rng.uniform(0.3, 1.0, size=12)
+        r_H = np.exp(rng.uniform(np.log(0.1), np.log(8.0), size=12))
+        lams += list(d[0] * (joint / r_H)[:, None])
+        Hs += list(d[1] * r_H[:, None])
+    vals = phi_lambda_many(rs, np.array(lams), np.array(Hs))
+    ref = np.array([_phi_closed_form_mp(rs, lam, H) for lam, H in zip(lams, Hs)])
+    assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-11
 
-    def refuse(*args):
-        raise AssertionError("circle mean reached at rank <= 2")
-    monkeypatch.setattr(spherical, "_phi_circle", refuse)
+
+@pytest.mark.parametrize("tag,points", [("A4", 3), ("B4", 3), ("C4", 3), ("D4", 3),
+                                        ("A4", 5)])
+def test_phi_table_at_rank_four_matches_closed_form(tag, points):
+    # the table of `symwave phi --points 3` (lam = 1, box radius 4), whose
+    # nodes lie on many walls at once, and the 5-point A4 table; the
+    # oracle is taken once per Weyl orbit of nodes (sorted ambient
+    # coordinates, up to sign but for the sign of their product on D)
+    rs = build_root_system(tag[0], int(tag[1]))
+    grid = RadialGrid(rs, 4.0, points)
+    lam = np.ones(rs.rank)
+    vals = phi_lambda_many(rs, lam, grid.nodes)
+    ref = {}
+    for H, val in zip(grid.nodes, vals):
+        if not H.any():
+            assert val == 1.0
+            continue
+        h = H @ rs.a_basis
+        key = tuple(np.round(np.sort(h if rs.family == "A" else np.abs(h)), 9)) \
+            + ((np.sign(np.prod(h)),) if rs.family == "D" else ())
+        if key not in ref:
+            ref[key] = _phi_closed_form_mp(rs, lam, H, shift=mp.mpf("1e-30"))
+        assert abs(val - ref[key]) <= 1e-11 * abs(ref[key]), H
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2"])
+def test_phi_far_out_along_rho_is_finite(tag):
+    # along rho the Weyl denominator overflows from |H| of a few hundred;
+    # phi0 carries its factors <alpha, H> / (2 sinh <alpha, H>), so phi
+    # stays finite and within phi0 (0 at |H| = 600), without a warning
+    rs = build_root_system(tag[0], int(tag[1]))
+    lam, Hs = 0.7 * np.ones(rs.rank), np.outer([300.0, 600.0], rs.rho_c / rs.rho_norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, bounds = phi_lambda_many(rs, lam, Hs), phi0(rs, Hs)
+    assert np.all(np.isfinite(vals)) and np.all(np.abs(vals) <= bounds)
+    ref = _phi_closed_form_mp(rs, lam, Hs[0], shift=mp.mpf("1e-30"))
+    assert abs(vals[0] - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("lam,H,name", [([np.nan, 1.0], [0.3, 0.2], "lam row 0"),
+                                        ([0.9, 0.4], [[0.3, 0.2], [np.inf, 0.0]], "H row 1"),
+                                        ([[0.9, 0.4], [1.0, -np.inf]], [0.3, 0.2], "lam row 1")])
+def test_phi_refuses_non_finite_arguments(a2, lam, H, name):
+    with pytest.raises(ConfigError, match=name):
+        phi_lambda_many(a2, np.array(lam), np.array(H))
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2"])
+def test_rank_two_takes_no_extrapolation(tag):
+    # walls, root hyperplanes, both and the joint origin take the same
+    # determinant, which stays finite and within the basic bound
+    rs = build_root_system(tag[0], int(tag[1]))
     if rs.rank == 1:
         lams = np.array([[1.7], [-0.4], [1e-5], [0.01]])
         Hs = np.array([[0.9], [-2.1], [3e-5], [0.01]])

@@ -528,7 +528,7 @@ from dataclasses import replace
 import numpy as np
 
 def check(step):
-    assert 'scipy.special' not in sys.modules, step
+    assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules), step
     assert 'numpy.polynomial' not in sys.modules, step
 
 import symwave
@@ -543,6 +543,8 @@ inverse_transform(a2, forward_transform(a2, f, SpectralGrid(a2, 4.0, 41)), rgrid
                   tail_tol=1.0)
 check("rank-2 forward/inverse transform")
 phi_lambda_many(a2, np.array([[0.9, 0.4], [0.0, 0.0], [1.0, 0.0]]), np.array([0.3, 0.2]))
+phi_lambda_many(root_system_from_tag("C4"), np.ones(4), np.array([[0.3, 0.3, 0.2, 0.0],
+                                                                 [1.0, -0.5, 0.4, 0.1]]))
 check("phi_lambda_many")
 semilinear_solve(a1, gaussian_state(a1, RadialGrid(a1, 12.0, 257), amplitude=1e-2),
                  gamma=3.0, T=0.2, steps=4)
@@ -555,8 +557,10 @@ check("symwave admissible")
 
 def test_spectral_workflows_do_not_load_scipy_special():
     # only the kernel path uses special functions and quadrature rules;
-    # importing scipy.special costs about 0.3 s and 19 MB, numpy.polynomial
-    # 0.75 MB, which the spectral side must not pay
+    # importing scipy.special costs about 0.3 s and 19 MB, scipy.linalg
+    # about 0.23 s and numpy.polynomial 0.75 MB, which the spectral side
+    # must not pay: no scipy module is loaded there, the rank-4 spherical
+    # functions included
     assert _fresh_python(_NO_SCIPY_SPECIAL).strip() == "true"     # admissible's answer
 
 
