@@ -47,7 +47,8 @@ class DataError(SymwaveError):
 
 class InconclusiveIntegralError(SymwaveError):
     """Quadrature tail control failed; carries the offending tail estimate
-    and, for a stacked transform, the index of the failing slice."""
+    and, for a stacked transform or kernel call, the index of the failing
+    slice or row."""
 
     def __init__(self, message: str, tail_bound: float = float("nan"),
                  accumulated: float = float("nan"),

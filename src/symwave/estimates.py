@@ -90,6 +90,26 @@ _RAY_FRACTIONS = np.array([0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875,
                            1.0, 1.125, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0])
 
 
+def _sup_nodes(rs: RootSystem, t: float, chamber_grid: RadialGrid,
+               interior_only: bool) -> np.ndarray:
+    """The nodes of ``sup_weighted`` at time t: the open-chamber grid nodes
+    and the ray nodes at fractions of |t|, inside the cone only if asked."""
+    nodes = chamber_grid.nodes[chamber_grid.chamber_mask]
+    ray = rs.rho_c / np.linalg.norm(rs.rho_c)
+    ray_r = abs(t) * _RAY_FRACTIONS
+    ray_r = ray_r[ray_r <= chamber_grid.box_radius]
+    nodes = np.vstack([nodes, ray_r[:, None] * ray[None, :]])
+    if interior_only:
+        nodes = nodes[np.linalg.norm(nodes, axis=1) <= abs(t) / 2.0]
+    if nodes.shape[0] == 0:
+        raise DomainError("no chamber nodes in requested regime")
+    return nodes
+
+
+def _weighted_sup(rs: RootSystem, nodes: np.ndarray, vals: np.ndarray, N: float) -> float:
+    return float(np.max(np.abs(vals) / phi0_envelope(rs, nodes, N)))
+
+
 def sup_weighted(rs: RootSystem, p: KernelParams, piece: str, N: float,
                  chamber_grid: RadialGrid, interior_only: bool = False) -> float:
     """max over chamber nodes of |kernel piece| / ((1+|H|)^N e^{-<rho,H>}).
@@ -98,20 +118,13 @@ def sup_weighted(rs: RootSystem, p: KernelParams, piece: str, N: float,
     chamber ray through rho, so the regime boundary |H|/t = 1/2 is straddled
     at every t, including t below the grid spacing.  ``interior_only``
     restricts to |H| <= |t|/2, the inside-the-cone regime.  All nodes go to
-    ``kernel_piece`` as one stack, which evaluates one radial integral per
-    distinct |H|, so symmetric grids cost one radial profile per time.
+    ``kernel_piece`` as one stack at the one time ``p.t``, which evaluates
+    one radial integral per distinct key (t, |H|), so symmetric grids cost
+    one radial profile.  ``decay_sweep`` takes the same nodes at every time
+    of a sweep in one call.
     """
-    nodes = chamber_grid.nodes[chamber_grid.chamber_mask]
-    ray = rs.rho_c / np.linalg.norm(rs.rho_c)
-    ray_r = abs(p.t) * _RAY_FRACTIONS
-    ray_r = ray_r[ray_r <= chamber_grid.box_radius]
-    nodes = np.vstack([nodes, ray_r[:, None] * ray[None, :]])
-    if interior_only:
-        nodes = nodes[np.linalg.norm(nodes, axis=1) <= abs(p.t) / 2.0]
-    if nodes.shape[0] == 0:
-        raise DomainError("no chamber nodes in requested regime")
-    vals = np.abs(kernel_piece(rs, p, nodes, piece))
-    return float(np.max(vals / phi0_envelope(rs, nodes, N)))
+    nodes = _sup_nodes(rs, p.t, chamber_grid, interior_only)
+    return _weighted_sup(rs, nodes, kernel_piece(rs, p, nodes, piece), N)
 
 
 SMALL_TIMES = np.geomspace(0.05, 0.8, 12)
@@ -130,23 +143,40 @@ def _regime(rs: RootSystem, regime: str) -> tuple:
 
 
 def _sup_settings(rs: RootSystem, sigma: complex | None, per_axis: int | None) -> tuple:
-    """(sigma, per_axis) of ``_sup_at``: sigma on the critical line
+    """(sigma, per_axis) of ``_sup_sweep``: sigma on the critical line
     (d+1)/2 + i and 65 (rank 1) or 49 points per axis, each unless given."""
     return (complex((rs.dim_X + 1) / 2.0 + 1.0j if sigma is None else sigma),
             per_axis or (65 if rs.rank == 1 else 49))
 
 
-def _sup_at(rs: RootSystem, regime: str, t: float, sigma: complex | None = None,
-            per_axis: int | None = None, envelope_power: float | None = None) -> float:
-    """``sup_weighted`` of the regime's piece at time t with the standard
-    settings: those of ``_sup_settings``, the regime's envelope power and a
-    box of radius max(4, 2t), each unless given."""
+def _sup_sweep(rs: RootSystem, regime: str, times, sigma: complex | None = None,
+               per_axis: int | None = None, envelope_power: float | None = None) -> list:
+    """``sup_weighted`` of the regime's piece at every time of ``times``, with
+    the standard settings: those of ``_sup_settings``, the regime's envelope
+    power and a box of radius max(4, 2t) per time, each unless given.  The
+    nodes of all the times go to ``kernel_piece`` as one stack with per-row
+    times, and each time's sup is taken over its own rows."""
     _, piece, N, _, interior = _regime(rs, regime)
     sigma, per_axis = _sup_settings(rs, sigma, per_axis)
     N = N if envelope_power is None else envelope_power
-    grid = chamber_sup_grid(rs, max(4.0, 2.0 * t), per_axis)
-    return sup_weighted(rs, KernelParams(t=float(t), sigma=sigma), piece, N, grid,
-                        interior_only=interior)
+    times = [float(t) for t in times]
+    nodes = [_sup_nodes(rs, t, chamber_sup_grid(rs, max(4.0, 2.0 * t), per_axis), interior)
+             for t in times]
+    vals = _kernel_over_times(rs, sigma, times, nodes, piece)
+    return [_weighted_sup(rs, H, v, N) for H, v in zip(nodes, vals)]
+
+
+def _kernel_over_times(rs: RootSystem, sigma: complex, times: list, nodes: list,
+                       piece: str) -> list:
+    """The kernel piece at ``nodes[i]`` (n_i, rank) and time ``times[i]``, for
+    every i, from one ``kernel_piece`` call on the stacked nodes with
+    per-row times; returns the values split per time."""
+    if not times:
+        return []
+    counts = [len(H) for H in nodes]
+    vals = kernel_piece(rs, KernelParams(t=times[0], sigma=sigma), np.concatenate(nodes), piece,
+                        t=np.repeat(times, counts))
+    return np.split(vals, np.cumsum(counts)[:-1])
 
 
 def decay_sweep(rs: RootSystem, regime: str, sigma: complex | None = None,
@@ -156,12 +186,13 @@ def decay_sweep(rs: RootSystem, regime: str, sigma: complex | None = None,
 
     Small time fits the regularized high piece on the critical line against
     -(d-1)/2; large time fits the full kernel in the interior regime
-    against -d/2.
+    against -d/2.  All the times are one ``kernel_piece`` call, keyed by
+    (t, |H|) (``_sup_sweep``).
     """
     default_times, _, N, theo, _ = _regime(rs, regime)
     times = default_times if times is None else np.asarray(times, float)
     sigma, per_axis = _sup_settings(rs, sigma, per_axis)
-    sups = [_sup_at(rs, regime, t, sigma, per_axis, envelope_power) for t in times]
+    sups = _sup_sweep(rs, regime, times, sigma, per_axis, envelope_power)
     report = fit_decay(times, sups, regime=regime, theoretical_slope=theo,
                        envelope_power=N if envelope_power is None else envelope_power)
     return replace(report, sigma=sigma, per_axis=per_axis)
@@ -190,10 +221,12 @@ def kunze_stein_bound(rs: RootSystem, kernel_samples: RadialFunction,
 
 def kernel_on_grid(rs: RootSystem, p: KernelParams, grid: RadialGrid,
                    piece: str = "total") -> RadialFunction:
-    """Sample a kernel piece on every grid node: one stacked
-    ``kernel_piece`` call on the nodes themselves, which takes H anywhere
-    in a and evaluates one radial integral per distinct |H|
-    (``_radial_profile`` keys the radii)."""
+    """Sample a kernel piece at the time ``p.t`` on every grid node: one
+    stacked ``kernel_piece`` call on the nodes themselves, which takes H
+    anywhere in a and evaluates one radial integral per distinct key
+    (t, |H|) (``_radial_profile`` keys them).  A sweep over times samples
+    all its grids in one call with per-row times instead
+    (``_kernel_over_times``)."""
     return RadialFunction(grid, kernel_piece(rs, p, grid.nodes, piece))
 
 
@@ -205,14 +238,14 @@ def ks_box_radius(rs: RootSystem, t: float) -> float:
 
 def kunze_stein_sweep(rs: RootSystem, q: float, times, sigma: complex) -> tuple:
     """(times, bound values) of the convolution functional of the full
-    kernel along a t-sweep, on 257 points per axis."""
-    out = []
-    for t in np.asarray(times, dtype=float):
-        grid = RadialGrid(rs, ks_box_radius(rs, t), 257)
-        p = KernelParams(t=float(t), sigma=sigma)
-        samples = kernel_on_grid(rs, p, grid, "total")
-        out.append(kunze_stein_bound(rs, samples, q))
-    return np.asarray(times, dtype=float), np.asarray(out)
+    kernel along a t-sweep, on 257 points per axis.  The grids of all the
+    times are one ``kernel_piece`` call with per-row times, keyed by
+    (t, |H|)."""
+    times = np.asarray(times, dtype=float)
+    grids = [RadialGrid(rs, ks_box_radius(rs, t), 257) for t in times]
+    vals = _kernel_over_times(rs, sigma, times.tolist(), [g.nodes for g in grids], "total")
+    out = [kunze_stein_bound(rs, RadialFunction(g, v), q) for g, v in zip(grids, vals)]
+    return times, np.asarray(out)
 
 
 @dataclass(frozen=True)
@@ -232,7 +265,9 @@ class DispersiveReport:
 
 def dispersive_report(rs: RootSystem, q: float, t_list,
                       per_axis_ks: int = 129) -> DispersiveReport:
-    """Per-t dispersive functionals and their fitted decay.
+    """Per-t dispersive functionals and their fitted decay.  The low pieces
+    of all the times are one ``kernel_piece`` call, and so are the
+    regularized high pieces (``_sup_sweep``).
 
     The convolution functional is applied to the low kernel piece at
     sigma = (d+1)(1/2 - 1/q); the high piece is controlled through the sup
@@ -246,13 +281,11 @@ def dispersive_report(rs: RootSystem, q: float, t_list,
     d = rs.dim_X
     sigma_q = (d + 1) * (0.5 - 1.0 / q)
     times = np.sort(np.asarray(t_list, dtype=float))
-    rows = []
-    for t in times:
-        grid = RadialGrid(rs, ks_box_radius(rs, t), per_axis_ks)
-        p_low = KernelParams(t=float(t), sigma=complex(sigma_q))
-        ks_low = kunze_stein_bound(rs, kernel_on_grid(rs, p_low, grid, "low"), q)
-        rows.append({"t": float(t), "ks_low": ks_low,
-                     "sup_high_reg": _sup_at(rs, "small_time", t)})
+    grids = [RadialGrid(rs, ks_box_radius(rs, t), per_axis_ks) for t in times]
+    lows = _kernel_over_times(rs, complex(sigma_q), times.tolist(), [g.nodes for g in grids], "low")
+    sups = _sup_sweep(rs, "small_time", times)
+    rows = [{"t": float(t), "ks_low": kunze_stein_bound(rs, RadialFunction(g, v), q),
+             "sup_high_reg": sup} for t, g, v, sup in zip(times, grids, lows, sups)]
     report = DispersiveReport(q=q, sigma_q=sigma_q, per_axis_ks=per_axis_ks, rows=rows)
     small = times[times < 1.0]
     large = times[times >= 1.0]

@@ -166,18 +166,35 @@ def _x_over_sinh(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _refuse_non_finite_rows(H: np.ndarray) -> None:
+    """ConfigError naming the first point of H (rank,) or (..., rank) with a
+    NaN or infinite entry."""
+    bad = np.argwhere(~np.all(np.isfinite(H), axis=-1))
+    if len(bad):
+        i = tuple(bad[0].tolist())
+        name = f"H[{', '.join(map(str, i))}]" if i else "H"
+        raise ConfigError(f"{name} = {H[i].tolist()} is not finite")
+
+
 def phi0(rs: RootSystem, H: np.ndarray) -> np.ndarray:
-    """Ground spherical function prod <alpha,H>/sinh<alpha,H>; equals 1 at 0."""
-    pair = rs.pairings(np.asarray(H, dtype=float))
+    """Ground spherical function prod <alpha,H>/sinh<alpha,H>; equals 1 at 0.
+    A point with a NaN or infinite entry is refused with a ``ConfigError``
+    that names it."""
+    H = np.asarray(H, dtype=float)
+    _refuse_non_finite_rows(H)
+    pair = rs.pairings(H)
     return np.prod(_x_over_sinh(pair), axis=-1)
 
 
 def phi0_envelope(rs: RootSystem, H: np.ndarray, N: float):
     """(1+|H|)^N exp(-<rho,H>) for H in the closed positive chamber: a float
-    for one point (rank,), an (n,) array for a stack (n, rank)."""
+    for one point (rank,), an (n,) array for a stack (n, rank).  A point
+    with a NaN or infinite entry is refused with a ``ConfigError`` that
+    names it, before the chamber test."""
     H = np.asarray(H, dtype=float)
     if N < 0:
         raise ChamberError("envelope exponent N must be >= 0")
+    _refuse_non_finite_rows(H)
     if not rs.in_closed_chamber(H, tol=1e-9):
         raise ChamberError("H outside the closed positive chamber; fold by W first")
     env = (1.0 + np.linalg.norm(H, axis=-1)) ** N * np.exp(-(H @ rs.rho_c))

@@ -32,16 +32,18 @@ frequency is too low for the ray alone.  Nothing is ever hard-truncated.
 
 ``kernel_piece`` is the one kernel entry: it takes one point H (rank,) or
 a stack (N, rank) anywhere in a, and the point is the N = 1 case of the
-same code.  A call evaluates one radial integral per distinct |H| in its
-stack and keeps nothing between calls.
-All the integrals of one (t, piece) are one batched pass: the panel edges
-of every |H| step in lockstep, the panels of all of them go through the
-Filon engine in blocks of at most ``_FILON_BLOCK``, the |H|-independent
-tail series is built once, and the tails of all |H| still pending are one
-call per extension round, whose ray nodes and segment panels go through
-one steepest-descent sweep in blocks of at most ``_TAIL_BLOCK`` rows.
-Every per-|H| result is computed row by row and summed in panel order, so
-an |H| gets the same bits alone as in any stack.
+same code.  Each row may carry its own time t, so a sweep over times is one
+call.  A call evaluates one radial integral per distinct key
+(t, round(|H|, 12)) in its stack and keeps nothing between calls.
+All the integrals of one piece and one sign of t are one batched pass:
+the panel edges of every key step in lockstep, the panels of all of them
+go through the Filon engine in blocks of at most ``_FILON_BLOCK``, the
+|H|-independent tail series is built once per distinct t, and the tails
+of all keys still pending are one call per extension round, whose ray
+nodes and segment panels go through one steepest-descent sweep in blocks
+of at most ``_TAIL_BLOCK`` rows.  Every per-key result is computed row by
+row and summed in panel order, so a key gets the same bits alone as in
+any stack, whatever the other keys' times.
 """
 
 from __future__ import annotations
@@ -283,19 +285,20 @@ _SPLIT_Z0 = 40.0
 _MAX_PANEL_STEPS = 400_000   # lockstep steps before a panel build gives up
 
 
-def _build_panels(a, b, s, t: float, rho_norm: float,
-                  width_scale: float) -> tuple:
-    """Panel edges on [a_k, b_k] for every key k at once, with t > 0 and
-    a_k >= 0; a, b and s (the key's |H|) broadcast to (K,).  Returns
-    (edges, owner, wave): the edges of key k are ``edges[owner == k]``,
+def _build_panels(a, b, s, t, rho_norm: float, width_scale: float) -> tuple:
+    """Panel edges on [a_k, b_k] for every key k at once, with t_k > 0 and
+    a_k >= 0; a, b, s (the key's |H|) and t (its time) broadcast to (K,).
+    Returns (edges, owner, wave): the edges of key k are ``edges[owner == k]``,
     ascending, and keys come in order; wave[i] is the shell frequency that
     the panel from edges[i] carries in its phase: s_k where that edge lies
     at or past the key's cut (less 1e-14 relative), and 0 before it and on
     each key's last edge, from which no panel starts.
 
     Each step is the scalar recurrence r -> min(r + max(w(r) scale, 1e-9), c)
-    run in lockstep over the keys still short of their b.  Every key is cut
-    at r = max(Z0/s_k, 2|rho|) (``_SPLIT_Z0``), which becomes an edge when it
+    run in lockstep over the keys still short of their b; a build that
+    outruns ``_MAX_PANEL_STEPS`` names a key still live and carries its
+    index as ``slice_index``.  Every key is cut at r = max(Z0/s_k, 2|rho|)
+    (``_SPLIT_Z0``), which becomes an edge when it
     lies inside (a_k, b_k): c is the cut before it and b_k past it.  Before
     the cut the width w is bounded by the local scale, 20 rad of phase plus
     shell oscillation, the phase curvature and the shell period 6/s_k.
@@ -308,8 +311,8 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
     power differs from the C library's pow in the last bit on some inputs,
     while sqrt and the product are rounded correctly by both, so the edges
     equal those of the scalar recurrence bit for bit."""
-    a, b, s = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
-                                    for v in (a, b, s)))
+    a, b, s, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                       for v in (a, b, s, t)))
     rho2 = rho_norm ** 2
     cut = np.minimum(b, np.maximum(_SPLIT_Z0 / np.maximum(s, 1e-300), 2.0 * rho_norm))
 
@@ -317,14 +320,14 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
         return x - 1e-14 * np.maximum(1.0, x)
 
     live = np.flatnonzero(a < near(b))
-    r, sl, bl, stopl, cutl, pastl = (x[live] for x in (a, s, b, near(b), cut, near(cut)))
+    r, sl, tl, bl, stopl, cutl, pastl = (x[live] for x in (a, s, t, b, near(b), cut, near(cut)))
     cap = 6.0 / (sl + 1e-30)
     parts, owners = [a], [np.arange(a.size)]
     while live.size:
         q = r * r + rho2
         sq = np.sqrt(q)
-        rate = t * r / sq + sl
-        curv = t * rho2 / (q * sq)
+        rate = tl * r / sq + sl
+        curv = tl * rho2 / (q * sq)
         w = np.where(r < 2.5 * rho_norm,
                      np.minimum(0.5 * np.maximum(r, 0.3 * rho_norm), rho_norm / 3.0), 0.5 * r)
         w = np.minimum(w, np.sqrt(0.8 / (curv + 1e-30)))
@@ -336,12 +339,12 @@ def _build_panels(a, b, s, t: float, rho_norm: float,
         if len(parts) > _MAX_PANEL_STEPS:
             k = live[0]
             raise InconclusiveIntegralError(
-                f"panel count exploded: over {_MAX_PANEL_STEPS} lockstep steps at t = {t:.6g} "
-                f"for |H| = {s[k]:.6g} on [{a[k]:.6g}, {b[k]:.6g}]")
+                f"panel count exploded: over {_MAX_PANEL_STEPS} lockstep steps at t = {t[k]:.6g} "
+                f"for |H| = {s[k]:.6g} on [{a[k]:.6g}, {b[k]:.6g}]", slice_index=int(k))
         more = r < stopl
         if not more.all():
-            live, r, sl, bl, stopl, cutl, pastl, cap = (
-                x[more] for x in (live, r, sl, bl, stopl, cutl, pastl, cap))
+            live, r, sl, tl, bl, stopl, cutl, pastl, cap = (
+                x[more] for x in (live, r, sl, tl, bl, stopl, cutl, pastl, cap))
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
     owner, edges = owner[order], np.concatenate(parts)[order]
@@ -405,8 +408,10 @@ def _filon_sums(amp_fn, phase_fn, dphase_fn, edges: np.ndarray, owner: np.ndarra
     whose wide panels rarely share a kappa'.  The table lives for one block
     only, so nothing bounds kappa and nothing is kept between calls.
     ``amp_fn(nodes, k, split)`` gets the (P, 16) Gauss nodes, the owner of
-    each panel and the mask wave > 0.  Panels go in blocks of at most
-    ``_FILON_BLOCK``: a profile can hold 10^5 panels, and unblocked work
+    each panel and the mask wave > 0; ``phase_fn(r, k)`` and
+    ``dphase_fn(r, k)`` get the (P,) midpoints or the (P, 16) nodes and the
+    owners, so that the phase can depend on the key (its time t_k).
+    Panels go in blocks of at most ``_FILON_BLOCK``: a profile can hold 10^5 panels, and unblocked work
     arrays would take hundreds of MB.  Every step is row by row, a split
     panel's two rows are summed before its value goes out, and
     ``np.add.at`` adds the panels in order, so out[k] does not depend on
@@ -424,7 +429,7 @@ def _filon_sums(amp_fn, phase_fn, dphase_fn, edges: np.ndarray, owner: np.ndarra
         nodes = mids[:, None] + hws[:, None] * tab.gl_x
         split = np.flatnonzero(w)
         amp = amp_fn(nodes, k, w > 0.0)
-        phi, dphi, phin = phase_fn(mids), dphase_fn(mids), phase_fn(nodes)
+        phi, dphi, phin = phase_fn(mids, k), dphase_fn(mids, k), phase_fn(nodes, k)
         if split.size:        # the e^{-iwr} rows of the split panels go last
             rows = np.concatenate([np.arange(i.size), split])
             w = np.concatenate([w, -w[split]])
@@ -604,41 +609,50 @@ def _tail_series(rs: RootSystem, sigma: complex, rho_tilde: float, t: float) -> 
     return common, _bessel_a((rs.dim_X - 2) / 2.0, _SERIES_LEN)
 
 
-def _tail_values(rs: RootSystem, sigma: complex, t: float, s: np.ndarray, R: np.ndarray,
+def _tail_values(rs: RootSystem, sigma: complex, t, s: np.ndarray, R: np.ndarray,
                  series: tuple) -> tuple:
     """Analytic values of the high-frequency integrand tail on [R_k, inf) at
-    the radii s_k (K,), and their error estimates, from the ``_tail_series``
-    of (sigma, rho_tilde, t); returns (tail (K,), err (K,)).
+    the radii s_k and times t_k (K,), and their error estimates, from the
+    ``_tail_series`` of (sigma, rho_tilde, t_k); returns (tail (K,), err (K,)).
+    ``series`` is (common, a) with common one (18,) row, or one row per key
+    (K, 18); a scalar t and one row broadcast to every key.
 
-    A key with s_k = 0 has one power series against e^{itr}; any other has
-    the two Hankel branches e^{+-i s_k r} of its Bessel factor.  The orders
-    of every branch of every key come from one ``_power_tail_orders`` call.
-    A branch's series is the truncated product of the common series with
-    a_n (+-i)^n s^-n, that is sum_n s^-n T[n] with an (18, 18) matrix T per
-    branch, summed term by term (``_rowwise``).  Everything else is
+    A key with s_k = 0 has one power series against e^{i t_k r}; any other
+    has the two Hankel branches e^{+-i s_k r} of its Bessel factor.  The
+    orders of every branch of every key come from one ``_power_tail_orders``
+    call.  A branch's series is the truncated product of the key's common
+    series with a_n (+-i)^n s^-n, that is sum_n s^-n T[n] with an (18, 18)
+    matrix T per branch and key, zero below the diagonal.  It is summed term
+    by term over n, and the row T[n] of every key is formed in the step of
+    its term, so that no (K, 18, 18) array is held.  Everything else is
     elementwise in real arithmetic or a fixed-length row sum, so a key gets
     the same bits alone as in any stack."""
     d = rs.dim_X
     common, a = series
+    t = np.broadcast_to(np.asarray(t, dtype=float), s.shape)
+    common = np.broadcast_to(common, (s.size, _SERIES_LEN))
     zero, shell = np.flatnonzero(s == 0.0), np.flatnonzero(s != 0.0)
     n0, n1 = zero.size, shell.size
-    sk, Rk = s[shell], R[shell]
+    sk, Rk, tk, ck = s[shell], R[shell], t[shell], common[shell]
     M = _power_tail_orders(
         np.repeat([sigma - (d - 1.0), sigma - (d - 1.0) / 2.0], [n0, 2 * n1]),
-        np.concatenate([np.full(n0, t), t + sk, t - sk]),
+        np.concatenate([t[zero], tk + sk, tk - sk]),
         np.concatenate([R[zero], Rk, Rk]))
     tail = np.zeros(s.size, dtype=complex)
     err = np.zeros(s.size)
-    coeffs = sphere_area(d) * common
+    coeffs = sphere_area(d) * common[zero]
     tail[zero] = _cmul(coeffs, M[:n0]).sum(axis=1)
-    err[zero] = _cabs(_cmul(coeffs[-1], M[:n0, -1]))
+    err[zero] = _cabs(_cmul(coeffs[:, -1], M[:n0, -1]))
     orders = np.arange(_SERIES_LEN)
-    lag = orders[None, :] - orders[:, None]
     theta = (d - 2) / 2.0 * np.pi / 2.0 + np.pi / 4.0
     spow = sk[:, None] ** (-orders.astype(float))
     for pm, Mb in ((+1.0, M[n0:n0 + n1]), (-1.0, M[n0 + n1:])):
-        T = (a * (pm * 1j) ** orders)[:, None] * np.where(lag >= 0, common[lag % _SERIES_LEN], 0.0)
-        coeffs = _rowwise(spow, T)
+        an = a * (pm * 1j) ** orders
+        row = an[0] * ck               # T[n, m] = a_n (+-i)^n common[m - n] for m >= n
+        coeffs = spow[:, 0, None] * row
+        for n in orders[1:]:
+            row = an[n] * ck[:, :_SERIES_LEN - n]
+            coeffs[:, n:] += spow[:, n, None] * row
         pref = ((2.0 * np.pi) ** ((d - 1) / 2.0) * np.exp(-1j * pm * theta)
                 * sk ** ((1.0 - d) / 2.0))
         tail[shell] += _cmul(pref, _cmul(coeffs, Mb).sum(axis=1))
@@ -652,60 +666,78 @@ def _tail_values(rs: RootSystem, sigma: complex, t: float, s: np.ndarray, R: np.
 # the spectral-radius integrals
 # ---------------------------------------------------------------------------
 
-def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray) -> np.ndarray:
-    """Spectral integral of one piece at the radii s (N,),
+def _radial_profile(rs: RootSystem, p: KernelParams, piece: str, s: np.ndarray,
+                    t: np.ndarray | None = None) -> np.ndarray:
+    """Spectral integral of one piece at the radii s and the times t (N,),
 
         int_0^inf chi(r/|rho|) (r^2+rt^2)^{-sigma/2} e^{i t phi(r)} S_d(r,s) dr
 
     with chi = chi0 (piece 'low') or chiinf (piece 'high') on the step
     ``p.cutoff``, or chi = 1 (piece 'total', which reads no cutoff), once
-    per distinct ``round(|H|, 12)`` (Python's round; ``np.round`` is one ulp
-    off on some radii), all in one batched pass (``_profile_pass``).  The
-    key matters on the light cone |H| = t, where the high piece moves by up
-    to 1.5 relative under a 1e-13 shift of |H| and every sweep has a node.
-    For t < 0 the conjugate problem at (-t, conj sigma) is solved and
-    conjugated back.
+    per distinct key (t, ``round(|H|, 12)``) (Python's round; ``np.round``
+    is one ulp off on some radii), with t = ``p.t`` on every row when none
+    is given.  The rounding matters on the light cone |H| = t, where the
+    high piece moves by up to 1.5 relative under a 1e-13 shift of |H| and
+    every sweep has a node.  The keys with t > 0 are one batched pass
+    (``_profile_pass``); for the keys with t < 0 the conjugate problem at
+    (-t, conj sigma) is one more pass, conjugated back.  A pass that fails
+    raises with the first row of the key at fault as ``slice_index``.
     """
-    keys, inverse = np.unique([round(x, 12) for x in s.tolist()], return_inverse=True)
-    t, sigma = float(p.t), complex(p.sigma)
-    if t < 0:
-        t, sigma = -t, sigma.conjugate()
-    try:
-        vals = _profile_pass(rs, sigma, p.resolved_rho_tilde(rs), t, keys,
-                             128.0 / p.panels, piece, p.cutoff)
-    except InconclusiveIntegralError as exc:
-        if p.t > 0:
-            raise
-        raise InconclusiveIntegralError(
-            f"{exc}, the conjugate of the problem at t = {p.t:.6g}, sigma = {complex(p.sigma):.6g}",
-            tail_bound=exc.tail_bound, accumulated=exc.accumulated) from None
-    return (vals.conj() if p.t < 0 else vals)[inverse]
+    times = np.full(s.shape, float(p.t)) if t is None else t
+    keys, inverse = np.unique(np.stack([times, [round(x, 12) for x in s.tolist()]]),
+                              axis=1, return_inverse=True)
+    inverse = inverse.ravel()
+    sigma = complex(p.sigma)
+    vals = np.empty(keys.shape[1], dtype=complex)
+    for sign in (1.0, -1.0):
+        mine = np.flatnonzero(np.sign(keys[0]) == sign)
+        if not mine.size:
+            continue
+        try:
+            v = _profile_pass(rs, sigma if sign > 0 else sigma.conjugate(), p.resolved_rho_tilde(rs),
+                              sign * keys[0, mine], keys[1, mine], 128.0 / p.panels, piece, p.cutoff)
+        except InconclusiveIntegralError as exc:
+            row = int(np.flatnonzero(inverse == mine[exc.slice_index])[0])
+            conj = "" if sign > 0 else (f", the conjugate of the problem at t = {times[row]:.6g}, "
+                                        f"sigma = {sigma:.6g}")
+            raise InconclusiveIntegralError(f"{exc}{conj}", tail_bound=exc.tail_bound,
+                                            accumulated=exc.accumulated, slice_index=row) from None
+        vals[mine] = v if sign > 0 else v.conj()
+    return vals[inverse]
 
 
-def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
+def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: np.ndarray,
                   s: np.ndarray, width_scale: float, piece: str,
                   cutoff: str) -> np.ndarray:
-    """The integrals of ``_radial_profile`` at the distinct radii s (K,), t > 0.
+    """The integrals of ``_radial_profile`` at the distinct keys (t_k, s_k)
+    (K,), every t_k > 0.
 
     The low piece is one set of panels on [0, 2|rho|].  The high and total
     pieces have panels on [|rho|, R_k] and [0, R_k], and the same analytic
-    tail beyond R_k >= 2|rho|, where chiinf = 1.  Each round evaluates the
-    tails of all pending keys in one ``_tail_values`` call and checks them
+    tail beyond R_k >= 2|rho|, where chiinf = 1.  The tail series is built
+    once per distinct t_k.  Each round evaluates the tails of all pending
+    keys, whatever their time, in one ``_tail_values`` call and checks them
     against ``TAIL_REL_TOL`` as arrays; each key whose tail error estimate
     is not below that share of its mass moves R_k out by 1.7, and only
-    those keys get panels on the new stretch.
+    those keys get panels on the new stretch.  Every error names the t,
+    |H| and sigma of a key at fault and carries its index as
+    ``slice_index``.
 
     The panels see the real amplitude chi (r^2+rt^2)^{-Re sigma/2} S_d(r, s),
     with chi from ``chi_pair`` on the step ``cutoff`` (the total calls none:
-    its chi is 1), and the phase t sqrt(r^2+|rho|^2) - (Im sigma/2)
+    its chi is 1), and the phase t_k sqrt(r^2+|rho|^2) - (Im sigma/2)
     ln(r^2+rt^2), which carries the rest of (r^2+rt^2)^{-sigma/2}: one
     complex power per node fewer.  Past the cut of ``_build_panels`` the
     shell factor is ``_shell_branch`` instead, the e^{+isr} branch (the low
     piece ends before any cut).  The panel widths stay those of the t-phase
     alone; the log term's small curvature is folded like the rest."""
-    assert t > 0
+    assert np.all(t > 0)
     rho_norm = rs.rho_norm
     out = np.zeros(s.size, dtype=complex)
+
+    def at(x, k, r):
+        # x of each panel's owner, shaped against its (P,) or (P, 16) radii
+        return x[k].reshape(k.shape + (1,) * (r.ndim - 1))
 
     def amp(r, k, split):
         f = (r * r + rho_tilde ** 2) ** (-sigma.real / 2.0)
@@ -721,14 +753,15 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
 
     def add_panels(keys, a, b):
         try:
-            edges, owner, wave = _build_panels(a, b, s[keys], t, rho_norm, width_scale)
+            edges, owner, wave = _build_panels(a, b, s[keys], t[keys], rho_norm, width_scale)
         except InconclusiveIntegralError as exc:
-            raise InconclusiveIntegralError(f"{exc} ({piece} piece, sigma = {sigma:.6g})") from None
+            raise InconclusiveIntegralError(f"{exc} ({piece} piece, sigma = {sigma:.6g})",
+                                            slice_index=int(keys[exc.slice_index])) from None
         _filon_sums(amp,
-                    lambda r: (t * np.sqrt(r * r + rho_norm ** 2)
-                               - sigma.imag / 2.0 * np.log(r * r + rho_tilde ** 2)),
-                    lambda r: (t * r / np.sqrt(r * r + rho_norm ** 2)
-                               - sigma.imag * r / (r * r + rho_tilde ** 2)),
+                    lambda r, k: (at(t, k, r) * np.sqrt(r * r + rho_norm ** 2)
+                                  - sigma.imag / 2.0 * np.log(r * r + rho_tilde ** 2)),
+                    lambda r, k: (at(t, k, r) * r / np.sqrt(r * r + rho_norm ** 2)
+                                  - sigma.imag * r / (r * r + rho_tilde ** 2)),
                     edges, keys[owner], wave, out)
 
     pending = np.arange(s.size)
@@ -737,25 +770,30 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
         return out
 
     def context(k):
-        return f"{piece} piece at t = {t:.6g}, |H| = {s[k]:.6g}, sigma = {sigma:.6g}"
+        return f"{piece} piece at t = {t[k]:.6g}, |H| = {s[k]:.6g}, sigma = {sigma:.6g}"
 
     s_eff = np.where(s < 1e-4, 0.0, s)
-    R = np.maximum(max(2.0 * rho_norm, 2.0 * rho_tilde, t * rho_norm ** 2),
+    R = np.maximum(np.maximum(max(2.0 * rho_norm, 2.0 * rho_tilde), t * rho_norm ** 2),
                    12.0 / np.where(s_eff > 0.0, s_eff, np.inf))
     far = np.flatnonzero(R > 5e6)
     if far.size:
         raise InconclusiveIntegralError(
-            f"analytic-tail start R = {R[far[0]]:.2e} out of reach ({context(far[0])})")
+            f"analytic-tail start R = {R[far[0]]:.2e} out of reach ({context(far[0])})",
+            slice_index=int(far[0]))
     add_panels(pending, 0.0 if piece == "total" else rho_norm, R)
-    series = _tail_series(rs, sigma, rho_tilde, t)
+    times, which = np.unique(t, return_inverse=True)
+    series = [_tail_series(rs, sigma, rho_tilde, x) for x in times.tolist()]
+    common, a = np.array([c for c, _ in series]), series[0][1]
     last_err, last_mass = np.zeros(s.size), np.zeros(s.size)
     stopped = []
     for _ in range(12):
         try:
-            tail, tail_err = _tail_values(rs, sigma, t, s_eff[pending], R[pending], series)
+            tail, tail_err = _tail_values(rs, sigma, t[pending], s_eff[pending], R[pending],
+                                          (common[which[pending]], a))
         except InconclusiveIntegralError as exc:    # a zero-frequency key: |H| = t
-            k = pending[np.argmin(np.abs(t - s_eff[pending]))]
-            raise InconclusiveIntegralError(f"{exc}; R = {R[k]:.2e} ({context(k)})") from None
+            k = pending[np.argmin(np.abs(t[pending] - s_eff[pending]))]
+            raise InconclusiveIntegralError(f"{exc}; R = {R[k]:.2e} ({context(k)})",
+                                            slice_index=int(k)) from None
         mass = _cabs(out[pending]) + _cabs(tail)
         done = tail_err <= TAIL_REL_TOL * np.maximum(mass, 1e-300)
         out[pending[done]] += tail[done]
@@ -774,11 +812,12 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: float,
         raise InconclusiveIntegralError(
             f"tail estimate {last_err[k]:.2e} above {TAIL_REL_TOL:.0e} of mass {last_mass[k]:.2e}; "
             f"panels reached R = {R[k]:.2e} ({context(k)})",
-            tail_bound=last_err[k], accumulated=last_mass[k])
+            tail_bound=last_err[k], accumulated=last_mass[k], slice_index=k)
     return out
 
 
-def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
+def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str,
+                 t: np.ndarray | None = None):
     """Kernel piece at one point H (rank,), as a complex number, or at a stack
     H (N, rank), as an (N,) array.  The pieces are
 
@@ -790,13 +829,20 @@ def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
         "total"     phi0(H) times the integral with no cutoff, in one pass:
                     "low" plus Gamma((d+1)/2 - sigma) e^{-sigma^2} "high_reg".
 
-    Only "low" and "high_reg" read ``p.cutoff``.  Each piece is
+    Only "low" and "high_reg" read ``p.cutoff``.  ``t`` gives each row its
+    own time, an (N,) array next to a stack (one value for one point); every
+    row takes ``p.t`` when it is None.  A call evaluates one radial integral
+    per distinct key (t, round(|H|, 12)) and all the keys of one sign of t
+    in one batched pass, so a sweep over times is one call: a row gets the
+    value of the call with ``p.t`` set to its time.  A time is checked as
+    ``p.t`` is: NaN, infinite or zero is refused with a ``ConfigError``
+    naming the row, before any panel is built.  Each piece is
     phi0(H) psi(|H|), a Weyl-invariant function, so H may be any point of a
     whose norm |H| is finite; any other row (NaN or infinite entries, or a
-    norm that overflows) is refused before any panel is built.  Each row's
-    phi0 and |H| come from a (1, rank) product of its own, and all
-    arithmetic is on (N,) arrays (numpy's scalar complex product can differ
-    in the last bit), so a point gets the same bits alone as in any stack."""
+    norm that overflows) is refused likewise.  Each row's phi0 and |H| come
+    from a (1, rank) product of its own, and all arithmetic is on (N,)
+    arrays (numpy's scalar complex product can differ in the last bit), so
+    a point gets the same bits alone as in any stack."""
     if piece not in ("low", "high_reg", "total"):
         raise ConfigError(f"unknown kernel piece {piece!r}")
     sigma = complex(p.sigma)
@@ -813,8 +859,18 @@ def kernel_piece(rs: RootSystem, p: KernelParams, H: np.ndarray, piece: str):
         i = bad[0]
         raise ConfigError(f"{'H' if single else f'H[{i}]'} = {rows[i, 0].tolist()} "
                           "has no finite norm")
+    if t is not None:
+        t = np.asarray(t, dtype=float).reshape(-1)
+        if t.size != s.size:
+            raise ConfigError(f"t has {t.size} entries for {s.size} rows of H")
+        bad = np.flatnonzero(~np.isfinite(t) | (t == 0.0))
+        if bad.size:
+            i, x = bad[0], float(t[bad[0]])
+            raise ConfigError(f"{'t' if single else f't[{i}]'} = {x!r} "
+                              + ("is not finite" if x != 0.0 else "must be nonzero"))
     w = phi0(rs, rows)[:, 0]
     if piece == "high_reg":
         w = w * (np.exp(sigma ** 2) / _kernel_tables().gamma(z))
-    vals = w * _radial_profile(rs, p, "high" if piece == "high_reg" else piece, s)
+    profile = _radial_profile(rs, p, "high" if piece == "high_reg" else piece, s, t)
+    vals = w * profile          # a named operand: numpy takes no in-place path
     return complex(vals[0]) if single else vals

@@ -5,9 +5,11 @@ import pytest
 
 from symwave.errors import (DataError, DomainError, InconclusiveIntegralError,
                             NoCriticalPointError)
-from symwave.estimates import (chamber_sup_grid, critical_point, fit_decay,
-                               kernel_on_grid, kunze_stein_bound, phase_psi,
-                               sup_weighted)
+from symwave import wave_kernel
+from symwave.estimates import (chamber_sup_grid, critical_point, decay_sweep,
+                               dispersive_report, fit_decay, kernel_on_grid,
+                               ks_box_radius, kunze_stein_bound, kunze_stein_sweep,
+                               phase_psi, sup_weighted)
 from symwave.geometry import RadialFunction, RadialGrid, phi0
 from symwave.wave_kernel import KernelParams, kernel_piece
 
@@ -156,8 +158,48 @@ def test_kernel_on_grid_equals_kernel_piece_at_the_nodes(a2):
 
 
 def test_dispersive_report_rejects_bad_q(a1):
-    from symwave.estimates import dispersive_report
     with pytest.raises(DomainError):
         dispersive_report(a1, 2.0, [2.0, 3.0])
     with pytest.raises(DomainError):
         dispersive_report(a1, math.inf, [2.0, 3.0])
+
+
+def test_sweeps_make_one_radial_pass_per_piece(a1, a2, monkeypatch):
+    # a sweep's times all go through one batched radial pass per kernel
+    # piece (its times are all positive), as on the inputs of the
+    # small-time and Kunze-Stein benchmark sweeps; one pass per time made
+    # 12 + 4 and 4 of them
+    pieces = []
+    real_pass = wave_kernel._profile_pass
+
+    def counting_pass(*args):
+        pieces.append(args[6])
+        return real_pass(*args)
+
+    monkeypatch.setattr(wave_kernel, "_profile_pass", counting_pass)
+    decay_sweep(a1, "small_time", sigma=2.0 + 0.5j, times=np.geomspace(0.05, 0.8, 12))
+    decay_sweep(a2, "small_time", sigma=4.5 + 0.5j, times=np.geomspace(0.05, 0.8, 4), per_axis=25)
+    assert pieces == ["high", "high"]
+    pieces.clear()
+    kunze_stein_sweep(a1, 4.0, np.geomspace(2.0, 40.0, 4), sigma=2.0 + 1.0j)
+    assert pieces == ["total"]
+    pieces.clear()
+    dispersive_report(a1, 4.0, [2.0, 3.0], per_axis_ks=33)
+    assert sorted(pieces) == ["high", "low"]
+
+
+def test_sweeps_equal_their_per_time_values(a1):
+    # each time's value of a batched sweep is that of the same functional at
+    # that time alone: sup_weighted on the standard grid, and the
+    # convolution functional of kernel_on_grid
+    times = [0.1, 0.3, 0.6]
+    rep = decay_sweep(a1, "small_time", sigma=SIGMA, times=times, per_axis=17)
+    for t, sup in zip(times, rep.sup_ratios):
+        grid = chamber_sup_grid(a1, max(4.0, 2.0 * t), 17)
+        assert sup == sup_weighted(a1, KernelParams(t=t, sigma=SIGMA), "high_reg",
+                                   a1.n_positive, grid)
+    ts, vals = kunze_stein_sweep(a1, 4.0, [2.0, 3.0], sigma=SIGMA)
+    for t, v in zip(ts, vals):
+        grid = RadialGrid(a1, ks_box_radius(a1, t), 257)
+        samples = kernel_on_grid(a1, KernelParams(t=t, sigma=SIGMA), grid, "total")
+        assert v == kunze_stein_bound(a1, samples, 4.0)

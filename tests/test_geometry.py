@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +97,22 @@ def test_phi0_envelope_examples(a1):
     assert phi0_envelope(a1, H, 0.0) == pytest.approx(np.exp(-3.0), rel=1e-14)
     with pytest.raises(ChamberError):
         phi0_envelope(a1, -a1.rho_c, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_phi0_and_envelope_refuse_non_finite_points(a2, bad):
+    # a point with a NaN or infinite entry is a ConfigError naming it, with
+    # no floating-point warning on the way and before the chamber test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (lambda H: phi0(a2, H), lambda H: phi0_envelope(a2, H, 1.0)):
+            with pytest.raises(ConfigError, match=re.escape(f"H = {[bad, 0.0]} is not finite")):
+                f(np.array([bad, 0.0]))
+            H = np.array([[1.0, 0.5], [0.5, 0.2], [2.0, bad]])
+            with pytest.raises(ConfigError, match=re.escape(f"H[2] = {[2.0, bad]} is not finite")):
+                f(H)
+        with pytest.raises(ConfigError, match=re.escape(f"H[1, 0] = {[2.0, bad]} is not finite")):
+            phi0(a2, H[:, None, :][1:])
 
 
 def test_phi0_envelope_two_sided_on_chamber(a2):

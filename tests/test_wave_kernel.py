@@ -113,7 +113,7 @@ def test_filon_single_panel_matches_quad(k):
     # 2 i^n j_n(k), here at |k| beyond the range unsplit panels reach; the
     # Hankel-branch panels reach k ~ 1500
     out = np.zeros(1, dtype=complex)
-    _filon_sums(lambda r, owner, split: np.exp(r), lambda r: k * r, lambda r: k + 0 * r,
+    _filon_sums(lambda r, owner, split: np.exp(r), lambda r, owner: k * r, lambda r, owner: k + 0 * r,
                 np.array([-1.0, 1.0]), np.zeros(2, dtype=int), np.zeros(2), out)
     val = out[0]
     re = si.quad(np.exp, -1.0, 1.0, weight="cos", wvar=k)[0]
@@ -295,8 +295,8 @@ def test_filon_sums_do_not_depend_on_the_stack():
     # of the real amplitude cos(s r + ln(1 + r)/2)/(1 + r)^1.5
     t, rho = 3.0, 1.5
     s = np.linspace(0.1, 4.0, 40)
-    phase = lambda r: t * np.sqrt(r * r + rho ** 2)
-    dphase = lambda r: t * r / np.sqrt(r * r + rho ** 2)
+    phase = lambda r, k: t * np.sqrt(r * r + rho ** 2)
+    dphase = lambda r, k: t * r / np.sqrt(r * r + rho ** 2)
 
     def amp(r, k, split):
         branch = 0.5 * (1.0 + r) ** (-1.5 + 0.5j)
@@ -338,7 +338,7 @@ def test_filon_engine_vs_adaptive_quadrature(t, width_scale):
         assert np.max(np.abs(kappa - np.rint(kappa))) / 16.0 > 0.025
         out = np.zeros(1, dtype=complex)
         _filon_sums(lambda r, k, split: np.where(split[:, None], 0.5, np.cos(s * r)) / (1.0 + r * r),
-                    phase, dphase, edges, owner, wave, out)
+                    lambda r, k: phase(r), lambda r, k: dphase(r), edges, owner, wave, out)
         assert out[0] == pytest.approx(re + 1j * im, abs=1e-11), s
 
 
@@ -377,7 +377,7 @@ def test_filon_moment_rows_one_per_distinct_frequency(a1, monkeypatch):
         for start in range(0, inner.size, _FILON_BLOCK):
             i = inner[start:start + _FILON_BLOCK]
             mid, hw, w = (edges[i + 1] + edges[i]) / 2.0, (edges[i + 1] - edges[i]) / 2.0, wave[i]
-            d = dphase_fn(mid)
+            d = dphase_fn(mid, owner[i])
             m = w > 0
             one = np.rint(16.0 * d[~m] * hw[~m]) / 16.0
             two = np.rint(16.0 * np.concatenate([d[m] + w[m], d[m] - w[m]]) * np.tile(hw[m], 2)) / 16.0
@@ -604,8 +604,8 @@ def test_tail_seam_consistency(a1):
     amp = lambda r, k, split: ((r * r + rho_t ** 2) ** (-SIGMA.real / 2.0)
                                * np.where(split[:, None], _shell_branch(a1, r, s),
                                           shell_integral(a1, r, s)))
-    phase = lambda r: t * np.sqrt(r * r + a1.rho_norm ** 2) - SIGMA.imag / 2.0 * np.log(r * r + rho_t ** 2)
-    dphase = lambda r: t * r / np.sqrt(r * r + a1.rho_norm ** 2) - SIGMA.imag * r / (r * r + rho_t ** 2)
+    phase = lambda r, k: t * np.sqrt(r * r + a1.rho_norm ** 2) - SIGMA.imag / 2.0 * np.log(r * r + rho_t ** 2)
+    dphase = lambda r, k: t * r / np.sqrt(r * r + a1.rho_norm ** 2) - SIGMA.imag * r / (r * r + rho_t ** 2)
     edges, owner, wave = _build_panels(R1, R2, s, t, a1.rho_norm, 1.0)
     assert wave.any()
     out = np.zeros(1, dtype=complex)
@@ -775,6 +775,81 @@ def test_stacked_kernel_equals_single_points(tag, t, a1, a2):
         assert stacked.shape == (len(H),)
         assert all(type(v) is complex for v in single)
         assert np.all(stacked == np.array(single)), piece
+
+
+def test_stacked_times_equal_per_time_calls(a1, a2, monkeypatch):
+    # rows at several times are the rows of the calls at one time each, bit
+    # for bit, in any order: |H| = 1.1 at three times, the light-cone nodes
+    # |H| = t, both signs of t = 0.7, and |H| = 12 (Hankel-branch panels).
+    # The rows of each sign of t are one batched pass
+    passes = []
+    real_pass = wave_kernel._profile_pass
+
+    def counting_pass(*args):
+        passes.append(args[3])
+        return real_pass(*args)
+
+    radii = {0.7: [0.0, 1.1, 0.7, 4.0], -0.7: [1.1, 0.7], 2.5: [1.1, 2.5, 12.0], -1.3: [1.3, 0.0]}
+    times = np.concatenate([[t] * len(r) for t, r in radii.items()])
+    order = np.random.default_rng(5).permutation(times.size)
+    times = times[order]
+    p = KernelParams(t=1.0, sigma=SIGMA)
+    for rs in (a1, a2):
+        u = rs.rho_c / np.linalg.norm(rs.rho_c)
+        H = np.concatenate([np.outer(r, u) for r in radii.values()])[order]
+        for piece in ("low", "high_reg", "total"):
+            passes.clear()
+            monkeypatch.setattr(wave_kernel, "_profile_pass", counting_pass)
+            stacked = kernel_piece(rs, p, H, piece, t=times)
+            monkeypatch.setattr(wave_kernel, "_profile_pass", real_pass)
+            assert [sorted(set(x.tolist())) for x in passes] == [[0.7, 2.5], [0.7, 1.3]]
+            for t in radii:
+                mine = times == t
+                single = kernel_piece(rs, replace(p, t=t), H[mine], piece)
+                assert np.all(stacked[mine] == single), (rs.tag, piece, t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+def test_kernel_refuses_a_non_finite_or_zero_time(a1, monkeypatch, bad):
+    # per-row times are checked as KernelParams.t is, before any panel is
+    # built, and the error names the row and its value
+    def no_panels(*args):
+        raise AssertionError("a panel was built")
+
+    monkeypatch.setattr(wave_kernel, "_build_panels", no_panels)
+    p = KernelParams(t=1.0, sigma=SIGMA)
+    why = "must be nonzero" if bad == 0.0 else "is not finite"
+    H = np.array([[0.5], [1.0], [2.0]])
+    for piece in ("low", "high_reg", "total"):
+        with pytest.raises(ConfigError, match=re.escape(f"t[1] = {bad!r} {why}")):
+            kernel_piece(a1, p, H, piece, t=[0.5, bad, 1.0])
+    with pytest.raises(ConfigError, match=re.escape(f"t = {bad!r} {why}")):
+        kernel_piece(a1, p, [0.5], "total", t=bad)
+    with pytest.raises(ConfigError, match=re.escape("t has 2 entries for 3 rows of H")):
+        kernel_piece(a1, p, H, "total", t=[0.5, 1.0])
+
+
+def test_batched_errors_name_the_key_at_fault(a1):
+    # inside a stack of several times, a failing key names its own t, |H|
+    # and sigma, and the error carries its first row as slice_index
+    p = KernelParams(t=1.0, sigma=SIGMA)
+    H = np.array([[0.8], [0.3], [0.8], [0.8]])
+    with pytest.raises(InconclusiveIntegralError, match="out of reach") as exc:
+        kernel_piece(a1, p, H, "high_reg", t=[1.0, 2.0, 3e6, 3e6])
+    assert all(n in str(exc.value) for n in ("high piece", "t = 3e+06", "|H| = 0.8",
+                                             "sigma = 2+1j", "R = "))
+    assert exc.value.slice_index == 2
+    with pytest.raises(InconclusiveIntegralError, match="out of reach") as exc:
+        kernel_piece(a1, p, H, "high_reg", t=[-1.0, 2.0, -3e6, 1.0])
+    assert "(high piece at t = 3e+06, |H| = 0.8, sigma = 2-1j)" in str(exc.value)
+    assert "conjugate of the problem at t = -3e+06, sigma = 2+1j" in str(exc.value)
+    assert exc.value.slice_index == 2
+    # on the light cone with p0 + k = 1 the tail integral has no value
+    with pytest.raises(InconclusiveIntegralError, match="zero asymptotic frequency") as exc:
+        kernel_piece(a1, KernelParams(t=1.0, sigma=1.0), [[1.5], [0.5], [1.5]], "high_reg",
+                     t=[2.0, 1.5, 1.5])
+    assert all(n in str(exc.value) for n in ("t = 1.5", "|H| = 1.5", "sigma = 1+0j"))
+    assert exc.value.slice_index == 2
 
 
 @pytest.mark.parametrize("t", [0.7, -0.7])
