@@ -199,9 +199,11 @@ def _cmd_kernel(args) -> int:
                    + ["re", "im", "abs", "weighted_abs"])
         H = radii[:, None] * direction[None, :]
         env = phi0_envelope(rs, H, N)
-        for p in params:
-            vals = kernel_piece(rs, p, H, args.piece)
-            for s, h, v, e in zip(radii, H, vals, env):
+        # every time is one call, with per-row times
+        vals = kernel_piece(rs, params[0], np.tile(H, (len(params), 1)), args.piece,
+                            t=np.repeat([p.t for p in params], len(H)))
+        for p, row in zip(params, np.split(vals, len(params))):
+            for s, h, v, e in zip(radii, H, row, env):
                 w.writerow([_fmt(p.t), _fmt(s)] + [_fmt(x) for x in h]
                            + [_fmt(v.real), _fmt(v.imag), _fmt(abs(v)),
                               _fmt(abs(v) / e)])

@@ -26,9 +26,11 @@ Beyond the panels' end R, where chiinf = 1 and the high integrand is the
 total's, the Bessel factor is split by its large-argument expansion into
 e^{+-isr} branches, every remaining smooth factor is expanded in powers of
 1/r, and the integrals of the powers against e^{i(t+-s)r} are evaluated in
-double precision by numerical steepest descent: a Gauss-Laguerre rule on a
+double precision: numerical steepest descent (a Gauss-Laguerre rule on a
 ray into the complex plane, after a short real-axis segment where the
-frequency is too low for the ray alone.  Nothing is ever hard-truncated.
+frequency is too low for the ray alone) gives one power per branch, and
+the integration-by-parts recurrence of the generalized exponential
+integral gives the others.  Nothing is ever hard-truncated.
 
 ``kernel_piece`` is the one kernel entry: it takes one point H (rank,) or
 a stack (N, rank) anywhere in a, and the point is the N = 1 case of the
@@ -39,11 +41,12 @@ All the integrals of one piece and one sign of t are one batched pass:
 the panel edges of every key step in lockstep, the panels of all of them
 go through the Filon engine in blocks of at most ``_FILON_BLOCK``, the
 |H|-independent tail series is built once per distinct t, and the tails
-of all keys still pending are one call per extension round, whose ray
-nodes and segment panels go through one steepest-descent sweep in blocks
-of at most ``_TAIL_BLOCK`` rows.  Every per-key result is computed row by
-row and summed in panel order, so a key gets the same bits alone as in
-any stack, whatever the other keys' times.
+of all keys still pending are one call per extension round: one order
+per branch of every key is integrated on its ray nodes and segment panels,
+in blocks of at most ``_TAIL_BLOCK`` rows, and the recurrence gives the
+others.  Every per-key result is computed row by row and summed in panel
+order, so a key gets the same bits alone as in any stack, whatever the
+other keys' times.
 """
 
 from __future__ import annotations
@@ -276,7 +279,7 @@ def _gamma_pole_distance(z: complex) -> float:
 # ---------------------------------------------------------------------------
 
 _FILON_BLOCK = 1024          # panels per Filon block
-_TAIL_BLOCK = 64             # rows per steepest-descent block of the tail
+_TAIL_BLOCK = 1024           # rows per steepest-descent block of the tail (about 1 MB)
 # r|H| from which Filon panels carry the shell's Hankel branches.  Measured
 # on the benchmark's kernel sweeps: 80 leaves 11% more panels, while 10 and
 # 20 split A2 panels whose hankel1e (about 0.6 us per node at order 3)
@@ -499,22 +502,27 @@ def _power_tail_orders(p0, xi, R) -> np.ndarray:
     one row per (p0_j, xi_j, R_j) of the broadcast inputs, by numerical
     steepest descent (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).
 
+    One order per row is integrated, and the others follow from the
+    integration-by-parts recurrence between the orders (``_descent_orders``).
     From a start R1 >= R the path turns onto the ray
     r = R1 + i sgn(xi) x/|xi|, on which e^{i xi r} = e^{i xi R1} e^{-x}, and a
-    60-node Gauss-Laguerre rule in x integrates the powers; for Re p <= 1
+    60-node Gauss-Laguerre rule in x integrates the power; for Re p <= 1
     this is the analytic continuation in p.  The rule needs the branch point
     r = 0 far from the ray on the scale 1/|xi|: |xi| R1 >= 10, and
     |xi| R1 >= 0.6 |p| for the largest order, which otherwise loses digits
     at |xi| R1 = 10 once |p| exceeds about 20.  Where |xi| R is below that,
     a Gauss-Legendre segment on the real axis covers [R, R1] first, on
     geometric panels of ratio <= 2 that each span at most 1 rad of phase.
-    For Re p0 < 1 and |xi| R << 1 segment and ray cancel, and the relative
-    error grows from ~1e-13 to ~1e-10 at p0 = -5 + i.  Below |xi| = 1e-13
-    the zero-frequency continuation R^{1-p}/(p-1) is returned.
+    Against mpmath ``expint`` every order is within 5e-14 relative for
+    |Im p0| <= 1 and |xi| R <= 1e3, also where Re p < 0 and |xi| R << 1.
+    Past that the rounding of xi R in the phase sets the error (7e-13 at
+    |xi| R = 1e4), and with |Im p0| near 3 at |xi| R << 1 it reaches 2e-11.
+    Below |xi| = 1e-13 the zero-frequency continuation R^{1-p}/(p-1) is
+    returned.
 
     The rows go through ``_descent_orders`` in blocks of at most
-    ``_TAIL_BLOCK``, so that its work arrays stay near 0.5 MB however many
-    keys a profile has.
+    ``_TAIL_BLOCK``, so that its (rows, 60) work arrays stay near 1 MB
+    however many keys a profile has.
     """
     p0, xi, R = np.broadcast_arrays(np.atleast_1d(np.asarray(p0, dtype=complex)),
                                     np.atleast_1d(np.asarray(xi, dtype=float)),
@@ -535,50 +543,58 @@ def _power_tail_orders(p0, xi, R) -> np.ndarray:
 
 
 def _descent_orders(p0: np.ndarray, xi: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """The rows of ``_power_tail_orders`` at xi != 0, in one sweep.
+    """The rows of ``_power_tail_orders`` at xi != 0, from one quadrature
+    per row and the recurrence between the orders.
+
+    Since M_q = R^{1-q} E_q(-i xi R) (DLMF 8.19.12), integration by parts
+    gives i xi M_q = q M_{q+1} - B_q with B_q = R^{-q} e^{i xi R}.  Each row
+    integrates one seed order k* = clip(rint(|xi| R - Re p0), 0, 17) on the
+    ray and segment panels.  The orders above come from the upward step
+    M_{q+1} = (i xi M_q + B_q)/q, which scales an error by |xi| R/|q|, and
+    those below from the downward step M_q = (q M_{q+1} - B_q)/(i xi), which
+    scales it by |q|/(|xi| R); k* is where both factors are about 1.  Where
+    |xi| R << 1 an upward step from q also cancels by a factor |q|, so when
+    an order has |q| < 1/8, k* is at least the order above it.  Then an
+    upward step loses at most a factor 8, and the downward steps from
+    Re q* < 9/8 at most (|xi| R)^(-1/8), where they cancel as the upward
+    steps would (raising k* from |q| < 1/2 read 2.6e-10 at p0 = -2.51).
+    B_{q+1} is B_q/R.
 
     The ray nodes of all rows are one (rows, 60) array; the segment panels
-    of the rows that need them are concatenated, 20 nodes each.  The
-    orders share the nodes: each order's node values are the previous
-    order's times 1/node, and each order is summed before the next (an
-    (orders, nodes) table would take 18 times the memory).  A row is
-    reduced on its own, by a fixed-length sum per ray row or panel and
-    ``np.add.reduceat`` over its own panels, and the complex products are
-    written in real arithmetic (``_cmul``), so a row gets the same bits
-    alone as in any stack."""
+    of the rows that need them are concatenated, 20 nodes each.  A node's
+    r^-q comes from the real log|r| and arg r, as one exp, cos and sin.  A
+    row is reduced on its own, by a fixed-length sum per ray row or panel
+    and ``np.add.reduceat`` over its own panels, and every complex product
+    and quotient is written in real arithmetic (as in ``_cmul``), so a row
+    gets the same bits alone as in any stack."""
     tab = _kernel_tables()
-    orders = np.arange(_SERIES_LEN)
+    n = _SERIES_LEN
+    seed = np.rint(np.abs(xi) * R - p0.real)
+    zero = -np.minimum(np.rint(p0.real), 0.0)      # the order nearest q = 0
+    seed = np.where(np.abs(p0 + zero) < 0.125, np.maximum(seed, zero + 1), seed)
+    seed = np.clip(seed, 0, n - 1).astype(int)
+    q = p0 + seed
 
-    def sweep(nodes, w, p, inv):
-        # sum over each row of nodes (weights w) of r^-(p+k) for every order
-        # k, as a (rows, orders) array; inv is 1/nodes.  The node values are
-        # a (2, rows, nodes) array of real and imaginary parts, and
-        # c *= inv is written in real arithmetic
-        c = _cmul(w, nodes ** (-p))
-        c = np.stack([c.real, c.imag])
-        del nodes, w
-        cross = np.stack([-inv.imag, inv.imag])
-        inv = inv.real
-        sums = np.empty((_SERIES_LEN, 2, c.shape[1]))
-        for k in orders:
-            c.sum(axis=2, out=sums[k])
-            swap = c[::-1] * cross
-            c *= inv
-            c += swap
-        return sums[:, 0].T + 1j * sums[:, 1].T
+    def quad(q, lr, th, w, phase=0.0):
+        # sum over each row of the nodes r = e^{lr + i th} (real weights w)
+        # of r^-q e^{i phase}, as (real, imag) parts; q is one order per row
+        m = w * np.exp(q.imag[:, None] * th - q.real[:, None] * lr)
+        b = phase - q.real[:, None] * th - q.imag[:, None] * lr
+        return (m * np.cos(b)).sum(axis=1), (m * np.sin(b)).sum(axis=1)
 
     scale = 1.0 / np.abs(xi)                  # one radian of phase
-    R1 = np.maximum(R, np.maximum(10.0, 0.6 * np.abs(p0 + orders[-1])) * scale)
+    R1 = np.maximum(R, np.maximum(10.0, 0.6 * np.abs(p0 + (n - 1))) * scale)
     step = np.copysign(scale, xi)
-    y = step[:, None] * tab.ray_x             # the ray nodes are R1 + i y
-    den = R1[:, None] ** 2 + y * y
-    M = sweep(R1[:, None] + 1j * y, 1j * (step * np.exp(1j * (xi * R1)))[:, None] * tab.ray_w,
-              p0[:, None], R1[:, None] / den - 1j * (y / den))
+    u = (step / R1)[:, None] * tab.ray_x      # the ray nodes are R1 (1 + i u)
+    sr, si = quad(q, np.log(R1)[:, None] + 0.5 * np.log1p(u * u), np.arctan(u), tab.ray_w)
+    # times the ray's dr/dx e^{i xi R1} = i step e^{i xi R1}
+    pr, pi = -step * np.sin(xi * R1), step * np.cos(xi * R1)
+    sr, si = sr * pr - si * pi, sr * pi + si * pr
     seg = np.flatnonzero(R1 > R)
     if seg.size:
-        R, scale, R1 = R[seg], scale[seg], R1[seg]
-        J = np.array([math.ceil(math.log2(x)) if x > 1.0 else 0 for x in (scale / R).tolist()])
-        start = np.ldexp(R, J)                # panels from here are <= 1 rad
+        Rs, scale, R1 = R[seg], scale[seg], R1[seg]
+        J = np.array([math.ceil(math.log2(x)) if x > 1.0 else 0 for x in (scale / Rs).tolist()])
+        start = np.ldexp(Rs, J)               # panels from here are <= 1 rad
         lin = np.ceil((R1 - start) / scale).astype(int)
         size = J + lin + 1                    # edges per row
         first = np.cumsum(size) - size
@@ -587,17 +603,40 @@ def _descent_orders(p0: np.ndarray, xi: np.ndarray, R: np.ndarray) -> np.ndarray
         # edges R 2^j for j < J, then those of linspace(start, R1, lin + 1)
         edges = i * ((R1 - start) / lin)[owner] + start[owner]
         geo = i < 0
-        edges[geo] = np.ldexp(R[owner[geo]], i[geo] + J[owner[geo]])
+        edges[geo] = np.ldexp(Rs[owner[geo]], i[geo] + J[owner[geo]])
         edges[first + size - 1] = R1
         inner = np.flatnonzero(owner[1:] == owner[:-1])
-        row = owner[inner]
+        row = seg[owner[inner]]
         mid = (edges[inner + 1] + edges[inner]) / 2.0
         hw = (edges[inner + 1] - edges[inner]) / 2.0
         r = mid[:, None] + hw[:, None] * tab.seg_x
-        panels = sweep(r, hw[:, None] * tab.seg_w * np.exp(1j * (xi[seg][row, None] * r)),
-                       p0[seg][row, None], 1.0 / r + 0j)
-        M[seg] += np.add.reduceat(panels, first - np.arange(seg.size), axis=0)
-    return M
+        pr, pi = quad(q[row], np.log(r), 0.0, hw[:, None] * tab.seg_w, xi[row, None] * r)
+        at = first - np.arange(seg.size)
+        sr[seg] += np.add.reduceat(pr, at)
+        si[seg] += np.add.reduceat(pi, at)
+
+    # M[0] and M[1] hold the real and imaginary parts, one row per order
+    M = np.zeros((2, n, xi.size))
+    M[:, seed, np.arange(xi.size)] = sr, si
+    lnR, arg = np.log(R), xi * R
+    mag, cr, ci = np.exp(-p0.real * lnR), np.cos(p0.imag * lnR), -np.sin(p0.imag * lnR)
+    B = np.empty((2, n, xi.size))
+    B[0, 0] = mag * (cr * np.cos(arg) - ci * np.sin(arg))
+    B[1, 0] = mag * (cr * np.sin(arg) + ci * np.cos(arg))
+    for k in range(1, n):
+        B[:, k] = B[:, k - 1] / R
+    c, d = p0.real, p0.imag
+    for k in range(n - 1):                    # upward from k*
+        ur, ui = B[0, k] - xi * M[1, k], B[1, k] + xi * M[0, k]
+        den = (c + k) ** 2 + d * d
+        np.divide(ur * (c + k) + ui * d, den, out=M[0, k + 1], where=seed <= k)
+        np.divide(ui * (c + k) - ur * d, den, out=M[1, k + 1], where=seed <= k)
+    for k in range(n - 2, -1, -1):            # downward from k*
+        vr = (c + k) * M[0, k + 1] - d * M[1, k + 1] - B[0, k]
+        vi = (c + k) * M[1, k + 1] + d * M[0, k + 1] - B[1, k]
+        np.divide(vi, xi, out=M[0, k], where=seed > k)
+        np.divide(-vr, xi, out=M[1, k], where=seed > k)
+    return M[0].T + 1j * M[1].T
 
 
 def _tail_series(rs: RootSystem, sigma: complex, rho_tilde: float, t: float) -> tuple:

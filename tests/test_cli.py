@@ -15,6 +15,7 @@ from symwave.cli import (_build_parser, _finite_float, _float_list, _load_config
 from symwave.geometry import phi0
 from symwave.root_system import root_system_from_tag
 from symwave.spherical import plancherel_constant
+from symwave import wave_kernel
 from symwave.wave_kernel import KernelParams, kernel_piece
 
 
@@ -105,6 +106,22 @@ def test_kernel_csv_matches_kernel_piece(tmp_path, capsys):
         assert (v.real, v.imag) == (float(row["re"]), float(row["im"]))
     sidecar = json.loads((out / "kernel_manifest.json").read_text())
     assert sidecar["quadrature"] == {"panels": 128}
+
+
+def test_kernel_times_are_one_radial_pass(tmp_path, monkeypatch, capsys):
+    # all the --t values of one kernel table go through one batched pass
+    passes = []
+    real_pass = wave_kernel._profile_pass
+
+    def counting_pass(*args):
+        passes.append(args[3].tolist())
+        return real_pass(*args)
+
+    monkeypatch.setattr(wave_kernel, "_profile_pass", counting_pass)
+    assert run(["kernel", "--root-system", "A1", "--t", "1.0,1.5",
+                "--h-points", "5", "--h-max", "2",
+                "--output-dir", str(tmp_path / "o")]) == 0
+    assert len(passes) == 1 and sorted(set(passes[0])) == [1.0, 1.5]
 
 
 def test_kernel_pole_sigma_exit_code(tmp_path, capsys):

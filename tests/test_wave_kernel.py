@@ -403,6 +403,14 @@ def test_profiles_do_not_depend_on_the_filon_block(a1, a2, monkeypatch, block):
         assert np.all(_radial_profile(rs, p, piece, s) == want), (rs.tag, piece)
 
 
+def _expint_orders(p0, xi, R):
+    # M_k = R^{1-p} E_p(-i xi R), p = p0 + k, to 30 digits
+    with mpmath.workdps(30):
+        return np.array([[complex(mpmath.power(R, 1 - (mpmath.mpc(p0) + k))
+                                  * mpmath.expint(mpmath.mpc(p0) + k, mpmath.mpc(0, -x * R)))
+                          for k in range(_SERIES_LEN)] for x in xi.tolist()])
+
+
 @pytest.mark.parametrize("p0", [-1.0, 0.0, 1.5, 2.0, 1 + 0.49j, 0.9965j, 18 + 0.49j])
 def test_power_tail_orders_match_mpmath(p0):
     # M_k = int_R^inf r^{-p} e^{i xi r} dr = R^{1-p} E_p(-i xi R), p = p0 + k,
@@ -413,12 +421,47 @@ def test_power_tail_orders_match_mpmath(p0):
                    for sign in (1.0, -1.0)])
     got = _power_tail_orders(complex(p0), xi, R)
     assert got.shape == (xi.size, _SERIES_LEN)
-    with mpmath.workdps(30):
-        for row, x in zip(got, xi.tolist()):
-            for k in range(_SERIES_LEN):
-                p = mpmath.mpc(p0) + k
-                exact = complex(mpmath.power(R, 1 - p) * mpmath.expint(p, mpmath.mpc(0, -x * R)))
-                assert row[k] == pytest.approx(exact, rel=1e-12), (x * R, k)
+    for row, exact, x in zip(got, _expint_orders(p0, xi, R), xi.tolist()):
+        for k in range(_SERIES_LEN):
+            assert row[k] == pytest.approx(exact[k], rel=1e-12), (x * R, k)
+
+
+@pytest.mark.parametrize("p0, xi_R", [(-5 + 1j, (1e-12, 1e-6, 1e-3, 0.5, 3.0, 9.99)),
+                                      (-2.5 + 0.5j, (1e-12, 1e-6, 1e-3, 0.5, 3.0, 9.99)),
+                                      (-2.51 + 0.05j, (1e-12, 1e-6, 1e-3, 0.5, 3.0, 9.99)),
+                                      (8 + 4j, (10.0, 10.8, 15.0, 60.0))])
+def test_power_tail_orders_match_mpmath_off_the_seed_order(p0, xi_R):
+    # every order that the recurrence carries away from the one integrated
+    # order: below Re p = 1 at |xi| R << 1, where a real-axis segment and the
+    # ray cancel for the orders with Re p < 0 and the recurrence cancels
+    # down from an integrated order with Re p > 1 (p0 = -2.51 + 0.05i has
+    # an order with |p| just under 1/2), and at |xi| R near |p|, where
+    # carrying all orders down from the last one loses digits
+    R = 2.5
+    xi = np.array([sign * x / R for x in xi_R for sign in (1.0, -1.0)])
+    got = _power_tail_orders(complex(p0), xi, R)
+    for row, exact, x in zip(got, _expint_orders(p0, xi, R), xi.tolist()):
+        for k in range(_SERIES_LEN):
+            assert row[k] == pytest.approx(exact[k], rel=1e-12), (x * R, k)
+
+
+@pytest.mark.parametrize("block", [2, wave_kernel._TAIL_BLOCK])
+def test_power_tail_orders_do_not_depend_on_the_stack(monkeypatch, block):
+    # rows whose one integrated order is the first, a middle or the last
+    # one, next to p0 = 0 and -1 at |xi| R = 1e-12 (where the upward steps
+    # must not start at p = 0), both signs of xi; each row has the bits of
+    # the call with that row alone
+    monkeypatch.setattr(wave_kernel, "_TAIL_BLOCK", block)
+    p0 = np.array([0.0, -1.0, 0.0, -1.0, 2 + 1j, -5 + 1j, 8 + 4j, 2 + 1j, 1.5, 1.5])
+    xi_R = np.array([1e-12, 1e-12, -1e-12, -1e-12, 0.3, 1e-6, -10.8, 6.0, 1e3, -40.0])
+    R = np.array([2.0, 3.0, 2.0, 3.0, 12.0, 2.5, 2.5, 40.0, 7.0, 300.0])
+    seed = np.clip(np.rint(np.abs(xi_R) - p0.real), 0, _SERIES_LEN - 1)
+    assert {0, _SERIES_LEN - 1} < set(seed.tolist())
+    stack = _power_tail_orders(p0, xi_R / R, R)
+    assert np.all(np.isfinite(stack))
+    for j in range(p0.size):
+        alone = _power_tail_orders(p0[j], xi_R[j] / R[j], R[j])
+        assert np.all(stack[j] == alone[0]), j
 
 
 @pytest.mark.parametrize("block", [2, 64])
