@@ -451,8 +451,9 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
 
     Every pair with lam != 0 and H != 0 takes the one path of ``_phi_det``
     at every rank, on, near or far from walls (root hyperplanes) and near
-    the joint origin alike.  H = 0 gives exactly 1, lam = 0 gives phi0(H),
-    and a row of lam or H that is not finite raises ConfigError."""
+    the joint origin alike, at any scale of lam against H.  H = 0 gives
+    exactly 1, lam = 0 gives phi0(H), and a row of lam or H that is not
+    finite raises ConfigError."""
     lam, H = np.asarray(lam, dtype=float), np.asarray(H, dtype=float)
     for name, p in (("lam", lam.reshape(-1, rs.rank)), ("H", H.reshape(-1, rs.rank))):
         if not np.isfinite(p).all():
@@ -461,13 +462,15 @@ def phi_lambda_many(rs: RootSystem, lam: np.ndarray, H: np.ndarray) -> np.ndarra
     lam, H = np.broadcast_arrays(lam, H)
     shape = lam.shape[:-1]
     lam, H = lam.reshape(-1, rs.rank), H.reshape(-1, rs.rank)
-    lam_n, H_n = np.linalg.norm(lam, axis=1), np.linalg.norm(H, axis=1)
-    live = (lam_n >= 1e-14) & (H_n >= 1e-14)
+    # phi/phi0 depends on the pair only through the products <lam, w H>, and
+    # ``_phi_det`` balances its nodes to unit scale, so a pair counts as
+    # lam = 0 or H = 0 by the size of |lam| |H| alone, taken from the largest
+    # entries (a row norm overflows past 1e154); there phi/phi0 = 1 to 1e-56
+    small = np.max(np.abs(lam), axis=1) * np.max(np.abs(H), axis=1) < 1e-28
     out = np.empty(lam.shape[0], dtype=complex)
-    if live.any():
-        out[live] = _phi_det(rs, lam[live], H[live])
-    out[lam_n < 1e-14] = phi0(rs, H[lam_n < 1e-14])
-    out[H_n < 1e-14] = 1.0
+    if not small.all():
+        out[~small] = _phi_det(rs, lam[~small], H[~small])
+    out[small] = phi0(rs, H[small])
     return out.reshape(shape)
 
 

@@ -4,8 +4,10 @@ For bi-invariant kernels the spectral integral over the flat part collapses,
 after averaging the spherical function over the compact group, to a
 one-dimensional integral against the Euclidean shell integral
 
-    S_d(r, s) = (2 pi)^{d/2} r^{d/2} s^{(2-d)/2} J_{(d-2)/2}(r s),
+    S_d(r, s) = (2 pi)^{d/2} r^{d/2} s^{(2-d)/2} J_{(d-2)/2}(r s)
+              = |S^{d-1}| r^{d-1} 0F1(; d/2; -(r s)^2/4),
 
+evaluated through ``hyp0f1`` for even d and ``spherical_jn`` for odd d,
 so every kernel value is phi0(H) times an oscillatory half-line integral in
 the spectral radius r with phase t sqrt(r^2 + |rho|^2).  For the total
 kernel that integral has no cutoff; only the low and high pieces weigh it
@@ -30,7 +32,11 @@ double precision: numerical steepest descent (a Gauss-Laguerre rule on a
 ray into the complex plane, after a short real-axis segment where the
 frequency is too low for the ray alone) gives one power per branch, and
 the integration-by-parts recurrence of the generalized exponential
-integral gives the others.  Nothing is ever hard-truncated.
+integral gives the others.  The first R is at least the radius c(sigma)
+rho_tilde at which the omitted terms of the series of
+(1 + rho_tilde^2/r^2)^{-sigma/2} fall below the tail tolerance
+(``_tail_start``), so few keys need a second round.  Nothing is ever
+hard-truncated.
 
 ``kernel_piece`` is the one kernel entry: it takes one point H (rank,) or
 a stack (N, rank) anywhere in a, and the point is the N = 1 case of the
@@ -63,6 +69,13 @@ from .geometry import phi0
 from .root_system import RootSystem
 
 TAIL_REL_TOL = 1e-8
+# how far below TAIL_REL_TOL the first tail start puts the binomial series'
+# first omitted term (``_tail_start``).  Measured on the benchmark's A2
+# small-time sweep (seeds 0 and 7, 352 keys): 10 sends 11 keys to a second
+# round of panels and tail, 30 none, with 2,754 and 2,807 panels, and the
+# pass took 26.5 and 24.7 ms (best of 24 in process on 2 vCPUs); 100 builds
+# 2,908 panels.
+_TAIL_START_MARGIN = 30.0
 _SERIES_LEN = 18
 _GL_N = 16
 _RAY_NODES = 60
@@ -76,6 +89,7 @@ _SEG_NODES = 20
 class _KernelTables(NamedTuple):
     gamma: Callable                   # scipy.special functions
     jv: Callable
+    hyp0f1: Callable
     hankel1e: Callable
     spherical_jn: Callable
     psi_u: np.ndarray                 # smooth step F(u) tabulated on [0, 1]
@@ -93,7 +107,10 @@ def _kernel_tables() -> _KernelTables:
     """Everything only the kernel path needs, built once on its first use.
 
     That is the ``scipy.special`` import (about 0.3 s on 2 vCPUs and 19 MB
-    of resident memory) and the ``numpy.polynomial`` one (0.75 MB), the
+    of resident memory) with the functions ``gamma``, ``jv`` (for
+    ``bessel_j``), ``hyp0f1`` (the even-d shell), ``hankel1e`` (its
+    Hankel branches) and ``spherical_jn`` (the odd-d shell and the Filon
+    moments), and the ``numpy.polynomial`` one (0.75 MB), the
     dense table of the bump-quotient smooth step, the Gauss-Legendre rule
     and moment rows of the Filon panels, and the Gauss-Laguerre ray and
     Gauss-Legendre segment rules of the tail.  The spectral workflows
@@ -101,7 +118,7 @@ def _kernel_tables() -> _KernelTables:
     load either package.  ``smooth_step`` calls it, so the first
     ``chi_pair`` pays the whole cost."""
     from numpy.polynomial import laguerre as _lag, legendre as _leg
-    from scipy.special import gamma, hankel1e, jv, spherical_jn
+    from scipy.special import gamma, hankel1e, hyp0f1, jv, spherical_jn
 
     n = 200_001
     u = np.linspace(0.0, 1.0, n)
@@ -115,7 +132,7 @@ def _kernel_tables() -> _KernelTables:
     # imaginary for odd n)
     gl_m = np.array([(-1.0) ** (n // 2) * (2 * n + 1) * gl_w * _leg.legval(gl_x, np.eye(n + 1)[n])
                      for n in range(_GL_N)])
-    return _KernelTables(gamma, jv, hankel1e, spherical_jn,
+    return _KernelTables(gamma, jv, hyp0f1, hankel1e, spherical_jn,
                          u, 1.0 - cum / cum[-1],          # 1 at s=0, 0 at s=1
                          gl_x, gl_m,
                          *_lag.laggauss(_RAY_NODES),
@@ -177,11 +194,11 @@ def bessel_j(nu: float, x: np.ndarray) -> np.ndarray:
 
     The wrapper adds the domain check and returns a float for scalar input.
     The name stays because it is public API (exported by ``symwave``) and
-    ``perfbench/tracer.py`` instruments it by name.  ``shell_integral`` calls
-    it for even dim_X only; for odd dim_X it uses the elementary
-    half-integer form (DLMF 10.49) through ``spherical_jn``.  Past the
-    Filon cut of ``_build_panels`` both parities use ``hankel1e`` instead
-    (``_shell_branch``)."""
+    ``perfbench/tracer.py`` instruments it by name.  The kernel path does
+    not call it: ``shell_integral`` evaluates even dim_X through
+    ``hyp0f1`` and odd dim_X through the elementary half-integer form
+    (DLMF 10.49) of ``spherical_jn``, and past the Filon cut of
+    ``_build_panels`` both parities use ``hankel1e`` (``_shell_branch``)."""
     x = np.asarray(x, dtype=float)
     if nu < 0 or np.any(x < 0):
         raise ConfigError("bessel_j requires nu >= 0 and x >= 0")
@@ -198,18 +215,29 @@ def shell_integral(rs: RootSystem, r: np.ndarray, s: float | np.ndarray) -> np.n
     d = dim_X; equals the sphere area times r^{d-1} at s = 0.
 
     ``s`` is a scalar or an array broadcast against ``r``; the result has
-    the broadcast shape, and is a float when both are scalars.  For odd d
-    the Bessel factor is J_{(d-2)/2}(z) = sqrt(2z/pi) j_{(d-3)/2}(z)."""
+    the broadcast shape, and is a float when both are scalars.  With
+    z = r s it is |S^{d-1}| r^{d-1} 0F1(; d/2; -z^2/4) (DLMF 10.16.9).
+    For even d that is one ``scipy.special.hyp0f1`` call at every z, 0
+    included: at a negative argument it evaluates the cephes J_{(d-2)/2},
+    which costs 0.15-0.23 us per node against 0.24-1.3 us for AMOS's
+    ``jv(3, z)``, and sqrt(fl(z^2)/4) 2 gives back z exactly.  For odd d
+    the Bessel factor is J_{(d-2)/2}(z) = sqrt(2z/pi) j_{(d-3)/2}(z): one
+    ``spherical_jn`` node costs 0.04 us against 0.2 us for
+    ``hyp0f1(3/2, -z^2/4)``, and below z = 0.5 a 13-term series of
+    0F1 keeps the value finite at z = 0."""
     d = rs.dim_X
     nu = (d - 2) / 2.0
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     if np.any(s < 0):
         raise ConfigError("s must be >= 0")
     z = r * s
+    if d % 2 == 0:
+        out = sphere_area(d) * r ** (d - 1) * _kernel_tables().hyp0f1(d / 2.0, -(z * z) / 4.0)
+        return float(out) if out.ndim == 0 else out
     out = np.empty(z.shape)
     small = z <= 0.5
     if np.any(small):
-        # scaled series Gamma(nu+1) (z/2)^{-nu} J_nu(z), finite at z = 0
+        # scaled series Gamma(nu+1) (z/2)^{-nu} J_nu(z) = 0F1(; nu+1; -z^2/4)
         zs = z[small]
         term = np.ones_like(zs)
         acc = term.copy()
@@ -221,10 +249,7 @@ def shell_integral(rs: RootSystem, r: np.ndarray, s: float | np.ndarray) -> np.n
     big = ~small
     if np.any(big):
         zl = z[big]
-        if d % 2:
-            bes = np.sqrt(2.0 * zl / np.pi) * _kernel_tables().spherical_jn((d - 3) // 2, zl)
-        else:
-            bes = bessel_j(nu, zl)
+        bes = np.sqrt(2.0 * zl / np.pi) * _kernel_tables().spherical_jn((d - 3) // 2, zl)
         out[big] = ((2.0 * np.pi) ** (d / 2.0) * r[big] ** (d / 2.0)
                     * s[big] ** ((2.0 - d) / 2.0) * bes)
     return float(out) if out.ndim == 0 else out
@@ -648,6 +673,18 @@ def _tail_series(rs: RootSystem, sigma: complex, rho_tilde: float, t: float) -> 
     return common, _bessel_a((rs.dim_X - 2) / 2.0, _SERIES_LEN)
 
 
+def _tail_start(sigma: complex) -> float:
+    """The factor c >= 2 of rho_tilde from which the tail series of
+    (1 + rho_tilde^2/r^2)^{-sigma/2} has converged: its first omitted term,
+    binom(-sigma/2, 9) (rho_tilde/r)^18, is ``TAIL_REL_TOL`` /
+    ``_TAIL_START_MARGIN`` of the leading 1 at r = c rho_tilde.  A tolerance
+    below the rounding unit, which no tail can meet, counts as that unit,
+    so that c stays finite (about 9 at sigma = 2+i)."""
+    omitted = abs(math.prod((-sigma / 2.0 - q) / (q + 1) for q in range(_SERIES_LEN // 2)))
+    tol = max(TAIL_REL_TOL, float(np.finfo(float).eps)) / _TAIL_START_MARGIN
+    return max(2.0, (omitted / tol) ** (1.0 / _SERIES_LEN))
+
+
 def _tail_values(rs: RootSystem, sigma: complex, t, s: np.ndarray, R: np.ndarray,
                  series: tuple) -> tuple:
     """Analytic values of the high-frequency integrand tail on [R_k, inf) at
@@ -753,14 +790,17 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: np.ndarra
 
     The low piece is one set of panels on [0, 2|rho|].  The high and total
     pieces have panels on [|rho|, R_k] and [0, R_k], and the same analytic
-    tail beyond R_k >= 2|rho|, where chiinf = 1.  The tail series is built
-    once per distinct t_k.  Each round evaluates the tails of all pending
-    keys, whatever their time, in one ``_tail_values`` call and checks them
-    against ``TAIL_REL_TOL`` as arrays; each key whose tail error estimate
-    is not below that share of its mass moves R_k out by 1.7, and only
-    those keys get panels on the new stretch.  Every error names the t,
-    |H| and sigma of a key at fault and carries its index as
-    ``slice_index``.
+    tail beyond R_k.  The first R_k is the largest of 2|rho| (where
+    chiinf = 1), c(sigma) rho_tilde (``_tail_start``: the binomial series
+    of (1 + rho_tilde^2/r^2)^{-sigma/2} has converged there to
+    ``TAIL_REL_TOL`` / ``_TAIL_START_MARGIN``), t_k |rho|^2 (the phase
+    series) and 12/|H|.  The tail series is built once per distinct t_k.
+    Each round evaluates the tails of all pending keys, whatever their time,
+    in one ``_tail_values`` call and checks them against ``TAIL_REL_TOL`` as
+    arrays; each key whose tail error estimate is not below that share of
+    its mass moves R_k out by 1.7, and only those keys get panels on the
+    new stretch.  Every error names the t, |H| and sigma of a key at fault
+    and carries its index as ``slice_index``.
 
     The panels see the real amplitude chi (r^2+rt^2)^{-Re sigma/2} S_d(r, s),
     with chi from ``chi_pair`` on the step ``cutoff`` (the total calls none:
@@ -812,7 +852,7 @@ def _profile_pass(rs: RootSystem, sigma: complex, rho_tilde: float, t: np.ndarra
         return f"{piece} piece at t = {t[k]:.6g}, |H| = {s[k]:.6g}, sigma = {sigma:.6g}"
 
     s_eff = np.where(s < 1e-4, 0.0, s)
-    R = np.maximum(np.maximum(max(2.0 * rho_norm, 2.0 * rho_tilde), t * rho_norm ** 2),
+    R = np.maximum(np.maximum(max(2.0 * rho_norm, _tail_start(sigma) * rho_tilde), t * rho_norm ** 2),
                    12.0 / np.where(s_eff > 0.0, s_eff, np.inf))
     far = np.flatnonzero(R > 5e6)
     if far.size:

@@ -381,6 +381,23 @@ def test_phi_far_out_along_rho_is_finite(tag):
     assert abs(vals[0] - ref) <= 1e-11 * abs(ref)
 
 
+@pytest.mark.parametrize("tag", ["A2", "B2"])
+def test_phi_depends_on_the_scale_of_the_products_only(tag):
+    # phi/phi0 is a function of the products <lam, w H>: (c lam, H/c) gives
+    # the unit-scale quotient times phi0(H/c), also where a row norm of lam
+    # overflows and one of H is far below any absolute zero test; phi0 of
+    # H = 1e200 (2, -1) underflows, and so does phi
+    rs = build_root_system(tag[0], int(tag[1]))
+    lam, H = np.array([1.0, 2.0]), np.array([2.0, -1.0])
+    unit = phi_lambda(rs, lam, H) / phi0(rs, H)
+    for c in (1e200, 1e150, 1e-200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = phi_lambda_many(rs, c * lam, H / c)
+            ref = unit * phi0(rs, H / c)
+        assert abs(val - ref) <= 1e-12 * abs(unit), c
+
+
 @pytest.mark.parametrize("lam,H,name", [([np.nan, 1.0], [0.3, 0.2], "lam row 0"),
                                         ([0.9, 0.4], [[0.3, 0.2], [np.inf, 0.0]], "H row 1"),
                                         ([[0.9, 0.4], [1.0, -np.inf]], [0.3, 0.2], "lam row 1")])

@@ -16,6 +16,7 @@ from scipy.special import jv
 import symwave
 from symwave import wave_kernel
 from symwave.errors import ConfigError, InconclusiveIntegralError, PoleError
+from symwave.estimates import decay_sweep
 from symwave.geometry import phi0
 from symwave.wave_kernel import (KernelParams, bessel_j, chi_pair, kernel_piece,
                                  shell_integral, sphere_area, smooth_step)
@@ -156,6 +157,52 @@ def test_shell_integral_odd_d_matches_jv(tag):
     assert stacked.shape == (4, 301)
     assert np.all(stacked == np.array([shell_integral(rs, r, float(x)) for x in s]))
     assert type(shell_integral(rs, 2.0, 0.7)) is float
+
+
+@pytest.mark.parametrize("tag", ["D2", "A2", "B2", "C2", "A4", "D4", "B4"])
+def test_shell_integral_even_d_matches_jv(tag):
+    # even d (6 to 36 here) is |S^{d-1}| r^{d-1} 0F1(; d/2; -z^2/4) at every
+    # z = r s; against jv on the envelope scale of the odd-d test, and
+    # relative to jv below z = 0.5, where the shell has no zeros
+    rs = root_system_from_tag(tag)
+    d = rs.dim_X
+    nu = (d - 2) / 2
+    z = np.linspace(0.5, 400.0, 40001)
+    small = np.linspace(0.0, 0.5, 5001)[1:]
+    for s in (0.35, 1.0, 2.7):
+        r = z / s
+        pref = (2 * np.pi) ** (d / 2) * r ** (d / 2) * s ** ((2 - d) / 2)
+        ref = pref * jv(nu, z)
+        got = shell_integral(rs, r, s)
+        assert np.max(np.abs(got - ref) / (pref * np.sqrt(2 / (np.pi * z)))) < 1e-13
+        r = small / s
+        ref = sphere_area(d) * r ** (d - 1) * math.gamma(nu + 1) * jv(nu, small) / (small / 2) ** nu
+        assert np.max(np.abs(shell_integral(rs, r, s) / ref - 1.0)) < 1e-13
+    r = np.array([0.0, 0.3, 2.0, 17.0])
+    assert np.all(shell_integral(rs, r, 0.0) == sphere_area(d) * r ** (d - 1))
+    # an array s broadcast against r equals the per-scalar calls
+    r = np.linspace(0.0, 30.0, 301)
+    s = np.array([0.0, 0.01, 0.7, 3.8])
+    stacked = shell_integral(rs, r, s[:, None])
+    assert stacked.shape == (4, 301)
+    assert np.all(stacked == np.array([shell_integral(rs, r, float(x)) for x in s]))
+    assert type(shell_integral(rs, 2.0, 0.7)) is float
+
+
+def test_even_d_kernel_makes_no_jv_call(a2, monkeypatch):
+    # the A2 shell is hyp0f1 before the Filon cut and hankel1e past it, so
+    # a high piece whose shell nodes reach r |H| of a few hundred gives the
+    # same bits with jv raising
+    p = KernelParams(t=0.3, sigma=4.5 + 1.0j)
+    H = np.array([[0.0, 0.0], [0.05, 0.02], [0.9, 0.4], [3.0, -1.0]])
+    want = kernel_piece(a2, p, H, "high_reg")
+    tables = wave_kernel._kernel_tables()
+
+    def no_jv(*args):
+        raise AssertionError("jv called")
+
+    monkeypatch.setattr(wave_kernel, "_kernel_tables", lambda: tables._replace(jv=no_jv))
+    assert np.all(kernel_piece(a2, p, H, "high_reg") == want)
 
 
 def test_shell_oscillation_bound(a1):
@@ -513,6 +560,35 @@ def test_one_tail_call_per_extension_round(a1, monkeypatch):
     assert calls["tail"][0] == 40 and len(calls["tail"]) >= 2
     assert len(calls["tail"]) == calls["panels"]
     assert sum(calls["tail"]) > 40 > len(calls["tail"])
+
+
+# the inputs of the benchmark's seed-0 small-time sweeps (criterion 05)
+_SEED0_IM_SIGMA = 0.4860610456443572
+_SEED0_A1_TIMES = [0.05001901102732466, 0.06457971732515717, 0.0831358922846257,
+                   0.10735946321839988, 0.13663990215545133, 0.1770356236743364,
+                   0.22467880955277827, 0.29320471063218995, 0.37250324854221595,
+                   0.48425089504912083, 0.6193001489991282, 0.7976611451228055]
+
+
+@pytest.mark.parametrize("tag,sigma,times,per_axis", [
+    ("A1", 2.0 + _SEED0_IM_SIGMA * 1j, _SEED0_A1_TIMES, None),
+    ("A2", 4.5 + _SEED0_IM_SIGMA * 1j, np.geomspace(0.05, 0.8, 4).tolist(), 25)],
+    ids=["A1", "A2"])
+def test_first_tail_start_meets_the_tolerance(tag, sigma, times, per_axis, monkeypatch):
+    # the first tail starts where the binomial series of
+    # (1 + rt^2/r^2)^(-sigma/2) has converged, so few keys of a sweep pay a
+    # second round of panels and tail
+    rounds = []
+    tail = wave_kernel._tail_values
+
+    def counting_tail(rs, sigma, t, s, R, series):
+        rounds.append(s.size)
+        return tail(rs, sigma, t, s, R, series)
+
+    monkeypatch.setattr(wave_kernel, "_tail_values", counting_tail)
+    decay_sweep(root_system_from_tag(tag), "small_time", sigma=sigma, times=times,
+                per_axis=per_axis)
+    assert len(rounds) == 1 or rounds[1] <= 0.05 * rounds[0], rounds
 
 
 def test_radial_integral_errors_name_the_inputs(a1, monkeypatch):
